@@ -127,6 +127,8 @@ class PointCloudMeasure:
             raise ValueError("points must be (n, D) with one weight per point")
         if not np.isfinite(pts).all():
             raise ValueError("non-finite cloud point")
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite cloud weight")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "points", pts)
@@ -302,17 +304,23 @@ class PointMassOracle(ScoreOracle):
 class PointCloudOracle(ScoreOracle):
     """Finitely supported data; the noised marginal is a Gaussian mixture.
 
-    Posterior weights are evaluated in log space with max subtraction;
-    contributions more than 745 nats below the leading component are flushed
-    to zero before normalization.  Batch queries are chunked so memory stays
-    at ``chunk * n_points`` floats.
+    Log-weights use the distance expansion of ``||x - c p_j||^2`` (as in
+    scikit-learn's ``euclidean_distances``): one matmul per chunk of queries,
+    on points centred at their weighted centroid so that the expansion does
+    not cancel for clouds far from the origin.  Weights 745 nats below the
+    leading one are flushed to zero.  Each chunk uses one chunk x n_points buffer.
     """
 
     def __init__(self, cloud: PointCloudMeasure, chunk: int = 2048):
         self.cloud = cloud
         self.dim = cloud.dim
         self.chunk = int(chunk)
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk!r}")
         self._log_w = np.where(cloud.weights > 0, np.log(np.maximum(cloud.weights, 1e-300)), -np.inf)
+        self._mu = cloud.weights @ cloud.points
+        self._q = cloud.points - self._mu
+        self._half_q2 = 0.5 * (self._q * self._q).sum(axis=1)
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
@@ -324,24 +332,30 @@ class PointCloudOracle(ScoreOracle):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
         return self.cloud.points[idx]
 
-    def _log_weights(self, t, xb):
-        # xb: (m, D) -> (m, n_points) unnormalized posterior log-weights
+    def _posterior_chunks(self, t, x):
+        # Per chunk: weights e relative to each row's leading component, and its
+        # log density `lead` in direct form; the logits omit -||y||^2 / (2 s2).
         c = math.exp(-t)
         s2 = -math.expm1(-2.0 * t)
-        diff = xb[:, None, :] - c * self.cloud.points[None, :, :]
-        return self._log_w[None, :] - 0.5 * (diff * diff).sum(-1) / s2
+        log_norm = 0.5 * self.dim * math.log(2.0 * math.pi * s2)
+        bias = self._log_w - (c * c / s2) * self._half_q2
+        flat = x.reshape(-1, self.dim)
+        for i in range(0, len(flat), self.chunk):
+            y = flat[i : i + self.chunk] - c * self._mu
+            lw = (y * (c / s2)) @ self._q.T
+            lw += bias
+            top = lw.argmax(axis=1)
+            lw -= np.take_along_axis(lw, top[:, None], axis=1)
+            lw[lw <= _LOG_FLUSH] = -np.inf
+            lead = self._log_w[top] - 0.5 * ((y - c * self._q[top]) ** 2).sum(axis=1) / s2 - log_norm
+            yield slice(i, i + self.chunk), lead, np.exp(lw, out=lw)
 
     def posterior_mean(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
-        flat = np.atleast_2d(x.reshape(-1, self.dim))
-        out = np.empty_like(flat)
-        for i in range(0, len(flat), self.chunk):
-            lw = self._log_weights(t, flat[i : i + self.chunk])
-            lw -= lw.max(axis=1, keepdims=True)
-            w = np.exp(lw, where=lw > _LOG_FLUSH, out=np.zeros_like(lw))
-            w /= w.sum(axis=1, keepdims=True)
-            out[i : i + self.chunk] = w @ self.cloud.points
+        out = np.empty((math.prod(x.shape[:-1]), self.dim))
+        for rows, _, e in self._posterior_chunks(t, x):
+            out[rows] = self._mu + (e @ self._q) / e.sum(axis=1, keepdims=True)
         return out.reshape(x.shape)
 
     @property
@@ -351,14 +365,9 @@ class PointCloudOracle(ScoreOracle):
     def log_marginal(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
-        s2 = -math.expm1(-2.0 * t)
-        flat = np.atleast_2d(x.reshape(-1, self.dim))
-        out = np.empty(len(flat))
-        for i in range(0, len(flat), self.chunk):
-            lw = self._log_weights(t, flat[i : i + self.chunk])
-            m = lw.max(axis=1)
-            out[i : i + self.chunk] = m + np.log(np.exp(lw - m[:, None]).sum(axis=1))
-        out -= 0.5 * self.dim * math.log(2.0 * math.pi * s2)
+        out = np.empty(math.prod(x.shape[:-1]))
+        for rows, lead, e in self._posterior_chunks(t, x):
+            out[rows] = lead + np.log(e.sum(axis=1))
         return out.reshape(x.shape[:-1])
 
 

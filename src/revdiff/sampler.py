@@ -248,8 +248,9 @@ class ReverseRunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        for name, low in (("batch", 1), ("chunk_size", 1), ("n_workers", 1), ("record_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.init not in ("standard_normal", "data_pT"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.score_source != "exact" and not isinstance(self.score_source, ScorePerturbation):

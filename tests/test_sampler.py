@@ -262,6 +262,9 @@ def test_run_reverse_config_validation():
         ReverseRunConfig(schedule=sched, batch=0)
     with pytest.raises(ValueError):
         ReverseRunConfig(schedule=sched, init="prior")
+    for field, value in (("chunk_size", 0), ("n_workers", 0), ("record_every", -1)):
+        with pytest.raises(ValueError, match=field):
+            ReverseRunConfig(schedule=sched, **{field: value})
     bad_times = np.array([0.0, 0.5, 0.6])
     bad = TimeSchedule(
         kappa=0.25,
