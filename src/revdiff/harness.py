@@ -29,6 +29,7 @@ from .measures import (
     make_manifold_cloud,
     point_cloud_oracle,
     point_mass_oracle,
+    random_frame,
     spawn_rng,
 )
 from .sampler import ReverseRunConfig, ScorePerturbation, run_reverse, save_batch
@@ -79,26 +80,29 @@ def load_config(path: str) -> ExperimentConfig:
     explicitly whenever a schedule is needed.
     """
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # [options] keep their case: D (ambient) and d (intrinsic) differ
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
-    exp = dict(parser["experiment"]) if "experiment" in parser else {}
+    lower = {name: {k.lower(): v for k, v in parser[name].items()} for name in parser.sections()}
+    exp = lower.get("experiment", {})
     cfg = ExperimentConfig(
         name=exp.get("name", ""),
         seed=int(exp.get("seed", 0)),
         out_dir=exp.get("out_dir", "runs"),
         workers=int(exp.get("workers", 1)),
     )
-    for section in ("schedule", "measure", "perturbation", "options"):
-        if section in parser:
-            getattr(cfg, section).update(dict(parser[section]))
+    for section in ("schedule", "measure", "perturbation"):
+        getattr(cfg, section).update(lower.get(section, {}))
+    if "options" in parser:
+        cfg.options.update(parser["options"])
     return cfg
 
 
 def resolve_schedule(fields: dict):
     """Build a schedule from explicit (kappa, L, K) or (kappa, horizon, delta).
 
-    Keys are case-insensitive to accommodate configparser's lowercasing.
+    Keys are case-insensitive, so L and K may be given in either case.
     There are no fallback values: missing parameters are an error.
     """
     low = {str(k).lower(): v for k, v in fields.items()}
@@ -133,13 +137,8 @@ def _parse_kv_spec(spec: str) -> dict:
 
 
 def _rank_d_law(D: int, rank: int, var: float, seed: int, rotate: bool = True) -> GaussianLaw:
-    fac = np.zeros((D, rank))
-    fac[:rank, :] = math.sqrt(var) * np.eye(rank)
-    if rotate:
-        rng = spawn_rng(seed, 104729)
-        q, r = np.linalg.qr(rng.standard_normal((D, D)))
-        fac = (q * np.sign(np.diag(r))) @ fac
-    return GaussianLaw(mean=np.zeros(D), factor=fac, diag_floor=0.0)
+    frame = random_frame(D, rank, spawn_rng(seed, 104729)) if rotate else np.eye(D, rank)
+    return GaussianLaw(mean=np.zeros(D), factor=math.sqrt(var) * frame, diag_floor=0.0)
 
 
 def build_measure(spec, seed: int = 0):
@@ -474,16 +473,21 @@ def run_experiment(config: ExperimentConfig):
     Returns (base path, footer summary).  Unknown presets and malformed
     specs fail before any computation starts.
     """
+    # each preset's builder and the [options] keys it reads; other keys are rejected
     builders = {
-        "d-sweep": _preset_d_sweep,
-        "D-sweep": _preset_D_sweep,
-        "K-sweep": _preset_K_sweep,
-        "eps-sweep": _preset_eps_sweep,
-        "lemma-suite": _preset_lemma_suite,
+        "d-sweep": (_preset_d_sweep, ("D", "dims", "var")),
+        "D-sweep": (_preset_D_sweep, ("dims", "d", "var")),
+        "K-sweep": (_preset_K_sweep, ("doublings", "D", "d", "var")),
+        "eps-sweep": (_preset_eps_sweep, ("D", "d", "var", "eps")),
+        "lemma-suite": (_preset_lemma_suite, ("n",)),
     }
     if config.name not in builders:
         raise ValueError(f"unknown preset {config.name!r}; choose from {PRESETS}")
-    columns, rows, footer, plot = builders[config.name](config)
+    build, allowed = builders[config.name]
+    for key in config.options:
+        if key not in allowed:
+            raise ValueError(f"unknown [options] key {key!r} for {config.name}; expected {allowed}")
+    columns, rows, footer, plot = build(config)
     meta = config.echo()
     base = _write_outputs(config.out_dir, config.name, columns, rows, meta, footer, plot)
     return base, dict(footer)

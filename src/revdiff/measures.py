@@ -206,7 +206,7 @@ class GaussianLaw:
         return self.mean.shape[0]
 
     def covariance(self) -> np.ndarray:
-        """Dense D x D covariance; for cross-checks at small D."""
+        """Dense D x D covariance, O(D^2 d); of the exact paths only dense propagation needs it."""
         return self.factor @ self.factor.T + self.diag_floor * np.eye(self.dim)
 
     @classmethod
@@ -561,8 +561,19 @@ def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 
-def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+def random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """First k columns of the random rotation from the QR of one dim x dim normal draw.
+
+    The draw is made in row blocks keeping only its first k columns, whose
+    thin QR gives those columns: O(dim * k) memory, O(dim^2 + dim * k^2) time.
+    """
+    if not 0 <= k <= dim:
+        raise ValueError(f"need 0 <= k <= dim, got k={k}, dim={dim}")
+    rows = max(1, 65536 // dim)
+    a = np.concatenate(
+        [rng.standard_normal((min(rows, dim - i), dim))[:, :k] for i in range(0, dim, rows)]
+    )
+    q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
 
 
@@ -696,7 +707,7 @@ def make_manifold_cloud(
         raise ValueError(f"unknown manifold kind {kind!r}")
 
     if rotate:
-        raw = raw @ _random_rotation(D, rng).T
+        raw = raw @ random_frame(D, D, rng).T
     cloud = PointCloudMeasure.uniform(raw).normalized(scale=diam)
     return cloud, spec.rescaled(1.0 / diam)
 

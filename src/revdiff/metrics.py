@@ -6,7 +6,7 @@ Gaussian and everything about it is computable without sampling.  The key
 device is a channel decomposition: the data covariance's eigenbasis is
 preserved by every step map, so a D-dimensional run splits into independent
 scalar channels (one per covariance eigendirection, plus one isotropic group
-for the orthogonal complement).  Exact sweeps over D cost O(D + rank * K).
+for the orthogonal complement).  Exact sweeps over D cost O(D * rank + rank * K).
 
 Monte Carlo estimators cover measures without closed forms; every MC report
 carries a plug-in standard error, and acceptance bands downstream use three
@@ -29,13 +29,8 @@ from .measures import (
     ScoreOracle,
     forward_bridge,
 )
-from .sampler import (
-    ReverseRunConfig,
-    ScorePerturbation,
-    corrected_coefficients,
-    ei_coefficients,
-)
-from .schedule import TimeSchedule
+from .sampler import ReverseRunConfig, ScorePerturbation, step_table
+from .schedule import TimeSchedule, contraction, noise_var
 
 __all__ = [
     "MetricReport",
@@ -209,11 +204,6 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
     return 0.5 * (trace + quad - dim + logdet_q - logdet_p)
 
 
-def _scheme_coefficients(schedule: TimeSchedule, scheme: str):
-    fn = corrected_coefficients if scheme == "corrected" else ei_coefficients
-    return [fn(schedule, k) for k in range(schedule.n_steps)]
-
-
 def _bias_vectors(config: ReverseRunConfig, ch: _Channels):
     """Channel components of a constant score bias; rejects linear biases."""
     src = config.score_source
@@ -231,86 +221,79 @@ def _bias_vectors(config: ReverseRunConfig, ch: _Channels):
 def _propagate_channels(data: GaussianLaw, config: ReverseRunConfig):
     """Run the reverse recursion on each scalar channel exactly.
 
+    Each step is a scalar affine map per channel, mean <- f_k mean + ... and
+    var <- f_k^2 var + eta2_k; unrolled, the terminal values are sums over k
+    weighted by suffix products of f, so all K steps run at once, O(K * rank).
+
     Returns (channels, var (r,), mean (r,), resid_var, resid_mean) describing
     the terminal Gaussian in the data eigenbasis.
     """
     ch = _channels(data)
     sched = config.schedule
-    coeffs = _scheme_coefficients(sched, config.scheme)
+    tab = step_table(sched, config.scheme)
     b_r, b_perp = _bias_vectors(config, ch)
 
-    horizon = sched.horizon
+    # rows: the r channels, then the isotropic complement; columns: steps k
+    v0 = np.append(ch.var0, ch.resid_var)[:, None]
+    c, s2 = tab.c[:-1], tab.s2[:-1]
+    g = -1.0 / (c * c * v0 + s2)
+    f = tab.alpha + tab.beta * g
+    # after[:, k] = f_{k+1} ... f_{K-1}, the factor that carries step k's output to the end
+    tail = np.cumprod(f[:, ::-1], axis=1)[:, ::-1]
+    after = np.concatenate([tail[:, 1:], np.ones((len(v0), 1))], axis=1)
+    through = tail[:, 0]
+    start_var, start_mean = 1.0, 0.0
     if config.init == "data_pT":
-        cT = math.exp(-horizon)
-        s2T = -math.expm1(-2.0 * horizon)
-        var = cT * cT * ch.var0 + s2T
-        mean = cT * ch.mean0
-        resid_var = cT * cT * ch.resid_var + s2T
-        resid_mean = cT * ch.resid_mean
-    else:
-        var = np.ones_like(ch.var0)
-        mean = np.zeros_like(ch.mean0)
-        resid_var = 1.0
-        resid_mean = np.zeros(ch.dim)
-
-    for k, coef in enumerate(coeffs):
-        tau = float(sched.taus[k])
-        c = math.exp(-tau)
-        s2 = -math.expm1(-2.0 * tau)
-        g = -1.0 / (c * c * ch.var0 + s2)
-        f = coef.alpha + coef.beta * g
-        mean = f * mean - coef.beta * g * c * ch.mean0 + coef.beta * b_r
-        var = f * f * var + coef.eta**2
-        g_perp = -1.0 / (c * c * ch.resid_var + s2)
-        f_perp = coef.alpha + coef.beta * g_perp
-        resid_mean = f_perp * resid_mean - coef.beta * g_perp * c * ch.resid_mean + coef.beta * b_perp
-        resid_var = f_perp * f_perp * resid_var + coef.eta**2
-    return ch, var, mean, resid_var, resid_mean
+        cT = float(tab.c[0])
+        start_var, start_mean = cT * cT * v0[:, 0] + float(tab.s2[0]), cT
+    var = through * through * start_var + (after * after) @ tab.eta2
+    gain0 = through * start_mean - (after * g) @ (tab.beta * c)
+    bias_gain = after @ tab.beta
+    mean = gain0[:-1] * ch.mean0 + bias_gain[:-1] * b_r
+    resid_mean = gain0[-1] * ch.resid_mean + bias_gain[-1] * b_perp
+    return ch, var[:-1], mean, float(var[-1]), resid_mean
 
 
 def _propagate_dense(data: GaussianLaw, config: ReverseRunConfig):
-    """Dense-covariance fallback: O(D^3) per step, handles linear biases."""
-    sched = config.schedule
-    coeffs = _scheme_coefficients(sched, config.scheme)
+    """Dense-covariance path for a linear score bias B, in the data eigenbasis U.
+
+    ``eigh`` of the data covariance is taken once.  In that basis the exact
+    score's slope is diagonal, so step k's map is diag(alpha + beta g_k)
+    + beta U^T B U and needs no inverse; the per-step cost is the two D x D
+    products f cov f^T, O(D^3).  Returns (U, mean, cov) in that basis.
+    """
+    tab = step_table(config.schedule, config.scheme)
     dim = data.dim
-    cov0 = data.covariance()
+    lam, basis = np.linalg.eigh(data.covariance())
     src = config.score_source
-    eps_lin = None
-    eps_const = np.zeros(dim)
-    if isinstance(src, ScorePerturbation):
-        if src.linear is not None:
-            eps_lin = src.epsilon * src.linear
-        if src.constant is not None:
-            eps_const = src.epsilon * src.constant
+    lin = basis.T @ (src.epsilon * src.linear) @ basis
+    const = np.zeros(dim) if src.constant is None else basis.T @ (src.epsilon * src.constant)
+    mean0 = basis.T @ data.mean
+    diag = np.arange(dim) * (dim + 1)
 
-    horizon = sched.horizon
+    cov, mean = np.eye(dim), np.zeros(dim)
     if config.init == "data_pT":
-        cT = math.exp(-horizon)
-        s2T = -math.expm1(-2.0 * horizon)
-        cov = cT * cT * cov0 + s2T * np.eye(dim)
-        mean = cT * data.mean
-    else:
-        cov = np.eye(dim)
-        mean = np.zeros(dim)
+        cT = float(tab.c[0])
+        cov, mean = np.diag(cT * cT * lam + float(tab.s2[0])), cT * mean0
 
-    for k, coef in enumerate(coeffs):
-        tau = float(sched.taus[k])
-        c = math.exp(-tau)
-        s2 = -math.expm1(-2.0 * tau)
-        g = -np.linalg.inv(c * c * cov0 + s2 * np.eye(dim))
-        slope = g if eps_lin is None else g + eps_lin
-        intercept = -(g @ (c * data.mean)) + eps_const
-        f = coef.alpha * np.eye(dim) + coef.beta * slope
-        mean = f @ mean + coef.beta * intercept
-        cov = f @ cov @ f.T + coef.eta**2 * np.eye(dim)
-    return mean, cov
+    for alpha, beta, eta2, c, s2 in zip(
+        tab.alpha.tolist(), tab.beta.tolist(), tab.eta2.tolist(), tab.c.tolist(), tab.s2.tolist()
+    ):
+        g = -1.0 / (c * c * lam + s2)
+        f = beta * lin
+        f.flat[diag] += alpha + beta * g
+        mean = f @ mean + beta * (const - c * g * mean0)
+        cov = f @ cov @ f.T
+        cov.flat[diag] += eta2
+    return basis, mean, cov
 
 
-def _law_from_dense(mean: np.ndarray, cov: np.ndarray) -> GaussianLaw:
+def _law_from_dense(basis: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> GaussianLaw:
+    """Law whose mean and covariance are given in the orthonormal ``basis``."""
     w, v = np.linalg.eigh(cov)
     floor = max(float(w.min()), 0.0)
-    fac = v * np.sqrt(np.clip(w - floor, 0.0, None))
-    return GaussianLaw(mean=mean, factor=fac, diag_floor=floor)
+    fac = basis @ (v * np.sqrt(np.clip(w - floor, 0.0, None)))
+    return GaussianLaw(mean=basis @ mean, factor=fac, diag_floor=floor)
 
 
 def propagate_affine_reverse(data: GaussianLaw, config: ReverseRunConfig) -> GaussianLaw:
@@ -318,13 +301,13 @@ def propagate_affine_reverse(data: GaussianLaw, config: ReverseRunConfig) -> Gau
 
     Composes the K affine step maps acting on the initialization law.  With
     an exact or constant-bias score the channel split applies and the cost is
-    O(D + rank * K); a linear score bias falls back to dense covariance
-    propagation.
+    O(D * rank + K * rank); a linear score bias falls back to dense
+    covariance propagation in the data eigenbasis, O(D^3) per step for the
+    bias's matrix products.
     """
     src = config.score_source
     if isinstance(src, ScorePerturbation) and src.linear is not None:
-        mean, cov = _propagate_dense(data, config)
-        return _law_from_dense(mean, cov)
+        return _law_from_dense(*_propagate_dense(data, config))
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     spread = var - resid_var
     tol = 1e-9 * max(float(var.max(initial=1.0)), resid_var)
@@ -358,11 +341,7 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
     c = math.exp(-delta)
     s2 = -math.expm1(-2.0 * delta)
     tgt_var = c * c * ch.var0 + s2
-    tgt_mean = c * ch.mean0
-    value = sum(
-        _kl_scalar(float(v), float(tv), float(m - tm))
-        for v, tv, m, tm in zip(var, tgt_var, mean, tgt_mean)
-    )
+    value = sum(map(_kl_scalar, var.tolist(), tgt_var.tolist(), (mean - c * ch.mean0).tolist()))
     rest = ch.dim - len(ch.var0)
     tgt_resid_var = c * c * ch.resid_var + s2
     if rest > 0:
@@ -377,15 +356,19 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_posterior_var_total(ch: _Channels, t: float) -> float:
-    """E ||X_0 - m_t(X_t)||^2 for Gaussian data, summed over channels."""
-    c2 = math.exp(-2.0 * t)
-    s2 = -math.expm1(-2.0 * t)
-    tot = float(np.sum(ch.var0 * s2 / (c2 * ch.var0 + s2)))
-    rest = ch.dim - len(ch.var0)
-    if rest > 0 and ch.resid_var > 0:
-        tot += rest * ch.resid_var * s2 / (c2 * ch.resid_var + s2)
-    return tot
+def _posterior_var_drop(ch: _Channels, tab, tau_e, gap) -> np.ndarray:
+    """E||X_0 - m_tau(X_tau)||^2 at tau_k minus its value at tau_e = tau_k - gap.
+
+    Per channel of variance v, v s2 / (c^2 v + s2) drops by v^2 c_e^2 sigma2(gap)
+    / (den_k den_e): no difference of nearby values, so nothing cancels.
+    """
+    v = np.append(ch.var0, ch.resid_var)[:, None]
+    mult = np.append(np.ones(len(ch.var0)), ch.dim - len(ch.var0))[:, None]
+    c_k, s2_k = tab.c[:-1], tab.s2[:-1]
+    c_e2 = contraction(2.0 * tau_e)
+    den_k = c_k * c_k * v + s2_k
+    den_e = c_e2 * v + noise_var(tau_e)
+    return (mult * v * v / (den_k * den_e)).sum(axis=0) * c_e2 * noise_var(gap)
 
 
 def discretization_error_meter(
@@ -415,25 +398,21 @@ def discretization_error_meter(
         raise ValueError(f"unknown quadrature {quadrature!r}")
     times = schedule.times
     gammas = schedule.gammas
+    taus = np.asarray(schedule.taus)
+    right = quadrature == "right"
+    tau_e = taus[1:] if right else 0.5 * (taus[:-1] + taus[1:])
+    w = gammas * contraction(2.0 * tau_e) / noise_var(tau_e) ** 2
     components = []
     if mode == "exact":
         if not isinstance(oracle, GaussianOracle):
             raise ValueError("exact mode requires a GaussianOracle")
-        ch = _channels(oracle.law)
-        total = 0.0
-        for k in range(schedule.n_steps):
-            tau_hi = float(schedule.taus[k])
-            tau_lo = float(schedule.taus[k + 1])
-            tau_e = tau_lo if quadrature == "right" else 0.5 * (tau_hi + tau_lo)
-            w = float(gammas[k]) * math.exp(-2.0 * tau_e) / (-math.expm1(-2.0 * tau_e)) ** 2
-            inc = _gaussian_posterior_var_total(ch, tau_hi) - _gaussian_posterior_var_total(ch, tau_e)
-            val = w * inc
-            total += val
-            components.append((k, float(times[k]), val, 0.0))
+        gaps = gammas if right else 0.5 * gammas
+        vals = w * _posterior_var_drop(_channels(oracle.law), step_table(schedule), tau_e, gaps)
+        rows = enumerate(zip(times.tolist(), vals.tolist()))
         return MetricReport(
             name="discretization_error_meter",
-            value=total,
-            components=tuple(components),
+            value=float(vals.sum()),
+            components=tuple((k, t, v, 0.0) for k, (t, v) in rows),
             extras={"quadrature": float(quadrature == "midpoint")},
         )
     if mode != "mc":
@@ -444,27 +423,20 @@ def discretization_error_meter(
         raise ValueError("mc mode needs an rng")
     total = 0.0
     var_sum = 0.0
-    for k in range(schedule.n_steps):
-        tau_hi = float(schedule.taus[k])
-        tau_e = (
-            float(schedule.taus[k + 1])
-            if quadrature == "right"
-            else 0.5 * (tau_hi + float(schedule.taus[k + 1]))
-        )
+    for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
         x0 = oracle.sample0(rng, n)
-        c = math.exp(-tau_e)
-        sig = math.sqrt(-math.expm1(-2.0 * tau_e))
+        c = math.exp(-tau_lo)
+        sig = math.sqrt(-math.expm1(-2.0 * tau_lo))
         x_lo = c * x0 + sig * rng.standard_normal(x0.shape)
-        x_hi = forward_bridge(x_lo, tau_e, tau_hi, rng)
+        x_hi = forward_bridge(x_lo, tau_lo, tau_hi, rng)
         try:
-            m_lo = oracle.posterior_mean(tau_e, x_lo)
+            m_lo = oracle.posterior_mean(tau_lo, x_lo)
             m_hi = oracle.posterior_mean(tau_hi, x_hi)
         except ValueError as exc:
-            raise ValueError(f"oracle rejected step k={k} (tau={tau_e!r}): {exc}") from exc
+            raise ValueError(f"oracle rejected step k={k} (tau={tau_lo!r}): {exc}") from exc
         sq = ((m_lo - m_hi) ** 2).sum(axis=-1)
-        w = float(gammas[k]) * math.exp(-2.0 * tau_e) / (-math.expm1(-2.0 * tau_e)) ** 2
-        val = w * float(sq.mean())
-        err = w * float(sq.std(ddof=1)) / math.sqrt(n)
+        val = w_k * float(sq.mean())
+        err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
         total += val
         var_sum += err * err
         components.append((k, float(times[k]), val, err))
@@ -686,24 +658,18 @@ def score_error_budget(
     if not isinstance(bias, ScorePerturbation):
         raise ValueError("bias must be an affine ScorePerturbation")
     b_const = bias.epsilon * (bias.constant if bias.constant is not None else np.zeros(data.dim))
-    b_lin = None if bias.linear is None else bias.epsilon * bias.linear
-    cov0 = data.covariance() if b_lin is not None else None
-    budget = 0.0
-    for k in range(schedule.n_steps):
-        tau = float(schedule.taus[k])
-        g = float(schedule.gammas[k])
-        if b_lin is None:
-            sq = float(b_const @ b_const)
-        else:
-            c = math.exp(-tau)
-            s2 = -math.expm1(-2.0 * tau)
-            vt = c * c * cov0 + s2 * np.eye(data.dim)
-            mt = c * data.mean
-            bm = b_lin @ mt
-            sq = float(
-                b_const @ b_const + 2.0 * b_const @ bm + np.trace(b_lin.T @ b_lin @ vt) + bm @ bm
-            )
-        budget += g * sq
+    sq = float(b_const @ b_const)
+    if bias.linear is not None:
+        # E||b + B X_tau||^2 = |b|^2 + 2c b.Bm + c^2 (tr(B^T B Cov) + |Bm|^2) + s2 tr(B^T B)
+        # for X_tau ~ N(c m, c^2 Cov + s2 I); tr(B^T B Cov) = |B F|_F^2 + floor |B|_F^2.
+        b_lin = bias.epsilon * bias.linear
+        tab = step_table(schedule, scheme)
+        c, s2 = tab.c[:-1], tab.s2[:-1]
+        bm = b_lin @ data.mean
+        tr_m = float((b_lin * b_lin).sum())
+        tr_m_cov = float(np.square(b_lin @ data.factor).sum()) + data.diag_floor * tr_m
+        sq = sq + 2.0 * c * float(b_const @ bm) + c * c * (tr_m_cov + float(bm @ bm)) + s2 * tr_m
+    budget = float(np.sum(schedule.gammas * sq))
     base_cfg = ReverseRunConfig(schedule=schedule, scheme=scheme, init=init)
     pert_cfg = ReverseRunConfig(schedule=schedule, scheme=scheme, init=init, score_source=bias)
     kl_base = kl_experiment(data, base_cfg).value

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import ScoreOracle, forward_sample, spawn_rng
-from .schedule import TimeSchedule, validate_schedule
+from .schedule import TimeSchedule, contraction, noise_var, validate_schedule
 
 __all__ = [
     "StepCoefficients",
@@ -35,6 +35,7 @@ __all__ = [
     "ReverseRunResult",
     "corrected_coefficients",
     "ei_coefficients",
+    "step_table",
     "corrected_step",
     "ei_step",
     "corrected_score",
@@ -64,47 +65,64 @@ def _check_step_index(schedule: TimeSchedule, k: int) -> int:
     return k
 
 
-def corrected_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
-    """Coefficients of the bridge-matching scheme at step k.
+@dataclass(frozen=True)
+class StepTable:
+    """Per-step (K,) arrays alpha, beta, eta2 of one scheme, plus the forward
+    scales c and s2 at all K + 1 remaining times ``schedule.taus``."""
 
-    Closed forms are used directly: 1/c(g) = e^g and sigma2(g)/c(g)
-    = e^g - e^-g; nothing is accumulated across steps.
+    alpha: np.ndarray
+    beta: np.ndarray
+    eta2: np.ndarray
+    c: np.ndarray
+    s2: np.ndarray
+
+    def row(self, k: int) -> StepCoefficients:
+        return StepCoefficients(float(self.alpha[k]), float(self.beta[k]), math.sqrt(self.eta2[k]))
+
+
+def step_table(schedule: TimeSchedule, scheme: str = "corrected") -> StepTable:
+    """Closed-form coefficients of every step of ``scheme``, O(K).
+
+    beta is 2 sinh(g) (corrected) or 2 expm1(g) (exponential integrator):
+    the equivalent e^g - e^-g and 2 (e^g - 1) cancel for the tiny gaps at
+    the end of the geometric phase.
     """
-    k = _check_step_index(schedule, k)
-    g = float(schedule.gammas[k])
-    tau0 = float(schedule.taus[k])
-    tau1 = float(schedule.taus[k + 1])
-    eta = math.sqrt(
-        -math.expm1(-2.0 * g) * (-math.expm1(-2.0 * tau1)) / (-math.expm1(-2.0 * tau0))
-    )
-    return StepCoefficients(alpha=math.exp(g), beta=math.exp(g) - math.exp(-g), eta=eta)
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    g = np.asarray(schedule.gammas, dtype=float)
+    s2 = noise_var(schedule.taus)
+    if scheme == "corrected":
+        beta = 2.0 * np.sinh(g)
+        eta2 = noise_var(g) * s2[1:] / s2[:-1]
+    else:
+        beta = 2.0 * np.expm1(g)
+        eta2 = np.expm1(2.0 * g)
+    return StepTable(alpha=np.exp(g), beta=beta, eta2=eta2, c=contraction(schedule.taus), s2=s2)
+
+
+def corrected_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
+    """Coefficients of the bridge-matching scheme at step k (row k of its table)."""
+    return step_table(schedule, "corrected").row(_check_step_index(schedule, k))
 
 
 def ei_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
     """Exponential-integrator coefficients: freeze the score, solve the SDE."""
-    k = _check_step_index(schedule, k)
-    g = float(schedule.gammas[k])
-    return StepCoefficients(
-        alpha=math.exp(g),
-        beta=2.0 * (math.exp(g) - 1.0),
-        eta=math.sqrt(math.expm1(2.0 * g)),
-    )
+    return step_table(schedule, "exponential_integrator").row(_check_step_index(schedule, k))
+
+
+def _affine_step(y, tau, coef: StepCoefficients, score_fn, rng) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    return coef.alpha * y + coef.beta * score_fn(tau, y) + coef.eta * rng.standard_normal(y.shape)
 
 
 def corrected_step(y, k, schedule, score_fn, rng) -> np.ndarray:
     """One corrected reverse step from grid point k, batched over rows of y."""
-    coef = corrected_coefficients(schedule, k)
-    y = np.asarray(y, dtype=float)
-    tau = float(schedule.taus[k])
-    return coef.alpha * y + coef.beta * score_fn(tau, y) + coef.eta * rng.standard_normal(y.shape)
+    return _affine_step(y, float(schedule.taus[k]), corrected_coefficients(schedule, k), score_fn, rng)
 
 
 def ei_step(y, k, schedule, score_fn, rng) -> np.ndarray:
     """One exponential-integrator reverse step from grid point k."""
-    coef = ei_coefficients(schedule, k)
-    y = np.asarray(y, dtype=float)
-    tau = float(schedule.taus[k])
-    return coef.alpha * y + coef.beta * score_fn(tau, y) + coef.eta * rng.standard_normal(y.shape)
+    return _affine_step(y, float(schedule.taus[k]), ei_coefficients(schedule, k), score_fn, rng)
 
 
 def corrected_score(t, x, t2, x2, base_score_fn) -> np.ndarray:
@@ -284,7 +302,7 @@ def _resolve_score_fn(config: ReverseRunConfig, oracle_or_score):
     return base, dim
 
 
-def _run_chunk(config, oracle_or_score, score_fn, dim, n, stream):
+def _run_chunk(config, oracle_or_score, score_fn, dim, n, stream, steps):
     sched = config.schedule
     rng = spawn_rng(config.seed, stream)
     if config.init == "data_pT":
@@ -295,14 +313,13 @@ def _run_chunk(config, oracle_or_score, score_fn, dim, n, stream):
         if dim is None:
             raise ValueError("standard_normal initialization needs an oracle to fix the dimension")
         y = rng.standard_normal((n, dim))
-    step = corrected_step if config.scheme == "corrected" else ei_step
     rec = []
     rec_steps = []
-    for k in range(sched.n_steps):
+    for k, (tau, coef) in enumerate(steps):
         if config.record_every and k % config.record_every == 0:
             rec.append(y.copy())
             rec_steps.append(k)
-        y = step(y, k, sched, score_fn, rng)
+        y = _affine_step(y, tau, coef, score_fn, rng)
         if not np.isfinite(y).all():
             raise FloatingPointError(
                 f"non-finite state after step k={k} (t={sched.times[k + 1]!r}); "
@@ -330,8 +347,10 @@ def run_reverse(config: ReverseRunConfig, oracle_or_score) -> ReverseRunResult:
     while off < config.batch:
         sizes.append(min(config.chunk_size, config.batch - off))
         off += sizes[-1]
+    table = step_table(config.schedule, config.scheme)
+    steps = [(float(tau), table.row(k)) for k, tau in enumerate(config.schedule.taus[:-1])]
     args = [
-        (config, oracle_or_score, score_fn, dim, n, i) for i, n in enumerate(sizes)
+        (config, oracle_or_score, score_fn, dim, n, i, steps) for i, n in enumerate(sizes)
     ]
     if config.n_workers > 1 and len(sizes) > 1:
         from concurrent.futures import ThreadPoolExecutor

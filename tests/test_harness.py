@@ -44,6 +44,8 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         build_measure("banana:D=2", seed=0)
     with pytest.raises(ValueError):
         build_measure("gaussian:D=2,rank", seed=0)
+    with pytest.raises(ValueError):
+        build_measure("gaussian:D=3,rank=4", seed=0)
 
 
 def test_resolve_schedule_requires_explicit_fields():
@@ -277,3 +279,38 @@ def test_eps_sweep_reads_perturbation_section(tmp_path):
     base, footer = run_experiment(cfg)
     payload = json.loads(open(base + ".json").read())
     assert len(payload["rows"]) == 2
+
+
+def write_sweep_ini(path, options):
+    path.write_text("[experiment]\nSeed = 3\n\n[options]\n" + options)
+    return str(path)
+
+
+def test_cli_config_options_keep_key_case(tmp_path, capsys):
+    ini = write_sweep_ini(tmp_path / "f.ini", "D = 64\ndims = 1 2\n")
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", "d-sweep", "--config", ini,
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path / "cli"),
+    )
+    assert code == 0, err
+    meta = (tmp_path / "cli" / "d-sweep.meta").read_text()
+    assert "options.D = 64" in meta and "options.d " not in meta
+    base, _ = run_experiment(small_sweep_config("d-sweep", tmp_path / "direct", D=64, dims="1 2"))
+    assert (tmp_path / "cli" / "d-sweep.csv").read_bytes() == open(base + ".csv", "rb").read()
+    base32, _ = run_experiment(small_sweep_config("d-sweep", tmp_path / "default", dims="1 2"))
+    assert open(base32 + ".csv", "rb").read() != open(base + ".csv", "rb").read()
+
+
+def test_cli_config_rejects_unknown_option_key(tmp_path, capsys):
+    ini = write_sweep_ini(tmp_path / "f.ini", "D = 64\nDims = 1 2\n")
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", "d-sweep", "--config", ini,
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "'Dims'" in err and "d-sweep" in err
+    assert not (tmp_path / "d-sweep.csv").exists()

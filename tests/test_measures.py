@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revdiff import measures
+from revdiff.harness import build_measure
 from revdiff.measures import (
     T_MIN,
     GaussianLaw,
@@ -17,6 +19,7 @@ from revdiff.measures import (
     point_cloud_oracle,
     point_mass_oracle,
     product_oracle,
+    random_frame,
     save_cloud,
     spawn_rng,
 )
@@ -489,6 +492,43 @@ def test_rotation_is_isometric():
     radii = np.linalg.norm(cloud.points - center, axis=1)
     # all points still lie on a circle of radius ~1/2 in the rotated plane
     assert radii.std() < 0.05
+
+
+def _full_rotation(dim, rng):
+    """Full QR of one dim x dim draw: the construction random_frame replaces."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def test_random_frame_is_the_leading_columns_of_the_full_rotation():
+    # dim 1000 is drawn in several row blocks
+    for dim, k in ((1, 1), (5, 5), (64, 3), (300, 2), (1000, 4)):
+        rng, ref_rng = spawn_rng(1, dim), spawn_rng(1, dim)
+        frame, full = random_frame(dim, k, rng), _full_rotation(dim, ref_rng)
+        if k == dim:
+            assert frame.tobytes() == full.tobytes()
+        else:
+            assert np.linalg.norm(frame - full[:, :k]) <= 1e-15 * np.linalg.norm(full[:, :k])
+        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
+
+
+def test_gaussian_spec_law_is_the_full_rotation_law():
+    law = build_measure("gaussian:D=512,rank=3,var=0.25", seed=4).law
+    ref = 0.5 * _full_rotation(512, spawn_rng(4, 104729))[:, :3]
+    assert np.linalg.norm(law.factor - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_manifold_clouds_unchanged_by_random_frame(monkeypatch):
+    def build():
+        return [
+            make_manifold_cloud(kind, D, 200, spawn_rng(15, D), intrinsic_dim=d)[0].points
+            for kind, D, d in (("circle", 7, 1), ("torus", 6, 3), ("hilbert", 3, 1))
+        ]
+
+    new = build()
+    monkeypatch.setattr(measures, "random_frame", lambda dim, k, rng: _full_rotation(dim, rng)[:, :k])
+    for a, b in zip(new, build()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_cloud_save_load_roundtrip(tmp_path):

@@ -24,7 +24,9 @@ from revdiff.metrics import (
     propagate_affine_reverse,
     score_error_budget,
 )
-from revdiff.sampler import ReverseRunConfig, ScorePerturbation
+from revdiff import metrics
+from revdiff.harness import resolve_schedule
+from revdiff.sampler import ReverseRunConfig, ScorePerturbation, step_table
 from revdiff.schedule import build_schedule
 
 
@@ -129,6 +131,87 @@ def test_channel_and_dense_propagation_agree():
             dense = propagate_affine_reverse(law, cfg_dense)
             np.testing.assert_allclose(fast.mean, dense.mean, atol=1e-11)
             np.testing.assert_allclose(fast.covariance(), dense.covariance(), atol=1e-11)
+
+
+def _sequential_channels(data, config):
+    """Step-by-step channel recursion: the reference for the unrolled form."""
+    ch = metrics._channels(data)
+    sched = config.schedule
+    tab = step_table(sched, config.scheme)
+    b_r, b_perp = metrics._bias_vectors(config, ch)
+    if config.init == "data_pT":
+        cT, s2T = math.exp(-sched.horizon), -math.expm1(-2.0 * sched.horizon)
+        var, mean = cT * cT * ch.var0 + s2T, cT * ch.mean0
+        resid_var, resid_mean = cT * cT * ch.resid_var + s2T, cT * ch.resid_mean
+    else:
+        var, mean = np.ones_like(ch.var0), np.zeros_like(ch.mean0)
+        resid_var, resid_mean = 1.0, np.zeros(ch.dim)
+    for k in range(sched.n_steps):
+        alpha, beta, eta2, c, s2 = (float(a[k]) for a in (tab.alpha, tab.beta, tab.eta2, tab.c, tab.s2))
+        g = -1.0 / (c * c * ch.var0 + s2)
+        f = alpha + beta * g
+        mean = f * mean - beta * g * c * ch.mean0 + beta * b_r
+        var = f * f * var + eta2
+        g_perp = -1.0 / (c * c * ch.resid_var + s2)
+        f_perp = alpha + beta * g_perp
+        resid_mean = f_perp * resid_mean - beta * g_perp * c * ch.resid_mean + beta * b_perp
+        resid_var = f_perp * f_perp * resid_var + eta2
+    return var, mean, resid_var, resid_mean
+
+
+def test_unrolled_channels_match_sequential_recursion():
+    mean = np.array([0.4, -0.3, 0.0, 0.2, 0.1, -0.5])
+    laws = (rank_law(6, 2, var=0.5, mean=mean), rank_law(6, 2, var=2.0, mean=mean, floor=0.2))
+    const = ScorePerturbation(epsilon=0.05, constant=np.array([1.0, -0.5, 0.3, 0.0, 0.2, 0.1]))
+    scheds = [resolve_schedule({"kappa": kappa, "horizon": 10.0, "delta": 1e-6}) for kappa in (0.2, 0.00625)]
+    assert scheds[-1].n_steps == 3657
+    for sched in scheds:
+        for law in laws:
+            for scheme in ("corrected", "exponential_integrator"):
+                for init in ("standard_normal", "data_pT"):
+                    for src in ("exact", const):
+                        cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=src)
+                        _, *got = metrics._propagate_channels(law, cfg)
+                        for a, b in zip(got, _sequential_channels(law, cfg)):
+                            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+def _dense_inverse_form(data, config):
+    """Dense propagation with a covariance inverse per step: the reference for the eigenbasis form."""
+    sched, dim, src = config.schedule, data.dim, config.score_source
+    tab = step_table(sched, config.scheme)
+    cov0 = data.covariance()
+    eps_lin, eps_const = src.epsilon * src.linear, src.epsilon * src.constant
+    if config.init == "data_pT":
+        cT, s2T = math.exp(-sched.horizon), -math.expm1(-2.0 * sched.horizon)
+        cov, mean = cT * cT * cov0 + s2T * np.eye(dim), cT * data.mean
+    else:
+        cov, mean = np.eye(dim), np.zeros(dim)
+    for k in range(sched.n_steps):
+        c, s2 = float(tab.c[k]), float(tab.s2[k])
+        g = -np.linalg.inv(c * c * cov0 + s2 * np.eye(dim))
+        f = tab.alpha[k] * np.eye(dim) + tab.beta[k] * (g + eps_lin)
+        mean = f @ mean + tab.beta[k] * (-(g @ (c * data.mean)) + eps_const)
+        cov = f @ cov @ f.T + tab.eta2[k] * np.eye(dim)
+    return mean, cov
+
+
+def test_eigenbasis_dense_path_matches_inverse_form():
+    sched = build_schedule(0.2, 10, 40)
+    for D in (16, 64):
+        rng = np.random.default_rng(D)
+        law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
+        bias = ScorePerturbation(
+            epsilon=0.05, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)) / math.sqrt(D)
+        )
+        for scheme in ("corrected", "exponential_integrator"):
+            for init in ("standard_normal", "data_pT"):
+                cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
+                basis, mean, cov = metrics._propagate_dense(law, cfg)
+                ref_mean, ref_cov = _dense_inverse_form(law, cfg)
+                scale = np.abs(ref_cov).max()
+                assert np.abs(basis @ mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
+                assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
 
 
 def test_point_mass_exactness_from_true_initialization():
@@ -423,6 +506,23 @@ def test_budget_linear_bias_uses_dense_path():
     rep = score_error_budget(law, bias, sched)
     assert rep.value > 0.0
     assert rep.extras["kl_perturbed"] >= 0.0
+
+
+def test_budget_scalar_traces_match_explicit_trace():
+    sched = build_schedule(0.2, 10, 40)
+    D = 12
+    rng = np.random.default_rng(5)
+    law = rank_law(D, 3, var=0.5, mean=0.2 * rng.standard_normal(D), floor=0.1)
+    bias = ScorePerturbation(epsilon=0.03, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)))
+    b, lin, cov0 = bias.epsilon * bias.constant, bias.epsilon * bias.linear, law.covariance()
+    ref = 0.0
+    for k in range(sched.n_steps):
+        tau = float(sched.taus[k])
+        c, s2 = math.exp(-tau), -math.expm1(-2.0 * tau)
+        bm = lin @ (c * law.mean)
+        trace = np.trace(lin.T @ lin @ (c * c * cov0 + s2 * np.eye(D)))
+        ref += float(sched.gammas[k]) * float(b @ b + 2.0 * b @ bm + trace + bm @ bm)
+    assert abs(score_error_budget(law, bias, sched).value - ref) <= 1e-12 * ref
 
 
 def test_budget_rejects_non_perturbation():

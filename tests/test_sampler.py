@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from revdiff.sampler import (
     fine_step_conditional_law,
     run_reverse,
     save_batch,
+    step_table,
 )
 from revdiff.schedule import TimeSchedule, build_schedule
 
@@ -89,6 +91,35 @@ def test_ei_coefficients():
     assert abs(coef.eta - math.sqrt(3.0)) < 1e-14
     tiny = ei_coefficients(schedule_with_gap(1e-10, 1.0), 0)
     assert abs(tiny.alpha - 1.0) < 1e-9 and abs(tiny.beta) < 3e-10
+
+
+def test_step_table_rows_are_the_coefficients_bit_for_bit():
+    sched = build_schedule(0.1, 5, 40)
+    for scheme, coefficients in (("corrected", corrected_coefficients), ("exponential_integrator", ei_coefficients)):
+        tab = step_table(sched, scheme)
+        assert tab.alpha.shape == tab.beta.shape == tab.eta2.shape == (sched.n_steps,)
+        assert tab.c.shape == tab.s2.shape == (sched.n_steps + 1,)
+        for k in range(sched.n_steps):
+            coef = coefficients(sched, k)
+            assert (coef.alpha, coef.beta, coef.eta) == (tab.alpha[k], tab.beta[k], math.sqrt(tab.eta2[k]))
+
+
+def test_step_coefficients_match_decimal_reference():
+    # beta = e^g - e^-g and 2 (e^g - 1) cancel for small gaps; the table must not.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s2 = lambda t: 1 - (-2 * t).exp()
+        for gamma in np.logspace(-12, 0, 49):
+            sched = schedule_with_gap(float(gamma), 2.0)
+            g, tau0, tau1 = (Decimal(float(v)) for v in (sched.gammas[0], *sched.taus))
+            refs = {
+                corrected_coefficients: (g.exp(), g.exp() - (-g).exp(), (s2(g) * s2(tau1) / s2(tau0)).sqrt()),
+                ei_coefficients: (g.exp(), 2 * (g.exp() - 1), ((2 * g).exp() - 1).sqrt()),
+            }
+            for coefficients, ref in refs.items():
+                coef = coefficients(sched, 0)
+                for got, want in zip((coef.alpha, coef.beta, coef.eta), ref):
+                    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (gamma, coefficients, got)
 
 
 def test_step_index_bounds():
