@@ -69,6 +69,6 @@ from .metrics import (
     propagate_affine_reverse,
     score_error_budget,
 )
-from .harness import ExperimentConfig, build_measure, main, run_experiment
+from .harness import ExperimentConfig, build_measure, run_experiment
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .schedule import (
     validate_schedule,
 )
 
-__all__ = ["ExperimentConfig", "run_experiment", "build_measure", "main", "cli"]
+__all__ = ["ExperimentConfig", "run_experiment", "build_measure", "cli"]
 
 PRESETS = ("d-sweep", "D-sweep", "K-sweep", "eps-sweep", "lemma-suite")
 
@@ -59,40 +59,68 @@ class ExperimentConfig:
     out_dir: str = "runs"
     workers: int = 1
     schedule: dict = field(default_factory=dict)
-    measure: dict = field(default_factory=dict)
     perturbation: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
         out = {"name": self.name, "seed": self.seed, "workers": self.workers}
-        for section in ("schedule", "measure", "perturbation", "options"):
+        for section in ("schedule", "perturbation", "options"):
             for key, val in sorted(getattr(self, section).items()):
                 out[f"{section}.{key}"] = val
         return out
 
 
+# Keys each config section accepts (case-insensitive); [options] keys are
+# checked per preset by run_experiment.
+_CONFIG_KEYS = {
+    "experiment": ("name", "seed", "out_dir", "workers"),
+    "schedule": ("kappa", "l", "k", "horizon", "delta"),
+    "perturbation": ("constant",),
+    "options": None,
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read the sectioned key-value config format.
 
-    Sections: [experiment] (name, seed, out_dir, workers), [schedule],
-    [measure], [perturbation], [options].  Schedule fields are never
-    defaulted: kappa, and either (L, K) or (horizon, delta), must be given
-    explicitly whenever a schedule is needed.
+    Sections: [experiment] (name, seed, out_dir, workers), [schedule]
+    (kappa, L, K, horizon, delta), [perturbation] (constant), [options].
+    Any other section or key is rejected with a ValueError naming it.
+    Schedule fields are never defaulted: kappa, and either (L, K) or
+    (horizon, delta), must be given explicitly whenever a schedule is needed.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str  # [options] keep their case: D (ambient) and d (intrinsic) differ
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            keys = ", ".join(f"{name}.{k}" for k in parser[name]) or "no keys"
+            raise ValueError(f"unknown config section [{name}] ({keys}); expected {tuple(_CONFIG_KEYS)}")
+        allowed = _CONFIG_KEYS[name]
+        for key in parser[name]:
+            if allowed is not None and key.lower() not in allowed:
+                raise ValueError(f"unknown config key {name}.{key}; expected one of {allowed}")
     lower = {name: {k.lower(): v for k, v in parser[name].items()} for name in parser.sections()}
     exp = lower.get("experiment", {})
+
+    def as_int(key, default):
+        try:
+            return int(exp.get(key, default))
+        except ValueError:
+            raise ValueError(f"config key experiment.{key} must be an integer, got {exp[key]!r}") from None
+
     cfg = ExperimentConfig(
         name=exp.get("name", ""),
-        seed=int(exp.get("seed", 0)),
+        seed=as_int("seed", 0),
         out_dir=exp.get("out_dir", "runs"),
-        workers=int(exp.get("workers", 1)),
+        workers=as_int("workers", 1),
     )
-    for section in ("schedule", "measure", "perturbation"):
+    for section in ("schedule", "perturbation"):
         getattr(cfg, section).update(lower.get(section, {}))
     if "options" in parser:
         cfg.options.update(parser["options"])
@@ -519,9 +547,11 @@ def _schedule_from_args(args):
 def cli(argv=None) -> int:
     """Entry point; returns 0 on success, 1 on validation failure, 2 on runtime failure."""
     parser = _Parser(prog="revdiff", description="reverse-diffusion simulation and verification")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    # --seed and --workers default to None so that an explicit value can
+    # override a config file; _dispatch fills in 0 and 1.
+    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker bound")
+    parser.add_argument("--workers", type=int, default=None, help="parallel worker bound (default 1)")
     parser.add_argument("--config", default=None, help="sectioned key-value config file")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it.
@@ -581,6 +611,8 @@ def cli(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    explicit = {key: getattr(args, key) for key in ("seed", "workers") if getattr(args, key) is not None}
+    args.seed, args.workers = explicit.get("seed", 0), explicit.get("workers", 1)
     if args.command == "schedule":
         if args.load:
             with open(args.load) as fh:
@@ -662,10 +694,11 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         cfg = ExperimentConfig(name=args.preset, seed=args.seed, out_dir=args.out, workers=args.workers)
         if args.config:
-            file_cfg = load_config(args.config)
-            file_cfg.name = args.preset
-            file_cfg.out_dir = args.out
-            cfg = file_cfg
+            cfg = load_config(args.config)
+            cfg.name = args.preset
+            cfg.out_dir = args.out
+            for key, val in explicit.items():
+                setattr(cfg, key, val)
         if args.kappa is not None:
             cfg.schedule["kappa"] = args.kappa
         if args.horizon is not None:
@@ -686,11 +719,3 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
-
-
-def main(argv=None) -> int:
-    return cli(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -209,6 +209,20 @@ class GaussianLaw:
         """Dense D x D covariance, O(D^2 d); of the exact paths only dense propagation needs it."""
         return self.factor @ self.factor.T + self.diag_floor * np.eye(self.dim)
 
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Thin SVD of the factor: orthonormal basis (D, r) and variances (r,).
+
+        The covariance is ``basis @ diag(variances) @ basis.T + diag_floor * I``;
+        singular values at or below 1e-13 of the largest (and exact zeros) are
+        dropped, so r <= d.  O(D d^2).
+        """
+        fac = self.factor
+        if fac.shape[1] == 0:
+            return np.zeros((self.dim, 0)), np.zeros(0)
+        basis, svals, _ = np.linalg.svd(fac, full_matrices=False)
+        keep = svals > svals[0] * 1e-13 if svals[0] > 0 else svals > 0
+        return basis[:, keep], svals[keep] ** 2
+
     @classmethod
     def isotropic(cls, dim: int, variance: float = 1.0, mean=None) -> "GaussianLaw":
         mean = np.zeros(dim) if mean is None else np.asarray(mean, dtype=float)
@@ -305,22 +319,35 @@ class PointCloudOracle(ScoreOracle):
     """Finitely supported data; the noised marginal is a Gaussian mixture.
 
     Log-weights use the distance expansion of ``||x - c p_j||^2`` (as in
-    scikit-learn's ``euclidean_distances``): one matmul per chunk of queries,
-    on points centred at their weighted centroid so that the expansion does
-    not cancel for clouds far from the origin.  Weights 745 nats below the
-    leading one are flushed to zero.  Each chunk uses one chunk x n_points buffer.
+    scikit-learn's ``euclidean_distances``) on points centred at their
+    weighted centroid, so that the expansion does not cancel for clouds far
+    from the origin.  Per tile of query rows the kernel makes one GEMM for
+    the logits, with the t-dependent bias row folded in as an extra column,
+    a row max, one ``exp`` and one GEMM against [q | 1] that gives the
+    weighted sum and the normaliser together.  Weights 745 nats below a row's
+    leading one underflow; the mask that flushes them to zero runs only on
+    a tile whose smallest logit reaches that far, which a unit-diameter
+    cloud at t >= 1e-3 never does.  Zero-weight points are left out of the
+    kernel arrays (``sample0`` still draws over the full cloud).
+
+    A tile has 2**18 // n_points rows, so its logit buffer is 2 MiB whatever
+    the cloud size (128 rows for 2048 points); ``chunk`` overrides the row
+    count.
     """
 
-    def __init__(self, cloud: PointCloudMeasure, chunk: int = 2048):
+    def __init__(self, cloud: PointCloudMeasure, chunk: int | None = None):
         self.cloud = cloud
         self.dim = cloud.dim
-        self.chunk = int(chunk)
+        kept = cloud.weights > 0
+        w, pts = cloud.weights[kept], cloud.points[kept]
+        self.chunk = max(1, 2**18 // len(w)) if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk!r}")
-        self._log_w = np.where(cloud.weights > 0, np.log(np.maximum(cloud.weights, 1e-300)), -np.inf)
-        self._mu = cloud.weights @ cloud.points
-        self._q = cloud.points - self._mu
+        self._log_w = np.log(w)
+        self._mu = w @ pts
+        self._q = pts - self._mu
         self._half_q2 = 0.5 * (self._q * self._q).sum(axis=1)
+        self._q_one = np.concatenate([self._q, np.ones((len(w), 1))], axis=1)
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
@@ -333,20 +360,28 @@ class PointCloudOracle(ScoreOracle):
         return self.cloud.points[idx]
 
     def _posterior_chunks(self, t, x):
-        # Per chunk: weights e relative to each row's leading component, and its
+        # Per tile: weights e relative to each row's leading component, and its
         # log density `lead` in direct form; the logits omit -||y||^2 / (2 s2).
         c = math.exp(-t)
         s2 = -math.expm1(-2.0 * t)
-        log_norm = 0.5 * self.dim * math.log(2.0 * math.pi * s2)
-        bias = self._log_w - (c * c / s2) * self._half_q2
-        flat = x.reshape(-1, self.dim)
+        dim = self.dim
+        log_norm = 0.5 * dim * math.log(2.0 * math.pi * s2)
+        # logits = [y c/s2 | 1] @ [q | bias]^T
+        q_bias = np.empty((dim + 1, len(self._q)))
+        q_bias[:dim] = self._q.T
+        np.multiply(self._half_q2, -(c * c / s2), out=q_bias[dim])
+        q_bias[dim] += self._log_w
+        flat = x.reshape(-1, dim)
         for i in range(0, len(flat), self.chunk):
             y = flat[i : i + self.chunk] - c * self._mu
-            lw = (y * (c / s2)) @ self._q.T
-            lw += bias
+            y_one = np.empty((len(y), dim + 1))
+            np.multiply(y, c / s2, out=y_one[:, :dim])
+            y_one[:, dim] = 1.0
+            lw = y_one @ q_bias
             top = lw.argmax(axis=1)
-            lw -= np.take_along_axis(lw, top[:, None], axis=1)
-            lw[lw <= _LOG_FLUSH] = -np.inf
+            lw -= lw[np.arange(len(top)), top][:, None]
+            if lw.min() <= _LOG_FLUSH:
+                lw[lw <= _LOG_FLUSH] = -np.inf
             lead = self._log_w[top] - 0.5 * ((y - c * self._q[top]) ** 2).sum(axis=1) / s2 - log_norm
             yield slice(i, i + self.chunk), lead, np.exp(lw, out=lw)
 
@@ -355,7 +390,9 @@ class PointCloudOracle(ScoreOracle):
         x = self._check_point(x)
         out = np.empty((math.prod(x.shape[:-1]), self.dim))
         for rows, _, e in self._posterior_chunks(t, x):
-            out[rows] = self._mu + (e @ self._q) / e.sum(axis=1, keepdims=True)
+            sums = e @ self._q_one
+            np.divide(sums[:, : self.dim], sums[:, self.dim :], out=out[rows])
+        out += self._mu
         return out.reshape(x.shape)
 
     @property
@@ -372,16 +409,24 @@ class PointCloudOracle(ScoreOracle):
 
 
 class GaussianOracle(ScoreOracle):
-    """Gaussian data; scores come from a rank-d Woodbury solve.
+    """Gaussian data; every query is diagonal in the factor's spectral frame.
 
-    The noised covariance is c^2 (A A^T + lam I) + sigma2 I, whose inverse is
-    applied through the d x d Gram system so one query costs O(D d^2) rather
-    than O(D^3).  The posterior mean is recovered from the score identity.
+    ``law.spectrum()`` is taken once at construction: an orthonormal basis U
+    (D x r) with variances v_i, so Cov = U diag(v) U^T + lam I.  X_t then has
+    variance den_i = c^2 (v_i + lam) + sigma2 along U and nu = c^2 lam + sigma2
+    off it.  A query splits x - c mean into z = (x - c mean) U and the rest
+    and scales each part, so there is no Woodbury solve, Gram matrix or
+    determinant: per row two thin GEMMs, O(D r), plus O(D) elementwise work.
+    The posterior mean is the closed-form Tweedie mean
+    ``mean + c Cov Cov_t^{-1} (x - c mean)``; it never divides by c, so it keeps
+    its digits at large t.
     """
 
     def __init__(self, law: GaussianLaw):
         self.law = law
         self.dim = law.dim
+        self._basis, self._var = law.spectrum()
+        self._basis_t = np.ascontiguousarray(self._basis.T)
 
     def sample0(self, rng, n):
         law = self.law
@@ -391,53 +436,53 @@ class GaussianOracle(ScoreOracle):
             x = x + math.sqrt(law.diag_floor) * rng.standard_normal((n, self.dim))
         return x
 
-    def _solve_cov(self, t, v):
-        """Apply inverse of Cov[X_t] to rows of v."""
-        law = self.law
-        c2 = math.exp(-2.0 * t)
-        nu = c2 * law.diag_floor - math.expm1(-2.0 * t)  # isotropic part of Cov[X_t]
-        b = math.sqrt(c2) * law.factor
-        if b.shape[1] == 0:
-            return v / nu
-        gram = b.T @ b + nu * np.eye(b.shape[1])
-        inner = np.linalg.solve(gram, (v @ b).T).T
-        return (v - inner @ b.T) / nu
+    def _split(self, t, x):
+        """(c, sigma2, nu, den, v, z) for a query: v = x - c mean as rows, z = v U."""
+        t = _check_time(t)
+        c = math.exp(-t)
+        s2 = -math.expm1(-2.0 * t)
+        nu = c * c * self.law.diag_floor + s2
+        den = (c * c) * self._var + nu
+        v = x.reshape(-1, self.dim) - c * self.law.mean
+        return c, s2, nu, den, v, v @ self._basis
 
     def score(self, t, x):
-        t = _check_time(t)
         x = self._check_point(x)
-        flat = np.atleast_2d(x.reshape(-1, self.dim))
-        c = math.exp(-t)
-        out = -self._solve_cov(t, flat - c * self.law.mean)
+        c, _, nu, den, v, z = self._split(t, x)
+        # -Cov_t^{-1} v = (z (gap / den) U^T - v) / low, with low the smallest
+        # variance of X_t and gap = den - low: the subtraction cancels by at
+        # most the condition number of Cov_t.  low = nu off U, or the smallest
+        # den when U spans R^D.
+        if len(den) < self.dim:
+            low, gap = nu, (c * c) * self._var
+        else:
+            k = int(self._var.argmin())
+            low, gap = den[k], (c * c) * (self._var - self._var[k])
+        out = (z * (gap / den)) @ self._basis_t
+        out -= v
+        out /= low
         return out.reshape(x.shape)
 
     def posterior_mean(self, t, x):
-        t = _check_time(t)
+        # c Cov Cov_t^{-1} v = (c lam / nu) v + z (c sigma2 v_i / (nu den)) U^T: no term cancels
         x = self._check_point(x)
-        s2 = -math.expm1(-2.0 * t)
-        return (x + s2 * self.score(t, x)) / math.exp(-t)
+        c, s2, nu, den, v, z = self._split(t, x)
+        out = (z * (c * s2 * self._var / (nu * den))) @ self._basis_t
+        out += self.law.mean
+        if self.law.diag_floor > 0:
+            out += (c * self.law.diag_floor / nu) * v
+        return out.reshape(x.shape)
 
     @property
     def has_log_marginal(self) -> bool:
         return True
 
     def log_marginal(self, t, x):
-        t = _check_time(t)
         x = self._check_point(x)
-        law = self.law
-        flat = np.atleast_2d(x.reshape(-1, self.dim))
-        c = math.exp(-t)
-        c2 = c * c
-        nu = c2 * law.diag_floor - math.expm1(-2.0 * t)
-        b = c * law.factor
-        d = b.shape[1]
-        gram = b.T @ b + nu * np.eye(d)
-        sign, logdet_gram = np.linalg.slogdet(gram)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("noised covariance is not positive definite")
-        logdet = (self.dim - d) * math.log(nu) + logdet_gram
-        v = flat - c * law.mean
-        quad = (v * self._solve_cov(t, v)).sum(axis=-1)
+        _, _, nu, den, v, z = self._split(t, x)
+        perp = v - z @ self._basis_t
+        quad = (z * z) @ (1.0 / den) + (perp * perp).sum(axis=1) / nu
+        logdet = float(np.log(den).sum()) + (self.dim - len(den)) * math.log(nu)
         out = -0.5 * (quad + logdet + self.dim * math.log(2.0 * math.pi))
         return out.reshape(x.shape[:-1])
 

@@ -114,18 +114,11 @@ class _Channels:
 
 
 def _channels(law: GaussianLaw) -> _Channels:
-    fac = law.factor
-    if fac.shape[1] == 0:
-        basis = np.zeros((law.dim, 0))
-        svals = np.zeros(0)
-    else:
-        basis, svals, _ = np.linalg.svd(fac, full_matrices=False)
-        keep = svals > svals[0] * 1e-13 if svals.size and svals[0] > 0 else svals > 0
-        basis, svals = basis[:, keep], svals[keep]
+    basis, fvar = law.spectrum()
     mean0 = basis.T @ law.mean
     return _Channels(
         basis=basis,
-        var0=law.diag_floor + svals**2,
+        var0=law.diag_floor + fvar,
         mean0=mean0,
         resid_mean=law.mean - basis @ mean0,
         resid_var=law.diag_floor,
@@ -288,6 +281,31 @@ def _propagate_dense(data: GaussianLaw, config: ReverseRunConfig):
     return basis, mean, cov
 
 
+def _dense_kl(data: GaussianLaw, config: ReverseRunConfig, c: float, s2: float) -> float:
+    """KL of the dense-path terminal law against N(c mean, c^2 Cov + s2 I).
+
+    In the data eigenbasis of ``_propagate_dense`` the reference covariance is
+    diagonal, so the KL takes one Cholesky of the propagated covariance and
+    no SVD; +inf when that covariance is singular.
+    """
+    basis, mean, cov = _propagate_dense(data, config)
+    tgt_var = c * c * (np.square(basis.T @ data.factor).sum(axis=1) + data.diag_floor) + s2
+    if tgt_var.min() <= EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"reference covariance is numerically singular: min eigenvalue "
+            f"{tgt_var.min():.6g} <= floor {EIGENVALUE_FLOOR:g}"
+        )
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return math.inf
+    with np.errstate(divide="ignore"):
+        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    dm = mean - c * (basis.T @ data.mean)
+    trace_quad = float((np.diag(cov) + dm * dm) @ (1.0 / tgt_var))
+    return 0.5 * (trace_quad - data.dim + float(np.log(tgt_var).sum()) - logdet)
+
+
 def _law_from_dense(basis: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> GaussianLaw:
     """Law whose mean and covariance are given in the orthonormal ``basis``."""
     w, v = np.linalg.eigh(cov)
@@ -333,13 +351,11 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
     """
     src = config.score_source
     delta = config.schedule.early_stop
-    if isinstance(src, ScorePerturbation) and src.linear is not None:
-        terminal = propagate_affine_reverse(data, config)
-        value = gaussian_kl(terminal, marginal_law(data, delta))
-        return MetricReport(name="kl_experiment", value=value, seed=config.seed)
-    ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     c = math.exp(-delta)
     s2 = -math.expm1(-2.0 * delta)
+    if isinstance(src, ScorePerturbation) and src.linear is not None:
+        return MetricReport(name="kl_experiment", value=_dense_kl(data, config, c, s2), seed=config.seed)
+    ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     tgt_var = c * c * ch.var0 + s2
     value = sum(map(_kl_scalar, var.tolist(), tgt_var.tolist(), (mean - c * ch.mean0).tolist()))
     rest = ch.dim - len(ch.var0)

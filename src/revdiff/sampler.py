@@ -111,8 +111,14 @@ def ei_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
 
 
 def _affine_step(y, tau, coef: StepCoefficients, score_fn, rng) -> np.ndarray:
+    """alpha y + beta score(tau, y) + eta z, in place, bit-identical to that expression."""
     y = np.asarray(y, dtype=float)
-    return coef.alpha * y + coef.beta * score_fn(tau, y) + coef.eta * rng.standard_normal(y.shape)
+    out = np.multiply(y, coef.alpha)
+    out += coef.beta * score_fn(tau, y)
+    noise = rng.standard_normal(y.shape)
+    noise *= coef.eta
+    out += noise
+    return out
 
 
 def corrected_step(y, k, schedule, score_fn, rng) -> np.ndarray:

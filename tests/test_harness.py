@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +317,62 @@ def test_cli_config_rejects_unknown_option_key(tmp_path, capsys):
     assert code == 1
     assert "'Dims'" in err and "d-sweep" in err
     assert not (tmp_path / "d-sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[experiment]\nsede = 5\n", "experiment.sede"),
+        ("[schedule]\nkapa = 0.1\n", "schedule.kapa"),
+        ("[perturbation]\nconst = 0 1\n", "perturbation.const"),
+        ("[measure]\nkind = circle\n", "measure.kind"),
+        ("[experiment]\nseed = 1\nseed = 2\n", "'seed'"),
+        ("seed = 1\n", "no section headers"),
+    ],
+)
+def test_cli_config_rejects_unknown_or_malformed_entries(tmp_path, capsys, text, named):
+    ini = tmp_path / "f.ini"
+    ini.write_text(text)
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", "d-sweep", "--config", str(ini),
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / "d-sweep.csv").exists()
+
+
+def test_cli_seed_and_workers_flags_override_config(tmp_path, capsys):
+    ini = write_sweep_ini(tmp_path / "f.ini", "dims = 1 2\n")
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", "d-sweep", "--config", ini, "--seed", "7", "--workers", "2",
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path / "cli"),
+    )
+    assert code == 0, err
+    meta = (tmp_path / "cli" / "d-sweep.meta").read_text().splitlines()
+    assert "seed = 7" in meta and "workers = 2" in meta
+    # without the flags the file's seed holds
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", "d-sweep", "--config", ini,
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path / "file"),
+    )
+    assert code == 0, err
+    assert "seed = 3" in (tmp_path / "file" / "d-sweep.meta").read_text().splitlines()
+
+
+def test_python_m_revdiff_runs_without_runtime_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "revdiff", "schedule", "--kappa", "0.25", "--L", "4", "--K", "8"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "kappa = 0.25" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

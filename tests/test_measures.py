@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revdiff import measures
 from revdiff.harness import build_measure
@@ -192,6 +193,53 @@ def test_cloud_kernel_precision_off_origin(dim, n, offset, log_t, noise, seed):
     assert err_lm.max() <= 1e-8
 
 
+def _cloud_with_zero_weights(seed):
+    """A 300-point cloud in R^3 where every third point has weight zero, and
+    the same cloud without those points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((300, 3))
+    w = rng.random(300)
+    w[::3] = 0.0
+    w /= w.sum()
+    kept = w > 0
+    return PointCloudMeasure(pts, w), PointCloudMeasure(pts[kept], w[kept])
+
+
+def test_cloud_zero_weight_points_change_nothing():
+    full, pruned = _cloud_with_zero_weights(5)
+    a, b = PointCloudOracle(full), PointCloudOracle(pruned)
+    assert a.chunk == b.chunk == 2**18 // 200
+    x = np.random.default_rng(6).standard_normal((2000, 3))
+    for t in (1e-3, 0.1, 2.0):
+        ma, mb = a.posterior_mean(t, x), b.posterior_mean(t, x)
+        assert np.abs(ma - mb).max() <= 1e-15 * np.abs(mb).max()
+        la, lb = a.log_marginal(t, x), b.log_marginal(t, x)
+        assert np.abs(la - lb).max() <= 1e-15 * np.abs(lb).max()
+    # sample0 draws over the full cloud and the same stream
+    idx = np.random.default_rng(7).choice(300, size=500, p=full.weights)
+    np.testing.assert_array_equal(a.sample0(np.random.default_rng(7), 500), full.points[idx])
+    np.testing.assert_array_equal(a.sample0(np.random.default_rng(7), 500), b.sample0(np.random.default_rng(7), 500))
+
+
+def test_cloud_default_tile_matches_single_rows():
+    # Tile height changes only the BLAS summation order of the logit GEMM, so
+    # the bound is 1e-15 in units of the logit scale 1 + c |y| |q| / sigma2
+    # (plus |log p| for the log marginal); the diameter is 1.
+    cloud, _ = make_manifold_cloud("torus", 4, 2048, spawn_rng(8, 0), intrinsic_dim=2)
+    tiled, rows = PointCloudOracle(cloud), PointCloudOracle(cloud, chunk=1)
+    assert tiled.chunk == 128
+    centroid = cloud.weights @ cloud.points
+    q_max = np.linalg.norm(cloud.points - centroid, axis=1).max()
+    x = np.random.default_rng(9).standard_normal((300, 4))
+    for t in (1e-3, 0.05, 1.0):
+        c, s2 = math.exp(-t), -math.expm1(-2 * t)
+        scale = 1.0 + c * np.linalg.norm(x - c * centroid, axis=1) * q_max / s2
+        m_tiled, m_rows = tiled.posterior_mean(t, x), rows.posterior_mean(t, x)
+        assert (np.abs(m_tiled - m_rows).max(axis=1) <= 1e-15 * scale).all()
+        l_tiled, l_rows = tiled.log_marginal(t, x), rows.log_marginal(t, x)
+        assert (np.abs(l_tiled - l_rows) <= 1e-15 * (scale + np.abs(l_rows))).all()
+
+
 def test_boundedness_for_diameter_one_cloud():
     rng = spawn_rng(2, 0)
     pts = rng.standard_normal((40, 3))
@@ -260,6 +308,86 @@ def test_gaussian_posterior_mean_tweedie_inversion():
     np.testing.assert_allclose(
         oracle.posterior_mean(t, x), (x + s2 * oracle.score(t, x)) / c, atol=1e-13
     )
+
+
+def _exact_gaussian_queries(law, t, x):
+    """Score, posterior mean and log marginal of the noised law in exact
+    rational arithmetic on the float64 inputs (c and sigma2 as the oracle
+    rounds them), from the dense covariance: the reference for the oracle."""
+    dim = law.dim
+    c, s2 = Fraction(math.exp(-t)), Fraction(-math.expm1(-2.0 * t))
+    fac = [[Fraction(v) for v in row] for row in law.factor]
+    cov0 = [
+        [sum((a * b for a, b in zip(fac[i], fac[j])), Fraction(law.diag_floor) if i == j else Fraction(0))
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+    mean = [Fraction(v) for v in law.mean]
+    vs = [[Fraction(xi) - c * mi for xi, mi in zip(row, mean)] for row in x]
+    # Gauss-Jordan on [Cov_t | v_1 ... v_n]; the pivots multiply to det Cov_t
+    aug = [[c * c * cov0[i][j] + (s2 if i == j else 0) for j in range(dim)] + [v[i] for v in vs] for i in range(dim)]
+    det = Fraction(1)
+    for p in range(dim):
+        det *= aug[p][p]
+        aug[p] = [v / aug[p][p] for v in aug[p]]
+        for i in range(dim):
+            if i != p:
+                aug[i] = [a - aug[i][p] * b for a, b in zip(aug[i], aug[p])]
+    sols = [[aug[i][dim + k] for i in range(dim)] for k in range(len(vs))]
+    score = [[-float(y) for y in sol] for sol in sols]
+    pm = [[float(mean[i] + c * sum(cov0[i][j] * sol[j] for j in range(dim))) for i in range(dim)] for sol in sols]
+    logdet = math.log(det.numerator) - math.log(det.denominator)
+    lm = [
+        -0.5 * float(sum(a * b for a, b in zip(v, sol))) - 0.5 * (logdet + dim * math.log(2.0 * math.pi))
+        for v, sol in zip(vs, sols)
+    ]
+    return np.array(score), np.array(pm), np.array(lm)
+
+
+@given(
+    dim=st.integers(1, 6),
+    rank_frac=st.floats(0.0, 1.0),
+    zero_column=st.booleans(),
+    log_floor=st.one_of(st.none(), st.floats(-6.0, 1.0)),
+    offset=st.floats(0.0, 1e3),
+    log_t=st.floats(math.log(T_MIN), math.log(20.0)),
+    noise=st.sampled_from([1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# t = 20, where a posterior mean recovered as (x + sigma2 score) / c loses 1e-7
+@example(dim=3, rank_frac=0.34, zero_column=False, log_floor=None, offset=0.0, log_t=math.log(20.0), noise=1.0, seed=1)
+@settings(max_examples=120, deadline=None)
+def test_gaussian_queries_match_exact_dense_reference(dim, rank_frac, zero_column, log_floor, offset, log_t, noise, seed):
+    # Normwise bounds: K eps times the condition of each query, where the
+    # input x - c mean is known to eps (|x| + c |mean|).  K is over twice the
+    # worst error seen in 5k random cases (28 eps-units).
+    K = 64 * np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    rank = round(rank_frac * dim)
+    factor = rng.standard_normal((dim, rank)) * math.exp(rng.uniform(-3.0, 2.0))
+    if zero_column and rank:
+        factor[:, rng.integers(rank)] = 0.0
+    floor = 0.0 if log_floor is None else math.exp(log_floor)
+    u = rng.standard_normal(dim)
+    law = GaussianLaw(offset * u / max(np.linalg.norm(u), 1e-12), factor, floor)
+    oracle = gaussian_oracle(law)
+    t = min(max(math.exp(log_t), T_MIN), 20.0)
+    c, s2 = math.exp(-t), -math.expm1(-2.0 * t)
+    x = c * oracle.sample0(rng, 3) + noise * math.sqrt(s2) * rng.standard_normal((3, dim))
+    ref_score, ref_pm, ref_lm = _exact_gaussian_queries(law, t, x)
+
+    cov0 = law.covariance()
+    eig_t = np.linalg.eigvalsh(c * c * cov0 + s2 * np.eye(dim))
+    eig0 = np.clip(np.linalg.eigvalsh(cov0), 0.0, None)
+    size = np.linalg.norm(x, axis=1) + c * np.linalg.norm(law.mean)
+    gain = float(np.max(c * eig0 / (c * c * eig0 + s2)))  # |c Cov Cov_t^-1|
+    err = np.linalg.norm(oracle.score(t, x) - ref_score, axis=1)
+    assert (err <= K * size / eig_t.min()).all()
+    err = np.linalg.norm(oracle.posterior_mean(t, x) - ref_pm, axis=1)
+    assert (err <= K * (np.linalg.norm(law.mean) + gain * size)).all()
+    quad = -2.0 * ref_lm - np.log(eig_t).sum() - dim * math.log(2.0 * math.pi)
+    scale = np.linalg.norm(ref_score, axis=1) * size + np.abs(quad) + np.abs(np.log(eig_t)).sum() + 2 * dim
+    assert (np.abs(oracle.log_marginal(t, x) - ref_lm) <= K * scale).all()
 
 
 def test_gaussian_sampling_moments():

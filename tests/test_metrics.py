@@ -214,6 +214,24 @@ def test_eigenbasis_dense_path_matches_inverse_form():
                 assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
 
 
+def test_dense_kl_in_eigenbasis_matches_the_structured_law_route():
+    # the former route: terminal law as factor + floor, then gaussian_kl's SVD
+    sched = build_schedule(0.2, 10, 40)
+    delta = sched.early_stop
+    for D, floor in ((8, 0.0), (32, 0.05)):
+        rng = np.random.default_rng(D)
+        law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=floor)
+        for linear in (np.eye(D), rng.standard_normal((D, D)) / math.sqrt(D)):
+            bias = ScorePerturbation(epsilon=0.05, constant=rng.standard_normal(D), linear=linear)
+            for scheme in ("corrected", "exponential_integrator"):
+                for init in ("standard_normal", "data_pT"):
+                    cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
+                    terminal = metrics._law_from_dense(*metrics._propagate_dense(law, cfg))
+                    old = metrics.gaussian_kl(terminal, metrics.marginal_law(law, delta))
+                    new = kl_experiment(law, cfg).value
+                    assert abs(new - old) <= 1e-10 * abs(old)
+
+
 def test_point_mass_exactness_from_true_initialization():
     sched = build_schedule(0.2, 10, 40)
     y0 = np.array([0.6, -0.2, 0.1, 0.0])

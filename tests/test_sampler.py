@@ -14,6 +14,7 @@ from revdiff.measures import (
 )
 from revdiff.metrics import propagate_affine_reverse
 from revdiff.sampler import (
+    _affine_step,
     ReverseRunConfig,
     ScorePerturbation,
     corrected_coefficients,
@@ -144,6 +145,24 @@ def test_corrected_step_reproducible_bit_exact():
     a = corrected_step(y, 1, sched, oracle.score, np.random.default_rng(42))
     b = corrected_step(y, 1, sched, oracle.score, np.random.default_rng(42))
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["corrected", "exponential_integrator"])
+def test_affine_step_is_the_expression_bit_for_bit(scheme):
+    sched = build_schedule(0.2, 3, 9)
+    tab = step_table(sched, scheme)
+    oracles = [
+        gaussian_oracle(GaussianLaw(np.array([0.3, -0.2, 0.1]), np.array([[0.5], [0.1], [-0.4]]), 0.05)),
+        point_cloud_oracle(PointCloudMeasure.uniform(np.random.default_rng(1).standard_normal((7, 3)))),
+    ]
+    for oracle in oracles:
+        y = np.random.default_rng(2).standard_normal((64, 3))
+        for k in range(sched.n_steps):
+            tau, coef = float(sched.taus[k]), tab.row(k)
+            expected = coef.alpha * y + coef.beta * oracle.score(tau, y) + coef.eta * np.random.default_rng(k).standard_normal(y.shape)
+            got = _affine_step(y, tau, coef, oracle.score, np.random.default_rng(k))
+            assert got.tobytes() == expected.tobytes()
+            y = got
 
 
 def test_ei_and_corrected_share_alpha_but_not_noise():
