@@ -1,10 +1,11 @@
 """Anatomy of the reverse-run time grid.
 
 The forward process turns data into noise by shrinking it with c(t) = e^-t
-while adding Gaussian noise of variance 1 - e^-2t.  Reversing it numerically
-needs a grid over [0, T - delta] whose gaps respect
-gamma_k <= kappa * min(1, T - t_k): uniform gaps of size kappa far from the
-data, geometrically shrinking gaps near it.
+while adding Gaussian noise of variance 1 - e^-2t; ``noise_scales(t)`` returns
+the pair (c, sigma2), the one place the package evaluates them for a single
+time.  Reversing it numerically needs a grid over [0, T - delta] whose gaps
+respect gamma_k <= kappa * min(1, T - t_k): uniform gaps of size kappa far
+from the data, geometrically shrinking gaps near it.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from revdiff import build_schedule, noise_scales, schedule_to_text, validate_sch
 
 print("== noise scales ==")
 for t in (0.0, 0.01, np.log(2.0), 2.0, 10.0):
-    ns = noise_scales(t)
-    print(f"  t={t:<8.4f} c={ns.c:.6f}  sigma2={ns.sigma2:.6f}  c^2+sigma2={ns.c**2 + ns.sigma2:.16f}")
+    c, sigma2 = noise_scales(t)
+    print(f"  t={t:<8.4f} c={c:.6f}  sigma2={sigma2:.6f}  c^2+sigma2={c**2 + sigma2:.16f}")
 
 print("\n== a small grid: kappa=0.25, L=4 uniform steps, K=8 total ==")
 sched = build_schedule(0.25, 4, 8)

@@ -9,13 +9,13 @@ import numpy as np
 
 from revdiff import (
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
+    PointCloudOracle,
+    PointMassOracle,
+    ProductOracle,
     forward_sample,
-    gaussian_oracle,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
-    product_oracle,
     spawn_rng,
 )
 
@@ -23,12 +23,12 @@ rng = spawn_rng(0, 0)
 t = np.log(2.0)  # c = 1/2, sigma2 = 3/4
 
 print("== point mass at e1 ==")
-pm = point_mass_oracle(np.array([1.0, 0.0]))
+pm = PointMassOracle(np.array([1.0, 0.0]))
 print(f"  score(ln2, 0) = {pm.score(t, np.zeros(2))}   (= (c*y0 - 0)/sigma2 = 2/3 e1)")
 
 print("\n== two-point law on {0, e1} ==")
 cloud = PointCloudMeasure.uniform(np.array([[0.0], [1.0]]))
-pc = point_cloud_oracle(cloud)
+pc = PointCloudOracle(cloud)
 for x in (0.0, 0.25, 0.5, 1.0):
     m = pc.posterior_mean(t, np.array([x]))[0]
     print(f"  m(ln2, {x:4.2f}) = {m:.4f}")
@@ -36,7 +36,7 @@ print("  (at x = 0.25 both mixture components are equidistant, so m = 1/2)")
 
 print("\n== gaussian law, rank 1 in R^2 ==")
 law = GaussianLaw(mean=np.zeros(2), factor=np.array([[1.0], [0.0]]))
-go = gaussian_oracle(law)
+go = GaussianOracle(law)
 x = np.array([0.3, -0.2])
 print(f"  score(ln2, {x}) = {go.score(t, x)}")
 print("  (the data direction is less restored than the pure-noise one)")
@@ -56,7 +56,7 @@ for oracle, name in ((pc, "two-point"), (go, "gaussian")):
     print(f"  {name:<10} finite-difference gap: {rel:.2e} relative")
 
 print("\n== products split coordinate blocks ==")
-prod = product_oracle([(pc, [0]), (point_mass_oracle(np.zeros(1)), [1])])
+prod = ProductOracle([(pc, [0]), (PointMassOracle(np.zeros(1)), [1])])
 xq = np.array([0.3, -0.9])
 s = prod.score(0.8, xq)
 print(f"  score block 2 = {s[1]:.4f}  vs pure-noise value {-xq[1] / (-np.expm1(-1.6)):.4f}")

@@ -4,33 +4,33 @@ A batch starts at N(0, I), takes K scheme steps along the grid, and lands on
 an approximation of the data law noised to the early-stopping time.  For the
 corrected scheme the conditional mean of every step is the exact reverse
 bridge mean; the exponential integrator drifts more and injects more noise.
+Both schemes take the step y' = alpha y + beta score + eta z, with the
+coefficients of every step read from ``step_table(schedule, scheme)``.
 """
 
 import numpy as np
 
 from revdiff import (
     PointCloudMeasure,
+    PointCloudOracle,
     ReverseRunConfig,
     build_schedule,
-    corrected_coefficients,
-    ei_coefficients,
-    point_cloud_oracle,
     run_reverse,
+    step_table,
 )
 
 sched = build_schedule(0.2, 10, 40)
 print(f"grid: T = {sched.horizon}, delta = {sched.early_stop:.4e}, K = {sched.n_steps}")
 
-print("\n== per-step coefficients (first, middle, last) ==")
+print("\n== per-step coefficients from the step table (first, middle, last) ==")
+c, e = step_table(sched, "corrected"), step_table(sched, "exponential_integrator")
 for k in (0, 20, 39):
-    c = corrected_coefficients(sched, k)
-    e = ei_coefficients(sched, k)
     print(
-        f"  k={k:<3} corrected (a={c.alpha:.4f}, b={c.beta:.4f}, eta={c.eta:.4f})   "
-        f"EI (a={e.alpha:.4f}, b={e.beta:.4f}, eta={e.eta:.4f})"
+        f"  k={k:<3} corrected (a={c.alpha[k]:.4f}, b={c.beta[k]:.4f}, eta={np.sqrt(c.eta2[k]):.4f})   "
+        f"EI (a={e.alpha[k]:.4f}, b={e.beta[k]:.4f}, eta={np.sqrt(e.eta2[k]):.4f})"
     )
 
-two = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+two = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
 
 print("\n== corrected scheme on the two-point law ==")
 cfg = ReverseRunConfig(schedule=sched, batch=20_000, seed=42)

@@ -15,22 +15,21 @@ import numpy as np
 
 from revdiff import (
     GaussianLaw,
+    GaussianOracle,
     ReverseRunConfig,
     build_schedule,
     discretization_error_meter,
     gaussian_kl,
-    gaussian_oracle,
     kl_experiment,
     marginal_law,
+    random_frame,
     spawn_rng,
 )
 
 
 def rank_law(D, d, var=0.25, seed=0):
-    rng = spawn_rng(seed, 77)
-    q, r = np.linalg.qr(rng.standard_normal((D, D)))
-    q = q * np.sign(np.diag(r))
-    return GaussianLaw(mean=np.zeros(D), factor=q[:, :d] * math.sqrt(var))
+    frame = random_frame(D, d, spawn_rng(seed, 77))
+    return GaussianLaw(mean=np.zeros(D), factor=frame * math.sqrt(var))
 
 
 def grid(kappa, horizon=10.0, delta=1e-6):
@@ -64,7 +63,7 @@ law = rank_law(8, 2, seed=9)
 prev_budget, prev_kl = None, None
 for i in range(4):
     s = grid(0.2 / 2**i)
-    budget = discretization_error_meter(gaussian_oracle(law), s, 0, None, mode="exact").value
+    budget = discretization_error_meter(GaussianOracle(law), s, 0, None, mode="exact").value
     kl = kl_experiment(law, ReverseRunConfig(schedule=s, init="data_pT")).value
     line = f"  K={s.n_steps:>4}: budget = {budget:.4e}  terminal KL = {kl:.4e}"
     if prev_budget:

@@ -11,16 +11,16 @@ import numpy as np
 
 from revdiff import (
     PointCloudMeasure,
+    PointCloudOracle,
     concentration_curve,
     make_manifold_cloud,
     martingale_checks,
     monotonicity_check,
-    point_cloud_oracle,
     spawn_rng,
 )
 
 rng = spawn_rng(5, 0)
-two = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+two = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
 
 print("== orthogonality of increments (residual should sit at 0) ==")
 for ts in ((0.0, 0.25, 1.0), (0.05, 0.2, 0.6)):
@@ -43,7 +43,7 @@ times = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
 curves = {}
 for kind, D, kw in (("circle", 2, {}), ("torus", 4, {"intrinsic_dim": 2})):
     cloud, spec = make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kw)
-    oracle = point_cloud_oracle(cloud).with_manifold(spec)
+    oracle = PointCloudOracle(cloud).with_manifold(spec)
     curves[kind] = concentration_curve(oracle, times, 30_000, rng)
 
 print(f"  {'t':>8} {'circle':>12} {'torus':>12} {'ratio':>8}")

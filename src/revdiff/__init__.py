@@ -7,68 +7,41 @@ The package is organized around five capabilities:
 * ``measures``: data laws (point masses, clouds, Gaussians, products,
   synthetic manifolds) with exact posterior means, scores and forward
   sampling.
-* ``sampler``: the corrected reverse discretization, an exponential
-  integrator baseline, the first-order corrected score and a fine-step
-  integration oracle for the underlying continuous dynamics.
+* ``sampler``: the per-scheme step table for the corrected reverse
+  discretization and an exponential integrator baseline, the first-order
+  corrected score and a fine-step integration oracle for the underlying
+  continuous dynamics.
 * ``metrics``: exact KL for affine-Gaussian runs, Monte Carlo error
   functionals and martingale-structure checks.
-* ``harness``: presets, config files and the ``revdiff`` CLI.
+* ``harness``: presets, config files and the ``revdiff`` CLI
+  (``python -m revdiff``).
+
+The package namespace re-exports the names the demos use; everything else
+lives in its submodule.
 """
 
-from .schedule import (
-    NoiseScales,
-    TimeSchedule,
-    build_schedule,
-    noise_scales,
-    schedule_from_text,
-    schedule_to_text,
-    validate_schedule,
-)
+from .schedule import build_schedule, noise_scales, schedule_to_text, validate_schedule
 from .measures import (
     GaussianLaw,
-    ManifoldSpec,
+    GaussianOracle,
     PointCloudMeasure,
-    ScoreOracle,
-    forward_bridge,
+    PointCloudOracle,
+    PointMassOracle,
+    ProductOracle,
     forward_sample,
-    gaussian_oracle,
-    load_cloud,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
-    product_oracle,
-    save_cloud,
+    random_frame,
     spawn_rng,
 )
-from .sampler import (
-    ReverseRunConfig,
-    ReverseRunResult,
-    ScorePerturbation,
-    StepCoefficients,
-    corrected_coefficients,
-    corrected_score,
-    corrected_step,
-    ei_coefficients,
-    ei_step,
-    fine_integrate_step,
-    fine_step_conditional_law,
-    run_reverse,
-    save_batch,
-    save_trajectories,
-)
+from .sampler import ReverseRunConfig, run_reverse, step_table
 from .metrics import (
-    MetricReport,
     concentration_curve,
     discretization_error_meter,
     gaussian_kl,
-    increment_quadrature,
     kl_experiment,
     marginal_law,
     martingale_checks,
     monotonicity_check,
-    propagate_affine_reverse,
-    score_error_budget,
 )
-from .harness import ExperimentConfig, build_measure, run_experiment
 
 __version__ = "0.1.0"

@@ -24,11 +24,13 @@ import numpy as np
 from . import _svg, metrics
 from .measures import (
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
-    gaussian_oracle,
+    PointCloudOracle,
+    PointMassOracle,
+    forward_sample,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
+    map_streams,
     random_frame,
     spawn_rng,
 )
@@ -190,17 +192,17 @@ def build_measure(spec, seed: int = 0):
         )
         if float(spec.get("floor", 0.0)) > 0:
             law = GaussianLaw(law.mean, law.factor, float(spec["floor"]))
-        return gaussian_oracle(law)
+        return GaussianOracle(law)
     if kind == "point-mass":
         point = np.zeros(D)
         point[0] = float(spec.get("value", 1.0))
-        return point_mass_oracle(point)
+        return PointMassOracle(point)
     if kind == "two-point":
         sep = float(spec.get("sep", 1.0))
         pts = np.zeros((2, D))
         pts[0, 0] = -sep / 2.0
         pts[1, 0] = sep / 2.0
-        return point_cloud_oracle(PointCloudMeasure.uniform(pts))
+        return PointCloudOracle(PointCloudMeasure.uniform(pts))
     if kind in ("circle", "torus", "hilbert"):
         n = int(spec.get("n", 2048))
         kwargs = {}
@@ -209,7 +211,7 @@ def build_measure(spec, seed: int = 0):
         if kind == "hilbert":
             kwargs["order"] = int(spec.get("order", 3))
         cloud, mspec = make_manifold_cloud(kind, D, n, rng, **kwargs)
-        return point_cloud_oracle(cloud).with_manifold(mspec)
+        return PointCloudOracle(cloud).with_manifold(mspec)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
@@ -279,7 +281,7 @@ def _preset_d_sweep(cfg: ExperimentConfig):
             law, ReverseRunConfig(schedule=sched, seed=cfg.seed, init="data_pT")
         ).value
         disc_sum = metrics.discretization_error_meter(
-            gaussian_oracle(law), sched, 0, None, mode="exact"
+            GaussianOracle(law), sched, 0, None, mode="exact"
         ).value
         rows.append((d, kl_total, kl_disc, disc_sum))
     slope, intercept, r2 = _linear_fit([r[0] for r in rows], [r[2] for r in rows])
@@ -340,7 +342,7 @@ def _preset_K_sweep(cfg: ExperimentConfig):
     d = int(opts.get("d", 2))
     var = float(opts.get("var", 0.25))
     law = _rank_d_law(D, d, var, cfg.seed)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     rows = []
     for i in range(doublings + 1):
         kappa = kappa0 / 2**i
@@ -405,10 +407,7 @@ def _tweedie_max_rel_err(oracle, rng, cases=40, h=1e-5):
     worst = 0.0
     for _ in range(cases):
         t = float(np.exp(rng.uniform(np.log(0.02), np.log(3.0))))
-        x0 = oracle.sample0(rng, 1)
-        c = math.exp(-t)
-        sig = math.sqrt(-math.expm1(-2.0 * t))
-        x = (c * x0 + sig * rng.standard_normal(x0.shape))[0]
+        x = forward_sample(oracle, t, rng, 1)[1][0]
         grad = np.zeros_like(x)
         for j in range(len(x)):
             e = np.zeros_like(x)
@@ -450,9 +449,8 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
     for oname, oracle in oracles:
         cases.append(("tweedie_fd", oname, oracle, None))
 
-    def run_case(idx_case):
-        idx, (check, oname, oracle, ts) = idx_case
-        rng = spawn_rng(seed, idx + 1)
+    def run_case(case, rng):
+        check, oname, oracle, ts = case
         if check == "martingale":
             rep = metrics.martingale_checks(oracle, *ts, n, rng)
             z = rep.value / rep.stderr if rep.stderr > 0 else 0.0
@@ -475,14 +473,7 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
         err = _tweedie_max_rel_err(oracle, rng)
         return [("tweedie_fd", oname, err, 0.0, 0.0, err <= 1e-4)]
 
-    indexed = list(enumerate(cases))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_case, indexed))
-    else:
-        chunks = [run_case(ic) for ic in indexed]
+    chunks = map_streams(run_case, cases, seed, workers, first=1)
     rows = [row for chunk in chunks for row in chunk]
     return rows, all(r[5] for r in rows)
 
@@ -719,3 +710,7 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
+
+
+if __name__ == "__main__":
+    sys.exit("revdiff.harness is not a command; run the CLI as `python -m revdiff ...`")

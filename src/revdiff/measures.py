@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedule import noise_scales
+
 __all__ = [
     "ScoreOracle",
     "PointCloudMeasure",
@@ -29,16 +31,14 @@ __all__ = [
     "PointCloudOracle",
     "GaussianOracle",
     "ProductOracle",
-    "point_mass_oracle",
-    "point_cloud_oracle",
-    "gaussian_oracle",
-    "product_oracle",
     "forward_sample",
     "forward_bridge",
     "make_manifold_cloud",
     "save_cloud",
     "load_cloud",
     "spawn_rng",
+    "map_streams",
+    "random_frame",
 ]
 
 # Queries below this time are rejected: sigma2 -> 0 makes the posterior-mean /
@@ -58,6 +58,22 @@ def spawn_rng(master_seed: int, stream: int) -> np.random.Generator:
     of how many workers consume them.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
+
+
+def map_streams(fn, items, seed: int, workers: int = 1, first: int = 0) -> list:
+    """``[fn(item, spawn_rng(seed, first + i)) for i, item in enumerate(items)]``.
+
+    With ``workers > 1`` the items run on a thread pool; each draws only from
+    its own derived stream, so the result does not depend on the worker count.
+    """
+    jobs = list(enumerate(items, start=first))
+    call = lambda job: fn(job[1], spawn_rng(seed, job[0]))
+    if workers > 1 and len(jobs) > 1:
+        import concurrent.futures  # only pooled runs pay for the import
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(call, jobs))
+    return [call(job) for job in jobs]
 
 
 def _check_time(t: float) -> float:
@@ -88,13 +104,8 @@ class ScoreOracle:
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
         t = _check_time(t)
         x = self._check_point(x)
-        c = math.exp(-t)
-        s2 = -math.expm1(-2.0 * t)
+        c, s2 = noise_scales(t)
         return (c * self.posterior_mean(t, x) - x) / s2
-
-    @property
-    def has_log_marginal(self) -> bool:
-        return False
 
     def log_marginal(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} does not expose log_marginal")
@@ -302,15 +313,10 @@ class PointMassOracle(ScoreOracle):
         x = self._check_point(x)
         return np.broadcast_to(self.point, x.shape).copy()
 
-    @property
-    def has_log_marginal(self) -> bool:
-        return True
-
     def log_marginal(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
-        c = math.exp(-t)
-        s2 = -math.expm1(-2.0 * t)
+        c, s2 = noise_scales(t)
         d2 = ((x - c * self.point) ** 2).sum(axis=-1)
         return -0.5 * d2 / s2 - 0.5 * self.dim * math.log(2.0 * math.pi * s2)
 
@@ -362,8 +368,7 @@ class PointCloudOracle(ScoreOracle):
     def _posterior_chunks(self, t, x):
         # Per tile: weights e relative to each row's leading component, and its
         # log density `lead` in direct form; the logits omit -||y||^2 / (2 s2).
-        c = math.exp(-t)
-        s2 = -math.expm1(-2.0 * t)
+        c, s2 = noise_scales(t)
         dim = self.dim
         log_norm = 0.5 * dim * math.log(2.0 * math.pi * s2)
         # logits = [y c/s2 | 1] @ [q | bias]^T
@@ -394,10 +399,6 @@ class PointCloudOracle(ScoreOracle):
             np.divide(sums[:, : self.dim], sums[:, self.dim :], out=out[rows])
         out += self._mu
         return out.reshape(x.shape)
-
-    @property
-    def has_log_marginal(self) -> bool:
-        return True
 
     def log_marginal(self, t, x):
         t = _check_time(t)
@@ -438,9 +439,7 @@ class GaussianOracle(ScoreOracle):
 
     def _split(self, t, x):
         """(c, sigma2, nu, den, v, z) for a query: v = x - c mean as rows, z = v U."""
-        t = _check_time(t)
-        c = math.exp(-t)
-        s2 = -math.expm1(-2.0 * t)
+        c, s2 = noise_scales(_check_time(t))
         nu = c * c * self.law.diag_floor + s2
         den = (c * c) * self._var + nu
         v = x.reshape(-1, self.dim) - c * self.law.mean
@@ -472,10 +471,6 @@ class GaussianOracle(ScoreOracle):
         if self.law.diag_floor > 0:
             out += (c * self.law.diag_floor / nu) * v
         return out.reshape(x.shape)
-
-    @property
-    def has_log_marginal(self) -> bool:
-        return True
 
     def log_marginal(self, t, x):
         x = self._check_point(x)
@@ -535,36 +530,12 @@ class ProductOracle(ScoreOracle):
     def score(self, t, x):
         return self._apply("score", t, x)
 
-    @property
-    def has_log_marginal(self) -> bool:
-        return all(o.has_log_marginal for o in self.oracles)
-
     def log_marginal(self, t, x):
         x = self._check_point(x)
         out = 0.0
         for oracle, idx in zip(self.oracles, self.blocks):
             out = out + oracle.log_marginal(t, x[..., idx])
         return out
-
-
-def point_mass_oracle(point) -> PointMassOracle:
-    """Oracle for a Dirac mass at ``point``."""
-    return PointMassOracle(point)
-
-
-def point_cloud_oracle(cloud: PointCloudMeasure) -> PointCloudOracle:
-    """Oracle for a weighted point cloud."""
-    return PointCloudOracle(cloud)
-
-
-def gaussian_oracle(law: GaussianLaw) -> GaussianOracle:
-    """Oracle for a (possibly degenerate) Gaussian law."""
-    return GaussianOracle(law)
-
-
-def product_oracle(factors) -> ProductOracle:
-    """Oracle for a product law given (oracle, coordinate block) pairs."""
-    return ProductOracle(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +545,11 @@ def product_oracle(factors) -> ProductOracle:
 
 def forward_sample(oracle: ScoreOracle, t: float, rng: np.random.Generator, n: int = 1):
     """Sample (X_0, X_t) jointly: X_t = c(t) X_0 + sigma(t) Z."""
-    t = float(t)
-    if t < 0 or not math.isfinite(t):
-        raise ValueError(f"forward time must be nonnegative, got {t!r}")
+    c, s2 = noise_scales(t)
     x0 = oracle.sample0(rng, n)
-    if t == 0.0:
+    if s2 == 0.0:
         return x0, x0.copy()
-    c = math.exp(-t)
-    sig = math.sqrt(-math.expm1(-2.0 * t))
-    return x0, c * x0 + sig * rng.standard_normal(x0.shape)
+    return x0, c * x0 + math.sqrt(s2) * rng.standard_normal(x0.shape)
 
 
 def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator):
@@ -595,10 +562,8 @@ def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator
     if t2 <= t:
         raise ValueError(f"bridge requires t2 > t, got t={t!r}, t2={t2!r}")
     xt = np.asarray(xt, dtype=float)
-    gap = t2 - t
-    c = math.exp(-gap)
-    sig = math.sqrt(-math.expm1(-2.0 * gap))
-    return c * xt + sig * rng.standard_normal(xt.shape)
+    c, s2 = noise_scales(t2 - t)
+    return c * xt + math.sqrt(s2) * rng.standard_normal(xt.shape)
 
 
 # ---------------------------------------------------------------------------

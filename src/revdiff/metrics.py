@@ -28,9 +28,10 @@ from .measures import (
     PointCloudOracle,
     ScoreOracle,
     forward_bridge,
+    forward_sample,
 )
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
-from .schedule import TimeSchedule, contraction, noise_var
+from .schedule import TimeSchedule, contraction, noise_scales, noise_var
 
 __all__ = [
     "MetricReport",
@@ -128,8 +129,7 @@ def _channels(law: GaussianLaw) -> _Channels:
 
 def marginal_law(law: GaussianLaw, t: float) -> GaussianLaw:
     """Exact law of X_t for Gaussian data: N(c mean, c^2 Cov + sigma2 I)."""
-    c = math.exp(-float(t))
-    s2 = -math.expm1(-2.0 * float(t))
+    c, s2 = noise_scales(t)
     return GaussianLaw(
         mean=c * law.mean,
         factor=c * law.factor,
@@ -350,9 +350,7 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
     exactly.  Reported stderr is 0 (nothing is estimated).
     """
     src = config.score_source
-    delta = config.schedule.early_stop
-    c = math.exp(-delta)
-    s2 = -math.expm1(-2.0 * delta)
+    c, s2 = noise_scales(config.schedule.early_stop)
     if isinstance(src, ScorePerturbation) and src.linear is not None:
         return MetricReport(name="kl_experiment", value=_dense_kl(data, config, c, s2), seed=config.seed)
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
@@ -440,10 +438,7 @@ def discretization_error_meter(
     total = 0.0
     var_sum = 0.0
     for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
-        x0 = oracle.sample0(rng, n)
-        c = math.exp(-tau_lo)
-        sig = math.sqrt(-math.expm1(-2.0 * tau_lo))
-        x_lo = c * x0 + sig * rng.standard_normal(x0.shape)
+        _, x_lo = forward_sample(oracle, tau_lo, rng, n)
         x_hi = forward_bridge(x_lo, tau_lo, tau_hi, rng)
         try:
             m_lo = oracle.posterior_mean(tau_lo, x_lo)
@@ -480,10 +475,9 @@ def increment_quadrature(oracle: PointCloudOracle, t: float, t2: float, order: i
     nodes, wts = np.polynomial.hermite.hermgauss(order)
     z = math.sqrt(2.0) * nodes
     wz = wts / math.sqrt(math.pi)
-    c_t = math.exp(-t)
-    s_t = math.sqrt(-math.expm1(-2.0 * t))
-    c_b = math.exp(-(t2 - t))
-    s_b = math.sqrt(-math.expm1(-2.0 * (t2 - t)))
+    c_t, s2_t = noise_scales(t)
+    c_b, s2_b = noise_scales(t2 - t)
+    s_t, s_b = math.sqrt(s2_t), math.sqrt(s2_b)
     total = 0.0
     for x0, p in zip(oracle.cloud.points[:, 0], oracle.cloud.weights):
         xt = c_t * x0 + s_t * z  # (order,)
@@ -579,7 +573,7 @@ def monotonicity_check(oracle, t1, t2, t3, n, rng) -> MetricReport:
 
     def term(t, x):
         m = oracle.posterior_mean(t, x)
-        pref = math.exp(-2.0 * t) / (-math.expm1(-2.0 * t)) ** 2
+        pref = noise_scales(2.0 * t)[0] / noise_scales(t)[1] ** 2
         return pref * ((m - m3) ** 2).sum(axis=-1)
 
     e1 = term(t1, x1)

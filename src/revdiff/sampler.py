@@ -1,15 +1,16 @@
 """Reverse-run discretizations and the continuous-dynamics oracle.
 
 Two one-step schemes share the update shape
-``y' = alpha * y + beta * score(T - t_k, y) + eta * z``:
+``y' = alpha * y + beta * score(T - t_k, y) + eta * z``; ``step_table`` holds
+their coefficients at every step:
 
-* ``corrected_step``: alpha = e^g, beta = e^g - e^-g and
+* ``corrected``: alpha = e^g, beta = e^g - e^-g and
   eta = sigma(g) * sigma(T - t_{k+1}) / sigma(T - t_k).  Its conditional mean
   equals the exact reverse-bridge posterior mean for any data law, so the
   only per-step error is in the injected noise shape; for point-mass data the
   step is the exact bridge kernel.
-* ``ei_step``: the classic exponential integrator, obtained by freezing the
-  score over the step and integrating the linear reverse SDE.
+* ``exponential_integrator``: the classic exponential integrator, obtained by
+  freezing the score over the step and integrating the linear reverse SDE.
 
 ``fine_integrate_step`` integrates the interval dynamics driven by the
 first-order corrected score with Euler-Maruyama substeps; its one-step law
@@ -25,19 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import ScoreOracle, forward_sample, spawn_rng
-from .schedule import TimeSchedule, contraction, noise_var, validate_schedule
+from .measures import ScoreOracle, forward_sample, map_streams
+from .schedule import TimeSchedule, contraction, noise_scales, noise_var, validate_schedule
 
 __all__ = [
-    "StepCoefficients",
     "ScorePerturbation",
     "ReverseRunConfig",
     "ReverseRunResult",
-    "corrected_coefficients",
-    "ei_coefficients",
     "step_table",
-    "corrected_step",
-    "ei_step",
     "corrected_score",
     "fine_integrate_step",
     "fine_step_conditional_law",
@@ -47,15 +43,6 @@ __all__ = [
 ]
 
 SCHEMES = ("corrected", "exponential_integrator")
-
-
-@dataclass(frozen=True)
-class StepCoefficients:
-    """State multiplier, score multiplier and noise std for one reverse step."""
-
-    alpha: float
-    beta: float
-    eta: float
 
 
 def _check_step_index(schedule: TimeSchedule, k: int) -> int:
@@ -75,9 +62,6 @@ class StepTable:
     eta2: np.ndarray
     c: np.ndarray
     s2: np.ndarray
-
-    def row(self, k: int) -> StepCoefficients:
-        return StepCoefficients(float(self.alpha[k]), float(self.beta[k]), math.sqrt(self.eta2[k]))
 
 
 def step_table(schedule: TimeSchedule, scheme: str = "corrected") -> StepTable:
@@ -100,35 +84,15 @@ def step_table(schedule: TimeSchedule, scheme: str = "corrected") -> StepTable:
     return StepTable(alpha=np.exp(g), beta=beta, eta2=eta2, c=contraction(schedule.taus), s2=s2)
 
 
-def corrected_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
-    """Coefficients of the bridge-matching scheme at step k (row k of its table)."""
-    return step_table(schedule, "corrected").row(_check_step_index(schedule, k))
-
-
-def ei_coefficients(schedule: TimeSchedule, k: int) -> StepCoefficients:
-    """Exponential-integrator coefficients: freeze the score, solve the SDE."""
-    return step_table(schedule, "exponential_integrator").row(_check_step_index(schedule, k))
-
-
-def _affine_step(y, tau, coef: StepCoefficients, score_fn, rng) -> np.ndarray:
+def _affine_step(y, tau, alpha, beta, eta, score_fn, rng) -> np.ndarray:
     """alpha y + beta score(tau, y) + eta z, in place, bit-identical to that expression."""
     y = np.asarray(y, dtype=float)
-    out = np.multiply(y, coef.alpha)
-    out += coef.beta * score_fn(tau, y)
+    out = np.multiply(y, alpha)
+    out += beta * score_fn(tau, y)
     noise = rng.standard_normal(y.shape)
-    noise *= coef.eta
+    noise *= eta
     out += noise
     return out
-
-
-def corrected_step(y, k, schedule, score_fn, rng) -> np.ndarray:
-    """One corrected reverse step from grid point k, batched over rows of y."""
-    return _affine_step(y, float(schedule.taus[k]), corrected_coefficients(schedule, k), score_fn, rng)
-
-
-def ei_step(y, k, schedule, score_fn, rng) -> np.ndarray:
-    """One exponential-integrator reverse step from grid point k."""
-    return _affine_step(y, float(schedule.taus[k]), ei_coefficients(schedule, k), score_fn, rng)
 
 
 def corrected_score(t, x, t2, x2, base_score_fn) -> np.ndarray:
@@ -149,8 +113,8 @@ def corrected_score(t, x, t2, x2, base_score_fn) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     cinv = math.exp(t2 - t)
-    s2_t = -math.expm1(-2.0 * t)
-    s2_t2 = -math.expm1(-2.0 * t2)
+    s2_t = noise_scales(t)[1]
+    s2_t2 = noise_scales(t2)[1]
     return cinv * (s2_t2 / s2_t) * base_score_fn(t2, x2) - (x - cinv * x2) / s2_t
 
 
@@ -195,13 +159,13 @@ def fine_step_conditional_law(y, k, schedule, base_score_fn, substeps):
     anchor_x = np.asarray(y, dtype=float)
     anchor_t = float(schedule.taus[k])
     base_val = base_score_fn(anchor_t, anchor_x)
-    s2_anchor = -math.expm1(-2.0 * anchor_t)
+    s2_anchor = noise_scales(anchor_t)[1]
     h = float(schedule.gammas[k]) / substeps
     mean = anchor_x.copy()
     var = 0.0
     for j in range(substeps):
         tau = anchor_t - j * h
-        s2 = -math.expm1(-2.0 * tau)
+        s2 = noise_scales(tau)[1]
         cinv = math.exp(anchor_t - tau)
         coef = 1.0 + h * (1.0 - 2.0 / s2)
         offset = 2.0 * h * cinv * ((s2_anchor / s2) * base_val + anchor_x / s2)
@@ -308,9 +272,8 @@ def _resolve_score_fn(config: ReverseRunConfig, oracle_or_score):
     return base, dim
 
 
-def _run_chunk(config, oracle_or_score, score_fn, dim, n, stream, steps):
+def _run_chunk(config, oracle_or_score, score_fn, dim, n, rng, steps):
     sched = config.schedule
-    rng = spawn_rng(config.seed, stream)
     if config.init == "data_pT":
         if not isinstance(oracle_or_score, ScoreOracle):
             raise ValueError("data_pT initialization requires a ScoreOracle")
@@ -321,11 +284,11 @@ def _run_chunk(config, oracle_or_score, score_fn, dim, n, stream, steps):
         y = rng.standard_normal((n, dim))
     rec = []
     rec_steps = []
-    for k, (tau, coef) in enumerate(steps):
+    for k, step in enumerate(steps):
         if config.record_every and k % config.record_every == 0:
             rec.append(y.copy())
             rec_steps.append(k)
-        y = _affine_step(y, tau, coef, score_fn, rng)
+        y = _affine_step(y, *step, score_fn, rng)
         if not np.isfinite(y).all():
             raise FloatingPointError(
                 f"non-finite state after step k={k} (t={sched.times[k + 1]!r}); "
@@ -346,25 +309,22 @@ def run_reverse(config: ReverseRunConfig, oracle_or_score) -> ReverseRunResult:
     pool; chunk values are identical to the sequential ones.
     """
     score_fn, dim = _resolve_score_fn(config, oracle_or_score)
-    if dim is None and isinstance(oracle_or_score, ScoreOracle):
-        dim = oracle_or_score.dim
     sizes = []
     off = 0
     while off < config.batch:
         sizes.append(min(config.chunk_size, config.batch - off))
         off += sizes[-1]
-    table = step_table(config.schedule, config.scheme)
-    steps = [(float(tau), table.row(k)) for k, tau in enumerate(config.schedule.taus[:-1])]
-    args = [
-        (config, oracle_or_score, score_fn, dim, n, i, steps) for i, n in enumerate(sizes)
-    ]
-    if config.n_workers > 1 and len(sizes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            parts = list(pool.map(lambda a: _run_chunk(*a), args))
-    else:
-        parts = [_run_chunk(*a) for a in args]
+    tab = step_table(config.schedule, config.scheme)
+    # (tau, alpha, beta, eta) of each step, as Python floats
+    steps = list(
+        zip(config.schedule.taus[:-1].tolist(), tab.alpha.tolist(), tab.beta.tolist(), np.sqrt(tab.eta2).tolist())
+    )
+    parts = map_streams(
+        lambda n, rng: _run_chunk(config, oracle_or_score, score_fn, dim, n, rng, steps),
+        sizes,
+        config.seed,
+        config.n_workers,
+    )
     terminal = np.concatenate([p[0] for p in parts])
     trajectory = None
     recorded = None

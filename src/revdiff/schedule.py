@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "NoiseScales",
     "TimeSchedule",
     "ScheduleValidation",
     "noise_scales",
@@ -45,27 +44,16 @@ def noise_var(t):
     return -np.expm1(-2.0 * np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class NoiseScales:
-    """Forward-process scale factors at one time.
+def noise_scales(t: float) -> tuple[float, float]:
+    """Scalar (c, sigma2) = (exp(-t), 1 - exp(-2t)) at time ``t >= 0``.
 
-    Satisfies c = exp(-t), sigma2 = 1 - c**2 and sigma = sqrt(sigma2), so
-    c**2 + sigma2 == 1 up to rounding.
+    The one scalar source of the forward scales; ``contraction`` and
+    ``noise_var`` are its array forms.
     """
-
-    t: float
-    c: float
-    sigma2: float
-    sigma: float
-
-
-def noise_scales(t: float) -> NoiseScales:
-    """Evaluate the contraction and noise scales at time ``t >= 0``."""
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    s2 = float(-math.expm1(-2.0 * t))
-    return NoiseScales(t=t, c=math.exp(-t), sigma2=s2, sigma=math.sqrt(s2))
+    return math.exp(-t), -math.expm1(-2.0 * t)
 
 
 @dataclass(frozen=True)

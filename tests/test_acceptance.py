@@ -11,12 +11,12 @@ import pytest
 
 from revdiff.measures import (
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
+    PointCloudOracle,
     forward_sample,
-    gaussian_oracle,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
+    random_frame,
     spawn_rng,
 )
 from revdiff.metrics import (
@@ -33,9 +33,9 @@ from revdiff.metrics import (
 from revdiff.sampler import (
     ReverseRunConfig,
     ScorePerturbation,
-    corrected_coefficients,
     fine_integrate_step,
     fine_step_conditional_law,
+    step_table,
 )
 from revdiff.schedule import build_schedule, validate_schedule
 
@@ -46,10 +46,8 @@ def announce(cid, passed, detail):
 
 
 def rotated_rank_law(D, d, var=0.25, seed=0):
-    rng = spawn_rng(seed, 77)
-    q, r = np.linalg.qr(rng.standard_normal((D, D)))
-    q = q * np.sign(np.diag(r))
-    return GaussianLaw(mean=np.zeros(D), factor=q[:, :d] * math.sqrt(var), diag_floor=0.0)
+    frame = random_frame(D, d, spawn_rng(seed, 77))
+    return GaussianLaw(mean=np.zeros(D), factor=frame * math.sqrt(var), diag_floor=0.0)
 
 
 def reference_schedule(kappa=0.1, horizon=10.0, delta=1e-6):
@@ -72,10 +70,10 @@ def test_c02_tweedie_identity_finite_differences():
     rng = spawn_rng(101, 0)
     cloud = PointCloudMeasure.uniform(0.4 * rng.standard_normal((6, 3)))
     oracles = [
-        ("point_cloud", point_cloud_oracle(cloud)),
+        ("point_cloud", PointCloudOracle(cloud)),
         (
             "gaussian",
-            gaussian_oracle(
+            GaussianOracle(
                 GaussianLaw(
                     mean=0.3 * rng.standard_normal(3),
                     factor=0.5 * rng.standard_normal((3, 2)),
@@ -105,21 +103,21 @@ def test_c02_tweedie_identity_finite_differences():
 
 def test_c03_scheme_equivalence_order():
     sched = build_schedule(0.2, 3, 8)
-    oracle = gaussian_oracle(
+    oracle = GaussianOracle(
         GaussianLaw(mean=np.zeros(2), factor=np.array([[0.5], [0.2]]), diag_floor=0.0)
     )
     substeps = (2, 8, 32, 128)
     worst_order_m = math.inf
     worst_order_v = math.inf
+    tab = step_table(sched, "corrected")
     for k in (1, 4, 6):
         y = np.array([0.4, -0.6])
-        coef = corrected_coefficients(sched, k)
-        target_m = coef.alpha * y + coef.beta * oracle.score(float(sched.taus[k]), y)
+        target_m = tab.alpha[k] * y + tab.beta[k] * oracle.score(float(sched.taus[k]), y)
         errs_m, errs_v = [], []
         for n in substeps:
             mean, var = fine_step_conditional_law(y, k, sched, oracle.score, n)
             errs_m.append(float(np.linalg.norm(mean - target_m)))
-            errs_v.append(abs(var - coef.eta**2))
+            errs_v.append(abs(var - tab.eta2[k]))
         fit = lambda errs: -np.polyfit(np.log(substeps), np.log(errs), 1)[0]
         worst_order_m = min(worst_order_m, fit(errs_m))
         worst_order_v = min(worst_order_v, fit(errs_v))
@@ -195,7 +193,7 @@ def test_c06_ambient_dimension_independence():
 def test_c07_one_over_k_rate():
     horizon, delta = 10.0, 1e-6
     law = rotated_rank_law(8, 2, var=0.25, seed=9)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     budgets, terminal = [], []
     ks = []
     for i in range(4):
@@ -232,13 +230,13 @@ def test_c08_kl_tensorization():
 
 
 def _check_grid_oracles():
-    two = point_cloud_oracle(
+    two = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[-0.5, 0.0], [0.5, 0.0]]))
     )
-    gauss = gaussian_oracle(rotated_rank_law(3, 1, var=0.25, seed=31))
+    gauss = GaussianOracle(rotated_rank_law(3, 1, var=0.25, seed=31))
     rng = spawn_rng(523, 9)
     cloud, _ = make_manifold_cloud("circle", D=2, n=512, rng=rng)
-    circle = point_cloud_oracle(cloud)
+    circle = PointCloudOracle(cloud)
     return [("two_point", two), ("gaussian", gauss), ("circle", circle)]
 
 
@@ -277,7 +275,7 @@ def test_c11_concentration_curves():
     results = {}
     for kind, D, kwargs in (("circle", 2, {}), ("torus", 4, {"intrinsic_dim": 2})):
         cloud, spec = make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kwargs)
-        oracle = point_cloud_oracle(cloud).with_manifold(spec)
+        oracle = PointCloudOracle(cloud).with_manifold(spec)
         rep = concentration_curve(oracle, times, n, rng)
         results[kind] = rep
     bounded = all(

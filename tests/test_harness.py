@@ -376,3 +376,17 @@ def test_python_m_revdiff_runs_without_runtime_warning():
     assert proc.returncode == 0, proc.stderr
     assert "kappa = 0.25" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_python_m_revdiff_harness_exits_1_naming_the_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "revdiff.harness", "kl", "--kappa", "0.1", "--L", "90", "--K", "235",
+         "--measure", "gaussian:D=8,rank=2,var=0.25"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "python -m revdiff" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

@@ -10,16 +10,15 @@ from revdiff.harness import build_measure
 from revdiff.measures import (
     T_MIN,
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
     PointCloudOracle,
+    PointMassOracle,
+    ProductOracle,
     forward_bridge,
     forward_sample,
-    gaussian_oracle,
     load_cloud,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
-    product_oracle,
     random_frame,
     save_cloud,
     spawn_rng,
@@ -41,7 +40,7 @@ def two_point_cloud(sep=1.0, dim=1):
 
 
 def test_point_mass_score_at_origin_data():
-    oracle = point_mass_oracle(np.zeros(3))
+    oracle = PointMassOracle(np.zeros(3))
     x = np.array([0.4, -1.0, 2.0])
     np.testing.assert_allclose(oracle.score(0.3, x), -x / (-math.expm1(-0.6)))
     np.testing.assert_allclose(oracle.score(0.3, np.zeros(3)), 0.0)
@@ -49,12 +48,12 @@ def test_point_mass_score_at_origin_data():
 
 def test_point_mass_score_basis_vector():
     # (c * y0 - x) / sigma2 at t = ln 2, x = 0: 0.5 / 0.75 = 2/3
-    oracle = point_mass_oracle(np.array([1.0, 0.0]))
+    oracle = PointMassOracle(np.array([1.0, 0.0]))
     np.testing.assert_allclose(oracle.score(LN2, np.zeros(2)), [2.0 / 3.0, 0.0], atol=1e-15)
 
 
 def test_point_mass_rejects_small_times():
-    oracle = point_mass_oracle(np.zeros(2))
+    oracle = PointMassOracle(np.zeros(2))
     for t in (0.0, 1e-9, -1.0):
         with pytest.raises(ValueError):
             oracle.score(t, np.zeros(2))
@@ -62,8 +61,8 @@ def test_point_mass_rejects_small_times():
 
 def test_point_mass_rejects_nonfinite_points():
     with pytest.raises(ValueError):
-        point_mass_oracle(np.array([np.inf, 0.0]))
-    oracle = point_mass_oracle(np.zeros(2))
+        PointMassOracle(np.array([np.inf, 0.0]))
+    oracle = PointMassOracle(np.zeros(2))
     with pytest.raises(ValueError):
         oracle.score(0.5, np.array([np.nan, 0.0]))
 
@@ -98,7 +97,7 @@ def test_cloud_oracle_rejects_empty_chunk():
 
 
 def test_symmetric_two_point_posterior_mean_is_zero():
-    oracle = point_cloud_oracle(two_point_cloud())
+    oracle = PointCloudOracle(two_point_cloud())
     for t in (0.05, 0.5, 2.0):
         np.testing.assert_allclose(oracle.posterior_mean(t, np.zeros(1)), 0.0, atol=1e-14)
 
@@ -106,8 +105,8 @@ def test_symmetric_two_point_posterior_mean_is_zero():
 def test_single_point_cloud_matches_point_mass():
     y0 = np.array([0.3, -0.7])
     cloud = PointCloudMeasure.uniform(y0[None, :])
-    pc = point_cloud_oracle(cloud)
-    pm = point_mass_oracle(y0)
+    pc = PointCloudOracle(cloud)
+    pm = PointMassOracle(y0)
     rng = np.random.default_rng(5)
     for t in (0.03, 0.4, 1.7):
         x = rng.standard_normal((4, 2))
@@ -119,7 +118,7 @@ def test_single_point_cloud_matches_point_mass():
 def test_two_point_posterior_matches_bruteforce_softmax():
     # data {0, e1}, equal weights, queried off the symmetry point
     pts = np.array([[0.0], [1.0]])
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(pts))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(pts))
     t, x = LN2, np.array([0.25])
     c, s2 = 0.5, 0.75
     logw = -((x - c * pts[:, 0]) ** 2) / (2 * s2)
@@ -134,7 +133,7 @@ def test_two_point_posterior_matches_bruteforce_softmax():
 def test_cloud_log_weights_do_not_underflow_to_nan():
     # a faraway query must stay finite through the log-sum-exp path
     cloud = two_point_cloud()
-    oracle = point_cloud_oracle(cloud)
+    oracle = PointCloudOracle(cloud)
     x = np.array([300.0])
     t = 0.01
     assert np.isfinite(oracle.posterior_mean(t, x)).all()
@@ -244,7 +243,7 @@ def test_boundedness_for_diameter_one_cloud():
     rng = spawn_rng(2, 0)
     pts = rng.standard_normal((40, 3))
     cloud = PointCloudMeasure.uniform(pts).normalized()
-    oracle = point_cloud_oracle(cloud)
+    oracle = PointCloudOracle(cloud)
     for t in (0.02, 0.3, 1.5):
         x0, xt = forward_sample(oracle, t, rng, 500)
         dist = np.linalg.norm(x0 - oracle.posterior_mean(t, xt), axis=1)
@@ -253,7 +252,7 @@ def test_boundedness_for_diameter_one_cloud():
 
 def test_martingale_mean_property():
     rng = spawn_rng(3, 0)
-    oracle = point_cloud_oracle(two_point_cloud(sep=0.8, dim=2))
+    oracle = PointCloudOracle(two_point_cloud(sep=0.8, dim=2))
     n = 100_000
     x0, xt = forward_sample(oracle, 0.7, rng, n)
     m = oracle.posterior_mean(0.7, xt)
@@ -267,7 +266,7 @@ def test_martingale_mean_property():
 
 
 def test_standard_gaussian_score_is_negative_identity():
-    oracle = gaussian_oracle(GaussianLaw.isotropic(3))
+    oracle = GaussianOracle(GaussianLaw.isotropic(3))
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 3))
     for t in (0.01, 0.5, 4.0):
@@ -276,8 +275,8 @@ def test_standard_gaussian_score_is_negative_identity():
 
 def test_degenerate_gaussian_matches_point_mass():
     y0 = np.array([0.2, -0.4, 1.0])
-    oracle = gaussian_oracle(GaussianLaw.point_mass(y0))
-    pm = point_mass_oracle(y0)
+    oracle = GaussianOracle(GaussianLaw.point_mass(y0))
+    pm = PointMassOracle(y0)
     x = np.array([0.5, 0.5, -0.2])
     for t in (0.05, 0.9):
         np.testing.assert_allclose(oracle.score(t, x), pm.score(t, x), atol=1e-12)
@@ -289,7 +288,7 @@ def test_degenerate_gaussian_matches_point_mass():
 
 def test_rank_one_gaussian_matches_dense_inverse():
     law = GaussianLaw(mean=np.zeros(2), factor=np.array([[1.0], [0.0]]))
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     cov_t = 0.25 * np.outer([1, 0], [1, 0]) + 0.75 * np.eye(2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((16, 2))
@@ -301,7 +300,7 @@ def test_rank_one_gaussian_matches_dense_inverse():
 def test_gaussian_posterior_mean_tweedie_inversion():
     rng = np.random.default_rng(2)
     law = GaussianLaw(mean=rng.standard_normal(4), factor=rng.standard_normal((4, 2)), diag_floor=0.3)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     t = 0.6
     x = rng.standard_normal((5, 4))
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
@@ -370,7 +369,7 @@ def test_gaussian_queries_match_exact_dense_reference(dim, rank_frac, zero_colum
     floor = 0.0 if log_floor is None else math.exp(log_floor)
     u = rng.standard_normal(dim)
     law = GaussianLaw(offset * u / max(np.linalg.norm(u), 1e-12), factor, floor)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     t = min(max(math.exp(log_t), T_MIN), 20.0)
     c, s2 = math.exp(-t), -math.expm1(-2.0 * t)
     x = c * oracle.sample0(rng, 3) + noise * math.sqrt(s2) * rng.standard_normal((3, dim))
@@ -393,7 +392,7 @@ def test_gaussian_queries_match_exact_dense_reference(dim, rank_frac, zero_colum
 def test_gaussian_sampling_moments():
     rng = spawn_rng(4, 0)
     law = GaussianLaw(mean=np.array([1.0, -2.0]), factor=np.array([[0.5], [0.25]]), diag_floor=0.1)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     n = 200_000
     x = oracle.sample0(rng, n)
     np.testing.assert_allclose(x.mean(axis=0), law.mean, atol=4 * 0.8 / math.sqrt(n))
@@ -406,27 +405,27 @@ def test_gaussian_sampling_moments():
 
 
 def test_product_block_validation():
-    pm = point_mass_oracle(np.zeros(1))
+    pm = PointMassOracle(np.zeros(1))
     with pytest.raises(ValueError):
-        product_oracle([(pm, [0]), (pm, [0])])  # overlap
+        ProductOracle([(pm, [0]), (pm, [0])])  # overlap
     with pytest.raises(ValueError):
-        product_oracle([(pm, [0]), (pm, [2])])  # gap
+        ProductOracle([(pm, [0]), (pm, [2])])  # gap
     with pytest.raises(ValueError):
-        product_oracle([(pm, [0, 1])])  # block size mismatch
+        ProductOracle([(pm, [0, 1])])  # block size mismatch
 
 
 def test_product_of_deltas_is_delta():
-    factors = [(point_mass_oracle(np.zeros(1)), [i]) for i in range(3)]
-    prod = product_oracle(factors)
-    ref = point_mass_oracle(np.zeros(3))
+    factors = [(PointMassOracle(np.zeros(1)), [i]) for i in range(3)]
+    prod = ProductOracle(factors)
+    ref = PointMassOracle(np.zeros(3))
     x = np.array([0.1, -0.2, 0.3])
     np.testing.assert_allclose(prod.score(0.4, x), ref.score(0.4, x), atol=1e-14)
 
 
 def test_product_with_delta_block_has_pure_noise_score():
     # second coordinate is a point mass at zero: score there is -x2 / sigma2
-    two = point_cloud_oracle(two_point_cloud())
-    prod = product_oracle([(two, [0]), (point_mass_oracle(np.zeros(1)), [1])])
+    two = PointCloudOracle(two_point_cloud())
+    prod = ProductOracle([(two, [0]), (PointMassOracle(np.zeros(1)), [1])])
     t = 0.8
     x = np.array([0.3, -0.9])
     s = prod.score(t, x)
@@ -437,11 +436,11 @@ def test_product_with_delta_block_has_pure_noise_score():
 def test_product_of_point_clouds_equals_product_cloud():
     a = PointCloudMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
     b = PointCloudMeasure(np.array([[-0.5], [0.5]]), np.array([0.6, 0.4]))
-    prod = product_oracle([(point_cloud_oracle(a), [0]), (point_cloud_oracle(b), [1])])
+    prod = ProductOracle([(PointCloudOracle(a), [0]), (PointCloudOracle(b), [1])])
     # brute-force 2-D product cloud
     pts = np.array([[pa, pb] for pa in a.points[:, 0] for pb in b.points[:, 0]])
     wts = np.array([wa * wb for wa in a.weights for wb in b.weights])
-    joint = point_cloud_oracle(PointCloudMeasure(pts, wts))
+    joint = PointCloudOracle(PointCloudMeasure(pts, wts))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 2))
     for t in (0.05, 0.7):
@@ -458,13 +457,13 @@ def test_product_of_point_clouds_equals_product_cloud():
 @pytest.mark.parametrize(
     "maker",
     [
-        lambda rng: point_cloud_oracle(
+        lambda rng: PointCloudOracle(
             PointCloudMeasure.uniform(0.4 * rng.standard_normal((5, 3)))
         ),
-        lambda rng: gaussian_oracle(
+        lambda rng: GaussianOracle(
             GaussianLaw(mean=0.2 * rng.standard_normal(3), factor=0.5 * rng.standard_normal((3, 2)))
         ),
-        lambda rng: point_mass_oracle(np.array([0.6, -0.1, 0.0])),
+        lambda rng: PointMassOracle(np.array([0.6, -0.1, 0.0])),
     ],
 )
 def test_score_is_gradient_of_log_marginal(maker):
@@ -491,7 +490,7 @@ def test_score_is_gradient_of_log_marginal(maker):
 
 def test_forward_sample_zero_time_identity():
     rng = spawn_rng(6, 0)
-    oracle = point_cloud_oracle(two_point_cloud())
+    oracle = PointCloudOracle(two_point_cloud())
     x0, xt = forward_sample(oracle, 0.0, rng, 32)
     np.testing.assert_array_equal(x0, xt)
 
@@ -499,7 +498,7 @@ def test_forward_sample_zero_time_identity():
 def test_forward_sample_point_mass_moments():
     rng = spawn_rng(7, 0)
     y0 = np.array([0.5, -0.25])
-    oracle = point_mass_oracle(y0)
+    oracle = PointMassOracle(y0)
     t, n = 0.9, 100_000
     _, xt = forward_sample(oracle, t, rng, n)
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
@@ -521,7 +520,7 @@ def test_forward_bridge_semigroup_contraction():
 def test_forward_bridge_matches_direct_marginal():
     rng = spawn_rng(8, 0)
     y0 = np.array([1.0])
-    oracle = point_mass_oracle(y0)
+    oracle = PointMassOracle(y0)
     t, t2, n = 0.4, 1.3, 120_000
     _, xt = forward_sample(oracle, t, rng, n)
     xt2 = forward_bridge(xt, t, t2, rng)

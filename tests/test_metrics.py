@@ -5,11 +5,12 @@ import pytest
 
 from revdiff.measures import (
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
-    gaussian_oracle,
+    PointCloudOracle,
+    PointMassOracle,
     make_manifold_cloud,
-    point_cloud_oracle,
-    point_mass_oracle,
+    random_frame,
     spawn_rng,
 )
 from revdiff.metrics import (
@@ -31,10 +32,7 @@ from revdiff.schedule import build_schedule
 
 
 def rank_law(D, d, var=0.25, mean=None, seed=0, floor=0.0):
-    rng = spawn_rng(seed, 77)
-    q, r = np.linalg.qr(rng.standard_normal((D, D)))
-    q = q * np.sign(np.diag(r))
-    fac = q[:, :d] * math.sqrt(var)
+    fac = random_frame(D, d, spawn_rng(seed, 77)) * math.sqrt(var)
     mean = np.zeros(D) if mean is None else np.asarray(mean, dtype=float)
     return GaussianLaw(mean=mean, factor=fac, diag_floor=floor)
 
@@ -283,7 +281,7 @@ def test_propagation_mc_cross_check_rank2():
     law = rank_law(8, 2, var=0.5, seed=7)
     cfg = ReverseRunConfig(schedule=sched, batch=50_000, seed=29)
     exact = propagate_affine_reverse(law, cfg)
-    res = run_reverse(cfg, gaussian_oracle(law))
+    res = run_reverse(cfg, GaussianOracle(law))
     n = cfg.batch
     var_exact = np.diag(exact.covariance())
     np.testing.assert_allclose(
@@ -301,7 +299,7 @@ def test_propagation_mc_cross_check_rank2():
 
 def test_meter_point_mass_is_zero():
     sched = build_schedule(0.2, 4, 12)
-    oracle = point_mass_oracle(np.array([0.5, 0.2]))
+    oracle = PointMassOracle(np.array([0.5, 0.2]))
     rng = spawn_rng(9, 0)
     rep = discretization_error_meter(oracle, sched, 400, rng)
     assert rep.value == 0.0
@@ -311,7 +309,7 @@ def test_meter_point_mass_is_zero():
 def test_meter_exact_matches_mc_for_gaussian():
     sched = build_schedule(0.25, 3, 10)
     law = rank_law(2, 1, var=0.25, seed=8)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     exact = discretization_error_meter(oracle, sched, 0, None, mode="exact")
     rng = spawn_rng(10, 0)
     mc = discretization_error_meter(oracle, sched, 4000, rng)
@@ -322,17 +320,17 @@ def test_meter_exact_matches_mc_for_gaussian():
 def test_meter_exact_tensorizes():
     sched = build_schedule(0.2, 5, 18)
     one = GaussianLaw(mean=np.zeros(1), factor=np.array([[0.5]]))
-    base = discretization_error_meter(gaussian_oracle(one), sched, 0, None, mode="exact").value
+    base = discretization_error_meter(GaussianOracle(one), sched, 0, None, mode="exact").value
     for d in (2, 5):
         prod = GaussianLaw(mean=np.zeros(d), factor=0.5 * np.eye(d))
-        val = discretization_error_meter(gaussian_oracle(prod), sched, 0, None, mode="exact").value
+        val = discretization_error_meter(GaussianOracle(prod), sched, 0, None, mode="exact").value
         assert abs(val - d * base) < 1e-10
 
 
 def test_meter_mc_matches_quadrature_for_two_point():
     sched = build_schedule(0.25, 2, 8)
     cloud = PointCloudMeasure.uniform(np.array([[-0.5], [0.5]]))
-    oracle = point_cloud_oracle(cloud)
+    oracle = PointCloudOracle(cloud)
     rng = spawn_rng(11, 0)
     mc = discretization_error_meter(oracle, sched, 20_000, rng)
     total = 0.0
@@ -346,7 +344,7 @@ def test_meter_mc_matches_quadrature_for_two_point():
 def test_meter_midpoint_mode_runs_and_is_comparable():
     sched = build_schedule(0.25, 3, 10)
     law = rank_law(2, 1, var=0.25, seed=12)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     right = discretization_error_meter(oracle, sched, 0, None, mode="exact").value
     mid = discretization_error_meter(oracle, sched, 0, None, mode="exact", quadrature="midpoint").value
     assert 0.0 < mid < right  # midpoint weight and increment are both smaller
@@ -356,7 +354,7 @@ def test_meter_reports_offending_step_on_floor_violation():
     # delta below the oracle floor: the last steps must be named in the error
     sched = build_schedule(0.2, 4, 120)
     assert sched.early_stop < 1e-8
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
     rng = spawn_rng(13, 0)
     with pytest.raises(ValueError, match="step k="):
         discretization_error_meter(oracle, sched, 200, rng)
@@ -364,7 +362,7 @@ def test_meter_reports_offending_step_on_floor_violation():
 
 def test_meter_requires_samples_and_rng():
     sched = build_schedule(0.2, 4, 12)
-    oracle = point_mass_oracle(np.zeros(1))
+    oracle = PointMassOracle(np.zeros(1))
     with pytest.raises(ValueError):
         discretization_error_meter(oracle, sched, 50, spawn_rng(0, 0))
     with pytest.raises(ValueError):
@@ -379,7 +377,7 @@ def test_meter_requires_samples_and_rng():
 
 
 def test_martingale_degenerate_triple_residual_is_identically_zero():
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
     rng = spawn_rng(14, 0)
     rep = martingale_checks(oracle, 0.0, 0.4, 0.4, 2000, rng)
     assert rep.value == 0.0
@@ -387,7 +385,7 @@ def test_martingale_degenerate_triple_residual_is_identically_zero():
 
 
 def test_martingale_residual_within_band_two_point():
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
     rng = spawn_rng(15, 0)
     rep = martingale_checks(oracle, 0.0, 0.25, 1.0, 100_000, rng)
     assert abs(rep.value) <= 3.0 * rep.stderr
@@ -395,7 +393,7 @@ def test_martingale_residual_within_band_two_point():
 
 def test_martingale_increments_match_gaussian_closed_form():
     law = rank_law(2, 1, var=0.25, seed=16)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     rng = spawn_rng(17, 0)
     t1, t2, t3 = 0.1, 0.4, 1.1
     rep = martingale_checks(oracle, t1, t2, t3, 120_000, rng)
@@ -417,14 +415,14 @@ def test_martingale_increments_match_gaussian_closed_form():
 
 
 def test_martingale_rejects_bad_ordering():
-    oracle = point_mass_oracle(np.zeros(1))
+    oracle = PointMassOracle(np.zeros(1))
     rng = spawn_rng(18, 0)
     with pytest.raises(ValueError):
         martingale_checks(oracle, 0.5, 0.2, 1.0, 100, rng)
 
 
 def test_monotonicity_point_mass_terms_vanish():
-    oracle = point_mass_oracle(np.array([0.3]))
+    oracle = PointMassOracle(np.array([0.3]))
     rng = spawn_rng(19, 0)
     rep = monotonicity_check(oracle, 0.1, 0.3, 0.8, 1000, rng)
     assert rep.value == 0.0
@@ -433,7 +431,7 @@ def test_monotonicity_point_mass_terms_vanish():
 
 
 def test_monotonicity_two_point_difference_nonnegative():
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
     rng = spawn_rng(20, 0)
     rep = monotonicity_check(oracle, 0.1, 0.3, 0.8, 100_000, rng)
     assert rep.value >= -3.0 * rep.stderr
@@ -455,7 +453,7 @@ def test_weight_prefactor_is_decreasing():
 
 
 def test_concentration_point_mass_is_zero_everywhere():
-    oracle = point_mass_oracle(np.array([0.2, -0.2]))
+    oracle = PointMassOracle(np.array([0.2, -0.2]))
     rng = spawn_rng(21, 0)
     rep = concentration_curve(oracle, [0.01, 0.1, 1.0], 500, rng)
     for (_, _, val, _) in rep.components:
@@ -465,7 +463,7 @@ def test_concentration_point_mass_is_zero_everywhere():
 def test_concentration_circle_bounded_and_normalized():
     rng = spawn_rng(22, 0)
     cloud, spec = make_manifold_cloud("circle", D=2, n=1024, rng=rng)
-    oracle = point_cloud_oracle(cloud).with_manifold(spec)
+    oracle = PointCloudOracle(cloud).with_manifold(spec)
     rep = concentration_curve(oracle, [1e-3, 1e-2, 1e-1], 20_000, rng)
     for (_, _, val, se) in rep.components:
         assert val <= 1.0 + 3 * se
@@ -474,7 +472,7 @@ def test_concentration_circle_bounded_and_normalized():
 
 
 def test_concentration_without_spec_has_no_ratios():
-    oracle = point_cloud_oracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
     rng = spawn_rng(23, 0)
     rep = concentration_curve(oracle, [0.01, 0.1], 2000, rng)
     assert not any(k.startswith("ratio@") for k in rep.extras)

@@ -6,22 +6,18 @@ import pytest
 
 from revdiff.measures import (
     GaussianLaw,
+    GaussianOracle,
     PointCloudMeasure,
-    gaussian_oracle,
-    point_cloud_oracle,
-    point_mass_oracle,
-    product_oracle,
+    PointCloudOracle,
+    PointMassOracle,
+    ProductOracle,
 )
 from revdiff.metrics import propagate_affine_reverse
 from revdiff.sampler import (
     _affine_step,
     ReverseRunConfig,
     ScorePerturbation,
-    corrected_coefficients,
     corrected_score,
-    corrected_step,
-    ei_coefficients,
-    ei_step,
     fine_integrate_step,
     fine_step_conditional_law,
     run_reverse,
@@ -49,6 +45,12 @@ def schedule_with_gap(gamma, tau0):
     )
 
 
+def coefficients(sched, k, scheme="corrected"):
+    """(alpha, beta, eta) of step k, read from the step table."""
+    tab = step_table(sched, scheme)
+    return float(tab.alpha[k]), float(tab.beta[k]), math.sqrt(tab.eta2[k])
+
+
 class ZeroNormal:
     """rng stub that suppresses the injected noise."""
 
@@ -58,51 +60,40 @@ class ZeroNormal:
 
 def test_corrected_coefficients_at_ln2_gap():
     sched = schedule_with_gap(LN2, 2.0)
-    coef = corrected_coefficients(sched, 0)
-    assert abs(coef.alpha - 2.0) < 1e-14
-    assert abs(coef.beta - 1.5) < 1e-14
+    alpha, beta, eta = coefficients(sched, 0)
+    assert abs(alpha - 2.0) < 1e-14
+    assert abs(beta - 1.5) < 1e-14
     s2 = lambda t: -math.expm1(-2.0 * t)
     eta_expected = math.sqrt(s2(LN2) * s2(2.0 - LN2) / s2(2.0))
-    assert abs(coef.eta - eta_expected) < 1e-14
+    assert abs(eta - eta_expected) < 1e-14
 
 
 def test_corrected_coefficients_zero_gap_limit():
     sched = schedule_with_gap(1e-10, 1.0)
-    coef = corrected_coefficients(sched, 0)
-    assert abs(coef.alpha - 1.0) < 1e-9
-    assert abs(coef.beta) < 3e-10
-    assert abs(coef.eta) < 2e-5  # eta ~ sqrt(2 gamma)
+    alpha, beta, eta = coefficients(sched, 0)
+    assert abs(alpha - 1.0) < 1e-9
+    assert abs(beta) < 3e-10
+    assert abs(eta) < 2e-5  # eta ~ sqrt(2 gamma)
 
 
 def test_eta_matches_noise_ratio_identity():
     sched = build_schedule(0.2, 3, 9)
     s2 = lambda t: -math.expm1(-2.0 * t)
     for k in range(sched.n_steps):
-        coef = corrected_coefficients(sched, k)
+        _, _, eta = coefficients(sched, k)
         tau0, tau1 = float(sched.taus[k]), float(sched.taus[k + 1])
         g = float(sched.gammas[k])
-        assert abs(coef.eta**2 - s2(g) * s2(tau1) / s2(tau0)) < 1e-15
+        assert abs(eta**2 - s2(g) * s2(tau1) / s2(tau0)) < 1e-15
 
 
 def test_ei_coefficients():
     sched = schedule_with_gap(LN2, 2.0)
-    coef = ei_coefficients(sched, 0)
-    assert abs(coef.alpha - 2.0) < 1e-14
-    assert abs(coef.beta - 2.0) < 1e-14
-    assert abs(coef.eta - math.sqrt(3.0)) < 1e-14
-    tiny = ei_coefficients(schedule_with_gap(1e-10, 1.0), 0)
-    assert abs(tiny.alpha - 1.0) < 1e-9 and abs(tiny.beta) < 3e-10
-
-
-def test_step_table_rows_are_the_coefficients_bit_for_bit():
-    sched = build_schedule(0.1, 5, 40)
-    for scheme, coefficients in (("corrected", corrected_coefficients), ("exponential_integrator", ei_coefficients)):
-        tab = step_table(sched, scheme)
-        assert tab.alpha.shape == tab.beta.shape == tab.eta2.shape == (sched.n_steps,)
-        assert tab.c.shape == tab.s2.shape == (sched.n_steps + 1,)
-        for k in range(sched.n_steps):
-            coef = coefficients(sched, k)
-            assert (coef.alpha, coef.beta, coef.eta) == (tab.alpha[k], tab.beta[k], math.sqrt(tab.eta2[k]))
+    alpha, beta, eta = coefficients(sched, 0, "exponential_integrator")
+    assert abs(alpha - 2.0) < 1e-14
+    assert abs(beta - 2.0) < 1e-14
+    assert abs(eta - math.sqrt(3.0)) < 1e-14
+    tiny_alpha, tiny_beta, _ = coefficients(schedule_with_gap(1e-10, 1.0), 0, "exponential_integrator")
+    assert abs(tiny_alpha - 1.0) < 1e-9 and abs(tiny_beta) < 3e-10
 
 
 def test_step_coefficients_match_decimal_reference():
@@ -114,63 +105,64 @@ def test_step_coefficients_match_decimal_reference():
             sched = schedule_with_gap(float(gamma), 2.0)
             g, tau0, tau1 = (Decimal(float(v)) for v in (sched.gammas[0], *sched.taus))
             refs = {
-                corrected_coefficients: (g.exp(), g.exp() - (-g).exp(), (s2(g) * s2(tau1) / s2(tau0)).sqrt()),
-                ei_coefficients: (g.exp(), 2 * (g.exp() - 1), ((2 * g).exp() - 1).sqrt()),
+                "corrected": (g.exp(), g.exp() - (-g).exp(), (s2(g) * s2(tau1) / s2(tau0)).sqrt()),
+                "exponential_integrator": (g.exp(), 2 * (g.exp() - 1), ((2 * g).exp() - 1).sqrt()),
             }
-            for coefficients, ref in refs.items():
-                coef = coefficients(sched, 0)
-                for got, want in zip((coef.alpha, coef.beta, coef.eta), ref):
-                    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (gamma, coefficients, got)
+            for scheme, ref in refs.items():
+                for got, want in zip(coefficients(sched, 0, scheme), ref):
+                    assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (gamma, scheme, got)
 
 
 def test_step_index_bounds():
     sched = build_schedule(0.2, 2, 4)
+    score = lambda t, x: np.zeros_like(x)
     with pytest.raises(IndexError):
-        corrected_coefficients(sched, 4)
+        fine_step_conditional_law(np.zeros(1), 4, sched, score, 1)
     with pytest.raises(IndexError):
-        corrected_coefficients(sched, -1)
+        fine_step_conditional_law(np.zeros(1), -1, sched, score, 1)
 
 
 def test_corrected_step_drift_only_is_pure_scaling():
     sched = schedule_with_gap(0.3, 1.5)
     y = np.array([[0.5, -1.0]])
-    out = corrected_step(y, 0, sched, lambda t, x: np.zeros_like(x), ZeroNormal())
+    zero_score = lambda t, x: np.zeros_like(x)
+    out = _affine_step(y, float(sched.taus[0]), *coefficients(sched, 0), zero_score, ZeroNormal())
     np.testing.assert_allclose(out, math.exp(0.3) * y, atol=1e-15)
 
 
 def test_corrected_step_reproducible_bit_exact():
     sched = build_schedule(0.2, 2, 5)
-    oracle = point_mass_oracle(np.array([0.5, 0.0]))
+    oracle = PointMassOracle(np.array([0.5, 0.0]))
     y = np.array([[0.1, 0.2]])
-    a = corrected_step(y, 1, sched, oracle.score, np.random.default_rng(42))
-    b = corrected_step(y, 1, sched, oracle.score, np.random.default_rng(42))
+    step = float(sched.taus[1]), *coefficients(sched, 1)
+    a = _affine_step(y, *step, oracle.score, np.random.default_rng(42))
+    b = _affine_step(y, *step, oracle.score, np.random.default_rng(42))
     assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["corrected", "exponential_integrator"])
 def test_affine_step_is_the_expression_bit_for_bit(scheme):
     sched = build_schedule(0.2, 3, 9)
-    tab = step_table(sched, scheme)
     oracles = [
-        gaussian_oracle(GaussianLaw(np.array([0.3, -0.2, 0.1]), np.array([[0.5], [0.1], [-0.4]]), 0.05)),
-        point_cloud_oracle(PointCloudMeasure.uniform(np.random.default_rng(1).standard_normal((7, 3)))),
+        GaussianOracle(GaussianLaw(np.array([0.3, -0.2, 0.1]), np.array([[0.5], [0.1], [-0.4]]), 0.05)),
+        PointCloudOracle(PointCloudMeasure.uniform(np.random.default_rng(1).standard_normal((7, 3)))),
     ]
     for oracle in oracles:
         y = np.random.default_rng(2).standard_normal((64, 3))
         for k in range(sched.n_steps):
-            tau, coef = float(sched.taus[k]), tab.row(k)
-            expected = coef.alpha * y + coef.beta * oracle.score(tau, y) + coef.eta * np.random.default_rng(k).standard_normal(y.shape)
-            got = _affine_step(y, tau, coef, oracle.score, np.random.default_rng(k))
+            tau, (alpha, beta, eta) = float(sched.taus[k]), coefficients(sched, k, scheme)
+            expected = alpha * y + beta * oracle.score(tau, y) + eta * np.random.default_rng(k).standard_normal(y.shape)
+            got = _affine_step(y, tau, alpha, beta, eta, oracle.score, np.random.default_rng(k))
             assert got.tobytes() == expected.tobytes()
             y = got
 
 
 def test_ei_and_corrected_share_alpha_but_not_noise():
     sched = schedule_with_gap(LN2, 2.0)
-    c = corrected_coefficients(sched, 0)
-    e = ei_coefficients(sched, 0)
-    assert c.alpha == e.alpha
-    assert c.eta < e.eta  # EI injects the raw reverse-SDE noise
+    c = step_table(sched, "corrected")
+    e = step_table(sched, "exponential_integrator")
+    assert c.alpha[0] == e.alpha[0]
+    assert c.eta2[0] < e.eta2[0]  # EI injects the raw reverse-SDE noise
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def test_ei_and_corrected_share_alpha_but_not_noise():
 
 
 def test_corrected_score_zero_gap_identity():
-    oracle = point_cloud_oracle(
+    oracle = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[0.0, 0.0], [1.0, 0.3]]))
     )
     x = np.array([0.2, -0.1])
@@ -190,7 +182,7 @@ def test_corrected_score_zero_gap_identity():
 
 
 def test_corrected_score_rejects_backward_anchor():
-    oracle = point_mass_oracle(np.zeros(1))
+    oracle = PointMassOracle(np.zeros(1))
     with pytest.raises(ValueError):
         corrected_score(0.5, np.zeros(1), 0.4, np.zeros(1), oracle.score)
 
@@ -198,7 +190,7 @@ def test_corrected_score_rejects_backward_anchor():
 def test_corrected_score_gap_is_posterior_mean_increment():
     # corrected - exact = (c_t / sigma2_t) * (m_t2(x2) - m_t(x)); note the
     # anchor's posterior mean enters with the positive sign
-    oracle = point_cloud_oracle(
+    oracle = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[-0.5, 0.1], [0.5, -0.2], [0.0, 0.4]]))
     )
     rng = np.random.default_rng(7)
@@ -214,7 +206,7 @@ def test_corrected_score_gap_is_posterior_mean_increment():
 
 
 def test_corrected_score_exact_for_point_mass():
-    oracle = point_mass_oracle(np.array([0.7, -0.3]))
+    oracle = PointMassOracle(np.array([0.7, -0.3]))
     rng = np.random.default_rng(8)
     for _ in range(10):
         t = float(rng.uniform(0.05, 1.0))
@@ -232,18 +224,18 @@ def test_corrected_score_exact_for_point_mass():
 
 def test_fine_step_conditional_law_converges_first_order():
     sched = build_schedule(0.2, 3, 8)
-    oracle = gaussian_oracle(
+    oracle = GaussianOracle(
         GaussianLaw(mean=np.zeros(2), factor=np.array([[0.5], [0.2]]))
     )
     y = np.array([0.4, -0.6])
     k = 4
-    coef = corrected_coefficients(sched, k)
-    target_mean = coef.alpha * y + coef.beta * oracle.score(float(sched.taus[k]), y)
+    alpha, beta, eta = coefficients(sched, k)
+    target_mean = alpha * y + beta * oracle.score(float(sched.taus[k]), y)
     errs_m, errs_v = [], []
     for n in (2, 8, 32, 128):
         mean, var = fine_step_conditional_law(y, k, sched, oracle.score, n)
         errs_m.append(np.linalg.norm(mean - target_mean))
-        errs_v.append(abs(var - coef.eta**2))
+        errs_v.append(abs(var - eta**2))
     rates_m = [math.log(errs_m[i] / errs_m[i + 1]) / math.log(4.0) for i in range(3)]
     rates_v = [math.log(errs_v[i] / errs_v[i + 1]) / math.log(4.0) for i in range(3)]
     assert min(rates_m) >= 0.9
@@ -252,7 +244,7 @@ def test_fine_step_conditional_law_converges_first_order():
 
 def test_fine_integrate_step_matches_its_conditional_law():
     sched = build_schedule(0.2, 2, 6)
-    oracle = point_cloud_oracle(
+    oracle = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[0.0, 0.0], [0.6, -0.2]]))
     )
     y = np.array([0.3, 0.1])
@@ -280,7 +272,7 @@ def test_fine_integrate_requires_substeps():
 
 def test_run_reverse_deterministic_and_worker_invariant():
     sched = build_schedule(0.25, 2, 6)
-    oracle = point_mass_oracle(np.array([0.5, -0.5]))
+    oracle = PointMassOracle(np.array([0.5, -0.5]))
     base = dict(schedule=sched, batch=3000, seed=9, chunk_size=512)
     a = run_reverse(ReverseRunConfig(**base), oracle)
     b = run_reverse(ReverseRunConfig(**base), oracle)
@@ -289,7 +281,7 @@ def test_run_reverse_deterministic_and_worker_invariant():
     assert a.terminal.tobytes() == c.terminal.tobytes()
 
 
-class _BlowUpOracle(type(point_mass_oracle(np.zeros(2)))):
+class _BlowUpOracle(type(PointMassOracle(np.zeros(2)))):
     def __init__(self):
         super().__init__(np.zeros(2))
 
@@ -333,7 +325,7 @@ def test_run_reverse_config_validation():
 def test_point_mass_terminal_moments_match_exact_propagation():
     sched = build_schedule(0.2, 10, 30)
     y0 = np.array([0.8, -0.4, 0.2])
-    oracle = point_mass_oracle(y0)
+    oracle = PointMassOracle(y0)
     cfg = ReverseRunConfig(schedule=sched, batch=60_000, seed=13)
     res = run_reverse(cfg, oracle)
     law = propagate_affine_reverse(GaussianLaw.point_mass(y0), cfg)
@@ -355,7 +347,7 @@ def test_standard_gaussian_terminal_matches_exact_propagation():
     # N(0, I) at order kappa; the exact affine propagation is the oracle
     sched = build_schedule(0.1, 10, 40)
     law = GaussianLaw.isotropic(2)
-    oracle = gaussian_oracle(law)
+    oracle = GaussianOracle(law)
     cfg = ReverseRunConfig(schedule=sched, batch=50_000, seed=17)
     res = run_reverse(cfg, oracle)
     exact = propagate_affine_reverse(law, cfg)
@@ -368,10 +360,10 @@ def test_standard_gaussian_terminal_matches_exact_propagation():
 
 
 def test_coordinate_decoupling_on_product_data():
-    two = point_cloud_oracle(
+    two = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[-0.5], [0.5]]))
     )
-    prod = product_oracle([(two, [0]), (point_mass_oracle(np.zeros(1)), [1])])
+    prod = ProductOracle([(two, [0]), (PointMassOracle(np.zeros(1)), [1])])
     sched = build_schedule(0.2, 5, 15)
     cfg = ReverseRunConfig(schedule=sched, batch=40_000, seed=23)
     res = run_reverse(cfg, prod)
@@ -392,7 +384,7 @@ def test_score_perturbation_shapes_and_scaling():
 
 def test_save_batch_writes_header_and_rows(tmp_path):
     sched = build_schedule(0.25, 2, 6)
-    oracle = point_mass_oracle(np.zeros(2))
+    oracle = PointMassOracle(np.zeros(2))
     cfg = ReverseRunConfig(schedule=sched, batch=8, seed=3)
     res = run_reverse(cfg, oracle)
     path = tmp_path / "batch.txt"
@@ -407,7 +399,7 @@ def test_trajectory_recording_thinned(tmp_path):
     from revdiff.sampler import save_trajectories
 
     sched = build_schedule(0.25, 2, 6)
-    oracle = point_mass_oracle(np.zeros(2))
+    oracle = PointMassOracle(np.zeros(2))
     cfg = ReverseRunConfig(schedule=sched, batch=5, seed=2, record_every=2)
     res = run_reverse(cfg, oracle)
     # steps 0, 2, 4 plus the terminal state
