@@ -171,48 +171,94 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int, rotate: bool = True) -
     return GaussianLaw(mean=np.zeros(D), factor=math.sqrt(var) * frame, diag_floor=0.0)
 
 
+# Largest D a spec may ask for (a rotated Gaussian draws a D x D normal
+# matrix) and largest n * D of a cloud (its oracle keeps about four n x D
+# float64 arrays, 128 MiB each at the cap).
+_MAX_D = 2**14
+_SIZE_CAP = 2**24
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_FINITE = (lambda v: True, "finite")
+# Parameters of each measure kind: key -> (type, default, check, the check in words)
+_MEASURE_PARAMS = {
+    "gaussian": {
+        "rank": (int, 1, *_NONNEGATIVE),
+        "var": (float, 0.25, lambda v: v > 0, "> 0"),
+        "floor": (float, 0.0, *_NONNEGATIVE),
+        "rotate": (int, 1, lambda v: v in (0, 1), "0 or 1"),
+    },
+    "point-mass": {"value": (float, 1.0, *_FINITE)},
+    "two-point": {"sep": (float, 1.0, *_FINITE)},
+    "circle": {"n": (int, 2048, *_AT_LEAST_1)},
+    "torus": {"n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
+    "hilbert": {"n": (int, 2048, *_AT_LEAST_1), "order": (int, 3, lambda v: 1 <= v <= 8, "in [1, 8]")},
+}
+_AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
+
+
+def _measure_params(spec: dict) -> tuple[str, dict]:
+    """The kind and every parameter of a spec, converted and range-checked."""
+    kind = spec.get("kind", "")
+    if kind not in _MEASURE_PARAMS:
+        raise ValueError(f"unknown measure kind {kind!r}; expected one of {tuple(_MEASURE_PARAMS)}")
+    params = {"D": _AMBIENT, **_MEASURE_PARAMS[kind]}
+    for key in spec:
+        if key != "kind" and key not in params:
+            raise ValueError(f"unknown measure parameter {kind}.{key}; expected one of {tuple(params)}")
+    out = {}
+    for key, (kind_of, default, check, rule) in params.items():
+        raw = spec.get(key, default)
+        try:
+            value = kind_of(str(raw).strip())
+        except ValueError:
+            noun = "an integer" if kind_of is int else "a number"
+            raise ValueError(f"measure parameter {kind}.{key} must be {noun}, got {raw!r}") from None
+        if not (math.isfinite(value) and check(value)):
+            raise ValueError(f"measure parameter {kind}.{key} must be {rule}, got {raw!r}")
+        out[key] = value
+    if kind == "gaussian" and out["rank"] > out["D"]:
+        raise ValueError(f"measure parameter gaussian.rank must be <= D = {out['D']}, got {out['rank']}")
+    if "n" in out and out["n"] * out["D"] > _SIZE_CAP:
+        size = out["n"] * out["D"]
+        raise ValueError(f"measure parameter {kind}.n must keep n * D <= {_SIZE_CAP}, got n * D = {size}")
+    return kind, out
+
+
 def build_measure(spec, seed: int = 0):
     """Construct a score oracle from a measure spec dict or spec string.
 
-    Kinds: gaussian (D, rank, var, floor), point-mass (D, value), two-point
-    (D, sep), circle / torus / hilbert (cloud size n plus kind parameters).
+    Kinds: gaussian (D, rank, var, floor, rotate), point-mass (D, value),
+    two-point (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n,
+    order).  An unknown key, a value that does not convert, or one out of
+    range (var > 0, floor >= 0, n >= 1, D <= 2**14, a cloud's n * D at most
+    2**24) raises a ValueError naming ``kind.key``.
     """
     if isinstance(spec, str):
         spec = _parse_kv_spec(spec)
-    kind = spec.get("kind", "")
-    D = int(spec.get("d_ambient", spec.get("D", spec.get("dim", 2))))
+    kind, p = _measure_params(spec)
+    D = p["D"]
     rng = spawn_rng(seed, 9973)
     if kind == "gaussian":
-        law = _rank_d_law(
-            D,
-            int(spec.get("rank", 1)),
-            float(spec.get("var", 0.25)),
-            seed,
-            rotate=spec.get("rotate", "1") not in ("0", "false"),
-        )
-        if float(spec.get("floor", 0.0)) > 0:
-            law = GaussianLaw(law.mean, law.factor, float(spec["floor"]))
+        law = _rank_d_law(D, p["rank"], p["var"], seed, rotate=bool(p["rotate"]))
+        if p["floor"] > 0:
+            law = GaussianLaw(law.mean, law.factor, p["floor"])
         return GaussianOracle(law)
     if kind == "point-mass":
         point = np.zeros(D)
-        point[0] = float(spec.get("value", 1.0))
+        point[0] = p["value"]
         return PointMassOracle(point)
     if kind == "two-point":
-        sep = float(spec.get("sep", 1.0))
         pts = np.zeros((2, D))
-        pts[0, 0] = -sep / 2.0
-        pts[1, 0] = sep / 2.0
+        pts[0, 0] = -p["sep"] / 2.0
+        pts[1, 0] = p["sep"] / 2.0
         return PointCloudOracle(PointCloudMeasure.uniform(pts))
-    if kind in ("circle", "torus", "hilbert"):
-        n = int(spec.get("n", 2048))
-        kwargs = {}
-        if kind == "torus":
-            kwargs["intrinsic_dim"] = int(spec.get("d", 2))
-        if kind == "hilbert":
-            kwargs["order"] = int(spec.get("order", 3))
-        cloud, mspec = make_manifold_cloud(kind, D, n, rng, **kwargs)
-        return PointCloudOracle(cloud).with_manifold(mspec)
-    raise ValueError(f"unknown measure kind {kind!r}")
+    kwargs = {}
+    if kind == "torus":
+        kwargs["intrinsic_dim"] = p["d"]
+    if kind == "hilbert":
+        kwargs["order"] = p["order"]
+    cloud, mspec = make_manifold_cloud(kind, D, p["n"], rng, **kwargs)
+    return PointCloudOracle(cloud).with_manifold(mspec)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,20 +62,70 @@ def spawn_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
 
 
+_POOL = None
+_POOL_LOCK = threading.Lock()
+# .inline is true in the pool's threads, and in a caller while it runs its own share
+_THREAD = threading.local()
+
+
+def _pool_size() -> int:
+    return os.cpu_count() or 1
+
+
+def _mark_inline():
+    _THREAD.inline = True
+
+
+def _map_pooled(call, items, workers: int) -> list:
+    """``[call(item) for item in items]`` with at most ``workers`` items at once.
+
+    The work runs on one process-wide pool of ``os.cpu_count()`` threads,
+    created on first use, with the caller draining items alongside it.  A
+    map made from inside pooled work runs inline, so nested maps never
+    oversubscribe the cores or wait on the pool they run in.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1 or getattr(_THREAD, "inline", False):
+        return [call(item) for item in items]
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            import concurrent.futures  # only pooled runs pay for the import
+
+            _POOL = concurrent.futures.ThreadPoolExecutor(_pool_size(), initializer=_mark_inline)
+    results = [None] * len(items)
+    pending = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                job = next(pending, None)
+            if job is None:
+                return
+            results[job[0]] = call(job[1])
+
+    helpers = [_POOL.submit(drain) for _ in range(min(workers, len(items)) - 1)]
+    _THREAD.inline = True
+    try:
+        drain()
+    finally:
+        _THREAD.inline = False
+        # a helper that has not started by now would find nothing left to do
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    return results
+
+
 def map_streams(fn, items, seed: int, workers: int = 1, first: int = 0) -> list:
     """``[fn(item, spawn_rng(seed, first + i)) for i, item in enumerate(items)]``.
 
-    With ``workers > 1`` the items run on a thread pool; each draws only from
-    its own derived stream, so the result does not depend on the worker count.
+    With ``workers > 1`` at most that many items run at once on the shared
+    thread pool; each draws only from its own derived stream, so the result
+    does not depend on the worker count.
     """
-    jobs = list(enumerate(items, start=first))
-    call = lambda job: fn(job[1], spawn_rng(seed, job[0]))
-    if workers > 1 and len(jobs) > 1:
-        import concurrent.futures  # only pooled runs pay for the import
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, jobs))
-    return [call(job) for job in jobs]
+    return _map_pooled(lambda job: fn(job[1], spawn_rng(seed, job[0])), enumerate(items, start=first), workers)
 
 
 def _check_time(t: float) -> float:
@@ -330,15 +382,28 @@ class PointCloudOracle(ScoreOracle):
     from the origin.  Per tile of query rows the kernel makes one GEMM for
     the logits, with the t-dependent bias row folded in as an extra column,
     a row max, one ``exp`` and one GEMM against [q | 1] that gives the
-    weighted sum and the normaliser together.  Weights 745 nats below a row's
-    leading one underflow; the mask that flushes them to zero runs only on
-    a tile whose smallest logit reaches that far, which a unit-diameter
-    cloud at t >= 1e-3 never does.  Zero-weight points are left out of the
-    kernel arrays (``sample0`` still draws over the full cloud).
+    weighted sum and the normaliser together; ``log_marginal`` also needs
+    the leading component's log density, so it finds the argmax instead.
+    Weights 745 nats below a row's leading one underflow, and a mask flushes
+    them to zero.  The scan for them runs only on a tile where the bound
+    ``log w_min - log w_max - (max |y| + c max |q|)^2 / (2 sigma2)`` on every
+    logit's gap to its row max (y = x - c mu, q = p - mu) comes within 1 nat
+    of -745, which queries near a unit-diameter cloud at t >= 1e-3 never do.
+    Zero-weight points are left out of the kernel arrays (``sample0`` still
+    draws over the full cloud).
 
-    A tile has 2**18 // n_points rows, so its logit buffer is 2 MiB whatever
-    the cloud size (128 rows for 2048 points); ``chunk`` overrides the row
-    count.
+    A tile has 2**16 // n_points rows, so its logit buffer is 512 KiB
+    whatever the cloud size (32 rows for 2048 points): with the tile's
+    operands it stays inside a 2 MiB per-core L2 cache through the passes
+    the kernel makes over it.  ``chunk`` overrides the row count.
+
+    A query of two or more tiles made outside pooled work hands its tiles,
+    whole, to the caller and the threads of the pool behind ``map_streams``
+    (up to ``os.cpu_count()`` at once), each taking the next tile as it
+    finishes one; inside pooled work (sampler chunks, lemma-suite cases) the
+    tiles run inline.  Tile boundaries are fixed by the tile height and no
+    tile's arithmetic depends on its thread, so results are bit-identical
+    whatever the thread or worker count.
     """
 
     def __init__(self, cloud: PointCloudMeasure, chunk: int | None = None):
@@ -346,13 +411,15 @@ class PointCloudOracle(ScoreOracle):
         self.dim = cloud.dim
         kept = cloud.weights > 0
         w, pts = cloud.weights[kept], cloud.points[kept]
-        self.chunk = max(1, 2**18 // len(w)) if chunk is None else int(chunk)
+        self.chunk = max(1, 2**16 // len(w)) if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk!r}")
         self._log_w = np.log(w)
+        self._log_w_span = float(self._log_w.min() - self._log_w.max())
         self._mu = w @ pts
         self._q = pts - self._mu
         self._half_q2 = 0.5 * (self._q * self._q).sum(axis=1)
+        self._q_max = math.sqrt(2.0 * float(self._half_q2.max()))
         self._q_one = np.concatenate([self._q, np.ones((len(w), 1))], axis=1)
         self.manifold: ManifoldSpec | None = None
 
@@ -365,9 +432,13 @@ class PointCloudOracle(ScoreOracle):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
         return self.cloud.points[idx]
 
-    def _posterior_chunks(self, t, x):
-        # Per tile: weights e relative to each row's leading component, and its
-        # log density `lead` in direct form; the logits omit -||y||^2 / (2 s2).
+    def _tiles(self, t, x, out, finish, lead):
+        """Call ``finish(out[rows], e, lead)`` on each tile of query rows.
+
+        ``e`` holds each row's weights relative to its leading component and
+        ``lead`` (only when asked for) that component's log density in direct
+        form; the logits omit -||y||^2 / (2 s2), which is constant in a row.
+        """
         c, s2 = noise_scales(t)
         dim = self.dim
         log_norm = 0.5 * dim * math.log(2.0 * math.pi * s2)
@@ -376,27 +447,49 @@ class PointCloudOracle(ScoreOracle):
         q_bias[:dim] = self._q.T
         np.multiply(self._half_q2, -(c * c / s2), out=q_bias[dim])
         q_bias[dim] += self._log_w
-        flat = x.reshape(-1, dim)
-        for i in range(0, len(flat), self.chunk):
-            y = flat[i : i + self.chunk] - c * self._mu
-            y_one = np.empty((len(y), dim + 1))
-            np.multiply(y, c / s2, out=y_one[:, :dim])
-            y_one[:, dim] = 1.0
-            lw = y_one @ q_bias
-            top = lw.argmax(axis=1)
-            lw -= lw[np.arange(len(top)), top][:, None]
-            if lw.min() <= _LOG_FLUSH:
+        # every row-wise step is taken once for the whole query, so a tile
+        # makes only its passes over the logits
+        y = x.reshape(-1, dim) - c * self._mu
+        y_one = np.empty((len(y), dim + 1))
+        np.multiply(y, c / s2, out=y_one[:, :dim])
+        y_one[:, dim] = 1.0
+        # Rows where the bound lets a logit reach the flush level (1 nat of
+        # slack covers the rounding of the computed logits):
+        # span - (|y| + c q_max)^2 / (2 s2) <= flush + 1, i.e. |y| >= near.
+        near = math.sqrt(max(0.0, 2.0 * s2 * (self._log_w_span - _LOG_FLUSH - 1.0))) - c * self._q_max
+        may_flush = (y * y).sum(axis=1) >= near * near if near > 0 else np.ones(len(y), dtype=bool)
+
+        # One tile per call, so its logits are freed before the next tile
+        # allocates its own: with two 512 KiB buffers live per thread, glibc
+        # malloc gave heap back to the OS and faulted it in again on every
+        # tile (about 90x the page faults of a sampler run).
+        def run(i):
+            rows = slice(i * self.chunk, (i + 1) * self.chunk)
+            lw = y_one[rows] @ q_bias
+            if lead:
+                top = lw.argmax(axis=1)
+                lw -= lw[np.arange(len(top)), top][:, None]
+                d2 = ((y[rows] - c * self._q[top]) ** 2).sum(axis=1)
+                lead_rows = self._log_w[top] - 0.5 * d2 / s2 - log_norm
+            else:
+                lw -= lw.max(axis=1, keepdims=True)
+                lead_rows = None
+            if may_flush[rows].any() and lw.min() <= _LOG_FLUSH:
                 lw[lw <= _LOG_FLUSH] = -np.inf
-            lead = self._log_w[top] - 0.5 * ((y - c * self._q[top]) ** 2).sum(axis=1) / s2 - log_norm
-            yield slice(i, i + self.chunk), lead, np.exp(lw, out=lw)
+            finish(out[rows], np.exp(lw, out=lw), lead_rows)
+
+        _map_pooled(run, range(-(-len(y) // self.chunk)), _pool_size())
 
     def posterior_mean(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
         out = np.empty((math.prod(x.shape[:-1]), self.dim))
-        for rows, _, e in self._posterior_chunks(t, x):
+
+        def finish(dest, e, _):
             sums = e @ self._q_one
-            np.divide(sums[:, : self.dim], sums[:, self.dim :], out=out[rows])
+            np.divide(sums[:, : self.dim], sums[:, self.dim :], out=dest)
+
+        self._tiles(t, x, out, finish, lead=False)
         out += self._mu
         return out.reshape(x.shape)
 
@@ -404,8 +497,11 @@ class PointCloudOracle(ScoreOracle):
         t = _check_time(t)
         x = self._check_point(x)
         out = np.empty(math.prod(x.shape[:-1]))
-        for rows, lead, e in self._posterior_chunks(t, x):
-            out[rows] = lead + np.log(e.sum(axis=1))
+
+        def finish(dest, e, lead_rows):
+            np.add(lead_rows, np.log(e.sum(axis=1)), out=dest)
+
+        self._tiles(t, x, out, finish, lead=True)
         return out.reshape(x.shape[:-1])
 
 

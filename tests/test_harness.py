@@ -51,6 +51,39 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         build_measure("gaussian:D=3,rank=4", seed=0)
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ("gaussian:D=8,rnak=2", "gaussian.rnak"),
+        ("gaussian:D=8,rank=x", "gaussian.rank"),
+        ("gaussian:D=8,rank=9", "gaussian.rank"),
+        ("gaussian:D=8,var=-1", "gaussian.var"),
+        ("gaussian:D=8,var=nan", "gaussian.var"),
+        ("gaussian:D=8,floor=-0.1", "gaussian.floor"),
+        ("gaussian:D=8,rotate=yes", "gaussian.rotate"),
+        ("gaussian:D=0", "gaussian.D"),
+        ("gaussian:D=100000", "gaussian.D"),
+        ("point-mass:D=2,value=inf", "point-mass.value"),
+        ("two-point:D=2,sep=wide", "two-point.sep"),
+        ("circle:D=2,n=0", "circle.n"),
+        ("circle:D=2,n=100000000000", "circle.n"),
+        ("torus:D=4,d=2,n=1.5", "torus.n"),
+        ("torus:D=4,d=0", "torus.d"),
+        ("hilbert:D=2,order=9", "hilbert.order"),
+        ("circle:D=2,order=3", "circle.order"),
+    ],
+)
+def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named):
+    code, _, err = run_cli(
+        capsys,
+        "sample", "--kappa", "0.2", "--L", "10", "--K", "40",
+        "--measure", spec, "--batch", "4", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / "sample.txt").exists()
+
+
 def test_resolve_schedule_requires_explicit_fields():
     with pytest.raises(ValueError, match="kappa"):
         resolve_schedule({})

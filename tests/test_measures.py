@@ -192,6 +192,55 @@ def test_cloud_kernel_precision_off_origin(dim, n, offset, log_t, noise, seed):
     assert err_lm.max() <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cloud_kernel_bit_identical_threaded_and_inline(dim, monkeypatch):
+    # From the main thread a query's tiles are shared out over the pool;
+    # inside pooled work they run inline.  Neither the thread count nor the
+    # thread a tile runs on may change a bit.  Three threads at once force
+    # the sharing on any core count.
+    kind = "circle" if dim == 2 else "torus"
+    cloud, _ = make_manifold_cloud(kind, dim, 2048, spawn_rng(11, 0), intrinsic_dim=dim // 2)
+    oracle = PointCloudOracle(cloud)
+    x = np.random.default_rng(12).standard_normal((5 * oracle.chunk + 7, dim))
+
+    def queries(t):
+        return oracle.posterior_mean(t, x), oracle.log_marginal(t, x)
+
+    for t in (1e-3, 0.1, 3.0):
+        monkeypatch.setattr(measures, "_pool_size", lambda: 3)
+        threaded = queries(t)
+        inline = measures.map_streams(lambda _, rng: queries(t), [0, 1], 0, workers=2)
+        monkeypatch.setattr(measures, "_pool_size", lambda: 1)
+        single = queries(t)
+        for got in (*inline, single):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(threaded, got))
+
+
+def test_cloud_flush_bound_lies_below_every_gap_on_far_queries():
+    # Far queries at tiny t put logits more than 745 nats below their row's
+    # max, so the flush scan must run.  The kernel skips it only where
+    # log w_min - log w_max - (|y| + c max |q|)^2 / (2 sigma2), y = x - c mu,
+    # stays above -745; that bound must lie below every logit's gap to its
+    # row max, and the answers must match the long-double direct form.
+    cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(13, 0))
+    oracle = PointCloudOracle(cloud, chunk=16)
+    x = 3.0 * np.random.default_rng(14).standard_normal((40, 2))
+    mu = cloud.weights @ cloud.points
+    q_max = np.linalg.norm(cloud.points - mu, axis=1).max()
+    for t in (1e-4, 1e-3):
+        c, s2 = math.exp(-t), -math.expm1(-2 * t)
+        diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
+        logits = np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2
+        gaps = logits - logits.max(axis=1, keepdims=True)
+        assert (gaps <= -745).any()
+        y_norm = np.linalg.norm(x - c * mu, axis=1)
+        bound = -((y_norm + c * q_max) ** 2) / (2 * s2)  # the weights are uniform
+        assert (bound <= gaps.min(axis=1)).all()
+        ref_mean, ref_lm = _direct_form(cloud, t, x, np.longdouble)
+        assert np.abs(oracle.posterior_mean(t, x) - ref_mean).max() <= 2e-12
+        assert (np.abs(oracle.log_marginal(t, x) - ref_lm) <= 1e-8 * np.maximum(1, np.abs(ref_lm))).all()
+
+
 def _cloud_with_zero_weights(seed):
     """A 300-point cloud in R^3 where every third point has weight zero, and
     the same cloud without those points."""
@@ -207,7 +256,7 @@ def _cloud_with_zero_weights(seed):
 def test_cloud_zero_weight_points_change_nothing():
     full, pruned = _cloud_with_zero_weights(5)
     a, b = PointCloudOracle(full), PointCloudOracle(pruned)
-    assert a.chunk == b.chunk == 2**18 // 200
+    assert a.chunk == b.chunk == 2**16 // 200
     x = np.random.default_rng(6).standard_normal((2000, 3))
     for t in (1e-3, 0.1, 2.0):
         ma, mb = a.posterior_mean(t, x), b.posterior_mean(t, x)
@@ -226,7 +275,7 @@ def test_cloud_default_tile_matches_single_rows():
     # (plus |log p| for the log marginal); the diameter is 1.
     cloud, _ = make_manifold_cloud("torus", 4, 2048, spawn_rng(8, 0), intrinsic_dim=2)
     tiled, rows = PointCloudOracle(cloud), PointCloudOracle(cloud, chunk=1)
-    assert tiled.chunk == 128
+    assert tiled.chunk == 32
     centroid = cloud.weights @ cloud.points
     q_max = np.linalg.norm(cloud.points - centroid, axis=1).max()
     x = np.random.default_rng(9).standard_normal((300, 4))

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +14,8 @@ from revdiff.measures import (
     PointCloudOracle,
     PointMassOracle,
     ProductOracle,
+    make_manifold_cloud,
+    spawn_rng,
 )
 from revdiff.metrics import propagate_affine_reverse
 from revdiff.sampler import (
@@ -279,6 +284,32 @@ def test_run_reverse_deterministic_and_worker_invariant():
     c = run_reverse(ReverseRunConfig(**base, n_workers=4), oracle)
     assert a.terminal.tobytes() == b.terminal.tobytes()
     assert a.terminal.tobytes() == c.terminal.tobytes()
+
+
+def test_run_reverse_more_workers_than_pool_threads_matches_one_worker():
+    # Pooled chunks run their oracle tiles inline; at one worker the tiles of
+    # each chunk are shared out over the pool instead.  More workers than pool
+    # threads must neither deadlock nor change a bit.
+    cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
+    oracle = PointCloudOracle(cloud)  # 128-row tiles, so each chunk spans 3
+    workers = (os.cpu_count() or 1) + 2
+    base = dict(schedule=build_schedule(0.25, 2, 6), batch=300 * (workers + 1), seed=4, chunk_size=300)
+    pooled = {}
+
+    def run():
+        pooled["result"] = run_reverse(ReverseRunConfig(**base, n_workers=workers), oracle)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost result would show
+    try:
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), "pooled run_reverse did not finish within 120 s"
+    one = run_reverse(ReverseRunConfig(**base), oracle)
+    assert pooled["result"].terminal.tobytes() == one.terminal.tobytes()
 
 
 class _BlowUpOracle(type(PointMassOracle(np.zeros(2)))):
