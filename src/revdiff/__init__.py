@@ -29,6 +29,7 @@ from .measures import (
     PointMassOracle,
     ProductOracle,
     forward_sample,
+    log_marginal_gradient,
     make_manifold_cloud,
     random_frame,
     spawn_rng,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _svg, metrics
+from . import _record, _svg, metrics
 from .measures import (
     GaussianLaw,
     GaussianOracle,
@@ -29,6 +29,7 @@ from .measures import (
     PointCloudOracle,
     PointMassOracle,
     forward_sample,
+    log_marginal_gradient,
     make_manifold_cloud,
     map_streams,
     random_frame,
@@ -266,20 +267,12 @@ def build_measure(spec, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_val(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_outputs(out_dir, name, columns, rows, meta, footer=(), plot=None):
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, name)
-    csv_lines = [",".join(columns)]
-    csv_lines += [",".join(_fmt_val(v) for v in row) for row in rows]
-    csv_lines += [f"# {k} = {_fmt_val(v)}" for k, v in sorted(footer)]
     with open(base + ".csv", "w") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+        fh.writelines(",".join(map(_record.value, row)) + "\n" for row in [columns, *rows])
+        fh.write(_record.header(sorted(footer), table=True))
     payload = {
         "columns": list(columns),
         "rows": [[v for v in row] for row in rows],
@@ -290,8 +283,7 @@ def _write_outputs(out_dir, name, columns, rows, meta, footer=(), plot=None):
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     with open(base + ".meta", "w") as fh:
-        for key, val in sorted(meta.items()):
-            fh.write(f"{key} = {_fmt_val(val)}\n")
+        fh.write(_record.header(sorted(meta.items())))
     if plot is not None:
         _svg.line_plot(base + ".svg", **plot)
     return base
@@ -448,20 +440,15 @@ def _preset_eps_sweep(cfg: ExperimentConfig):
     return ["eps", "budget", "kl_excess", "kl_excess_per_budget"], rows, footer, plot
 
 
-def _tweedie_max_rel_err(oracle, rng, cases=40, h=1e-5):
+def _tweedie_max_rel_err(oracle, rng, cases=40):
     """Max relative gap between the score and the log-marginal FD gradient."""
     worst = 0.0
     for _ in range(cases):
         t = float(np.exp(rng.uniform(np.log(0.02), np.log(3.0))))
         x = forward_sample(oracle, t, rng, 1)[1][0]
-        grad = np.zeros_like(x)
-        for j in range(len(x)):
-            e = np.zeros_like(x)
-            e[j] = h
-            grad[j] = float(oracle.log_marginal(t, x + e) - oracle.log_marginal(t, x - e)) / (2 * h)
+        grad = log_marginal_gradient(oracle, t, x)
         s = oracle.score(t, x)
-        denom = float(np.linalg.norm(s))
-        worst = max(worst, float(np.linalg.norm(grad - s)) / denom)
+        worst = max(worst, float(np.linalg.norm(grad - s)) / float(np.linalg.norm(s)))
     return worst
 
 
@@ -588,7 +575,14 @@ def cli(argv=None) -> int:
     # override a config file; _dispatch fills in 0 and 1.
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="parallel worker bound (default 1)")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="threads for the sampler's 1024-sample chunks and the lemma-suite cases (default 1); "
+        "a batch of 1024 or fewer is one chunk, and the point-cloud kernel shares its tiles over "
+        "all cores whatever this is",
+    )
     parser.add_argument("--config", default=None, help="sectioned key-value config file")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it.
@@ -750,8 +744,7 @@ def _dispatch(args) -> int:
                     "(via flags or the [schedule] config section)"
                 )
         base, footer = run_experiment(cfg)
-        for key, val in sorted(footer.items()):
-            print(f"{key} = {_fmt_val(val)}")
+        sys.stdout.write(_record.header(sorted(footer.items())))
         print(base + ".csv")
         return 0
 

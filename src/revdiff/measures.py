@@ -14,11 +14,10 @@ whichever direction is numerically natural for them.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,9 +34,8 @@ __all__ = [
     "ProductOracle",
     "forward_sample",
     "forward_bridge",
+    "log_marginal_gradient",
     "make_manifold_cloud",
-    "save_cloud",
-    "load_cloud",
     "spawn_rng",
     "map_streams",
     "random_frame",
@@ -155,9 +153,9 @@ class ScoreOracle:
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
         t = _check_time(t)
-        x = self._check_point(x)
+        x = np.asarray(x, dtype=float)
         c, s2 = noise_scales(t)
-        return (c * self.posterior_mean(t, x) - x) / s2
+        return (c * self.posterior_mean(t, x) - x) / s2  # posterior_mean checks x
 
     def log_marginal(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} does not expose log_marginal")
@@ -312,22 +310,21 @@ class ManifoldSpec:
     density_lower: float
     density_upper: float
     curvature_bound: float
-    regularity: float = 0.0
+    regularity: float = field(init=False)
 
     def __post_init__(self):
         vals = (self.reach, self.volume, self.density_lower, self.density_upper, self.curvature_bound)
         if any(not math.isfinite(v) or v <= 0 for v in vals):
             raise ValueError("manifold metadata entries must be positive and finite")
-        if self.regularity == 0.0:
-            r = min(self.reach, 1.0 / self.curvature_bound) / 8.0
-            c = max(
-                math.log(self.volume),
-                math.log(1.0 / r),
-                abs(math.log(self.density_lower)),
-                abs(math.log(self.density_upper)),
-                1e-3,  # keep the constant strictly positive for flat cases
-            )
-            object.__setattr__(self, "regularity", c)
+        r = min(self.reach, 1.0 / self.curvature_bound) / 8.0
+        c = max(
+            math.log(self.volume),
+            math.log(1.0 / r),
+            abs(math.log(self.density_lower)),
+            abs(math.log(self.density_upper)),
+            1e-3,  # keep the constant strictly positive for flat cases
+        )
+        object.__setattr__(self, "regularity", c)
 
     def rescaled(self, s: float) -> "ManifoldSpec":
         """Metadata after scaling the embedding by factor s."""
@@ -634,6 +631,22 @@ class ProductOracle(ScoreOracle):
         return out
 
 
+def log_marginal_gradient(oracle: ScoreOracle, t: float, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``oracle.log_marginal(t, .)`` at one point x, shape (D,).
+
+    Steps of h along each coordinate; the gap to ``oracle.score(t, x)`` is
+    O(h^2) plus log_marginal's rounding over h, which makes it the check of
+    the score / log-density identity.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for j in range(len(x)):
+        e = np.zeros_like(x)
+        e[j] = h
+        grad[j] = float(oracle.log_marginal(t, x + e) - oracle.log_marginal(t, x - e)) / (2 * h)
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # Forward process
 # ---------------------------------------------------------------------------
@@ -816,63 +829,3 @@ def make_manifold_cloud(
         raw = raw @ random_frame(D, D, rng).T
     cloud = PointCloudMeasure.uniform(raw).normalized(scale=diam)
     return cloud, spec.rescaled(1.0 / diam)
-
-
-# ---------------------------------------------------------------------------
-# Columnar serialization
-# ---------------------------------------------------------------------------
-
-
-def save_cloud(path, cloud: PointCloudMeasure, spec: ManifoldSpec | None = None) -> None:
-    """Write one point per row (weight last) with a key-value header block."""
-    lines = [f"# dim = {cloud.dim}", f"# n = {len(cloud.points)}"]
-    if spec is not None:
-        for key in (
-            "intrinsic_dim",
-            "reach",
-            "volume",
-            "density_lower",
-            "density_upper",
-            "curvature_bound",
-            "regularity",
-        ):
-            val = getattr(spec, key)
-            txt = f"{val:.17g}" if isinstance(val, float) else str(val)
-            lines.append(f"# {key} = {txt}")
-    rows = np.concatenate([cloud.points, cloud.weights[:, None]], axis=1)
-    buf = io.StringIO()
-    for row in rows:
-        buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write(buf.getvalue())
-
-
-def load_cloud(path):
-    """Inverse of save_cloud; returns (PointCloudMeasure, ManifoldSpec | None)."""
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                header[key.strip()] = value.strip()
-            else:
-                rows.append([float(v) for v in line.split()])
-    data = np.asarray(rows, dtype=float)
-    cloud = PointCloudMeasure(points=data[:, :-1], weights=data[:, -1])
-    spec = None
-    if "reach" in header:
-        spec = ManifoldSpec(
-            intrinsic_dim=int(header["intrinsic_dim"]),
-            reach=float(header["reach"]),
-            volume=float(header["volume"]),
-            density_lower=float(header["density_lower"]),
-            density_upper=float(header["density_upper"]),
-            curvature_bound=float(header["curvature_bound"]),
-            regularity=float(header["regularity"]),
-        )
-    return cloud, spec

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _record
 from .measures import (
     GaussianLaw,
     GaussianOracle,
@@ -74,22 +75,13 @@ class MetricReport:
             raise ValueError("stderr must be nonnegative")
 
     def to_keyvalues(self) -> str:
-        lines = [
-            f"name = {self.name}",
-            f"value = {self.value:.17g}",
-            f"stderr = {self.stderr:.17g}",
-            f"n_samples = {self.n_samples}",
-            f"seed = {self.seed if self.seed is not None else ''}",
-        ]
-        for key in sorted(self.extras):
-            lines.append(f"{key} = {self.extras[key]:.17g}")
-        return "\n".join(lines) + "\n"
+        head = [("name", self.name), ("value", self.value), ("stderr", self.stderr)]
+        head += [("n_samples", self.n_samples), ("seed", self.seed)]
+        return _record.header(head + sorted(self.extras.items()))
 
     def components_csv(self) -> str:
-        rows = ["k,t,value,stderr"]
-        for k, t, value, stderr in self.components or ():
-            rows.append(f"{k},{t:.17g},{value:.17g},{stderr:.17g}")
-        return "\n".join(rows) + "\n"
+        rows = [("k", "t", "value", "stderr"), *(self.components or ())]
+        return "".join(",".join(map(_record.value, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

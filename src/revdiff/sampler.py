@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _record
 from .measures import ScoreOracle, forward_sample, map_streams
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var, validate_schedule
 
@@ -39,7 +40,6 @@ __all__ = [
     "fine_step_conditional_law",
     "run_reverse",
     "save_batch",
-    "save_trajectories",
 ]
 
 SCHEMES = ("corrected", "exponential_integrator")
@@ -336,42 +336,15 @@ def run_reverse(config: ReverseRunConfig, oracle_or_score) -> ReverseRunResult:
     )
 
 
-def _config_header(cfg: Optional[ReverseRunConfig], extra_meta: dict | None) -> list:
-    lines = []
-    if cfg is not None:
-        lines += [
-            f"# scheme = {cfg.scheme}",
-            f"# batch = {cfg.batch}",
-            f"# seed = {cfg.seed}",
-            f"# init = {cfg.init}",
-            f"# kappa = {cfg.schedule.kappa:.17g}",
-            f"# L = {cfg.schedule.n_uniform}",
-            f"# K = {cfg.schedule.n_steps}",
-        ]
-    for key, val in (extra_meta or {}).items():
-        lines.append(f"# {key} = {val}")
-    return lines
-
-
 def save_batch(path, result: ReverseRunResult, extra_meta: dict | None = None) -> None:
-    """Write the terminal batch in columnar text with a key-value header."""
-    lines = _config_header(result.config, extra_meta)
+    """Write the terminal batch, one sample per row, under a ``# key = value`` header."""
+    cfg = result.config
+    meta = []
+    if cfg is not None:
+        sched = cfg.schedule
+        meta += [("scheme", cfg.scheme), ("batch", cfg.batch), ("seed", cfg.seed), ("init", cfg.init)]
+        meta += [("kappa", sched.kappa), ("L", sched.n_uniform), ("K", sched.n_steps)]
+    meta += (extra_meta or {}).items()
     with open(path, "w") as fh:
-        if lines:
-            fh.write("\n".join(lines) + "\n")
-        for row in np.atleast_2d(result.terminal):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def save_trajectories(path, result: ReverseRunResult, extra_meta: dict | None = None) -> None:
-    """Write recorded trajectories, one row per (sample, recorded step)."""
-    if result.trajectory is None:
-        raise ValueError("run was configured without trajectory recording")
-    lines = _config_header(result.config, extra_meta)
-    with open(path, "w") as fh:
-        if lines:
-            fh.write("\n".join(lines) + "\n")
-        fh.write("# columns = sample step " + " ".join(f"y{j}" for j in range(result.trajectory.shape[-1])) + "\n")
-        for i, snap in enumerate(result.trajectory):
-            for step, row in zip(result.recorded_steps, snap):
-                fh.write(f"{i} {step} " + " ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(_record.header(meta, table=True))
+        fh.writelines(_record.value(row) + "\n" for row in np.atleast_2d(result.terminal))

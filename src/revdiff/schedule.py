@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _record
+
 __all__ = [
     "TimeSchedule",
     "ScheduleValidation",
@@ -180,7 +182,7 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     record(
         "kappa_range",
         0.0 < kappa <= 0.25,
-        f"kappa={kappa!r} outside (0, 0.25]" if not (0.0 < kappa <= 0.25) else "",
+        f"kappa={kappa} outside (0, 0.25]" if not (0.0 < kappa <= 0.25) else "",
     )
     record(
         "step_counts",
@@ -192,10 +194,10 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
         len(t) == K + 1 and len(g) == K,
         f"len(times)={len(t)}, len(gammas)={len(g)}",
     )
-    if len(t) != K + 1 or len(g) != K:
+    if not (1 <= L < K) or len(t) != K + 1 or len(g) != K:  # later checks index by L and K
         return ScheduleValidation(False, tuple(checks), tuple(c for c in checks if not c[1]))
 
-    record("starts_at_zero", t[0] == 0.0, f"t_0={t[0]!r}")
+    record("starts_at_zero", t[0] == 0.0, f"t_0={t[0]}")
 
     mono = np.diff(t) > 0.0
     idx = int(np.argmin(mono)) if not mono.all() else -1
@@ -204,18 +206,18 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     record(
         "horizon_consistent",
         abs(sched.horizon - (kappa * L + 1.0)) <= _VAL_RTOL * sched.horizon,
-        f"T={sched.horizon!r} vs kappa*L+1={kappa * L + 1.0!r}",
+        f"T={sched.horizon} vs kappa*L+1={kappa * L + 1.0}",
     )
     delta_ref = (1.0 + kappa) ** (L - K)
     record(
         "early_stop_consistent",
         abs(sched.early_stop - delta_ref) <= _VAL_RTOL * delta_ref,
-        f"delta={sched.early_stop!r} vs (1+kappa)^(L-K)={delta_ref!r}",
+        f"delta={sched.early_stop} vs (1+kappa)^(L-K)={delta_ref}",
     )
     record(
         "terminal_time",
         abs(t[-1] - (sched.horizon - sched.early_stop)) <= 1e-12,
-        f"t_K={t[-1]!r} vs T-delta={sched.horizon - sched.early_stop!r}",
+        f"t_K={t[-1]} vs T-delta={sched.horizon - sched.early_stop}",
     )
     # Absolute slack for quantities obtained by differencing values of size T:
     # cancellation leaves rounding of this order in externally computed grids.
@@ -237,7 +239,7 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     record(
         "step_bound",
         ok.all(),
-        f"gamma_{idx}={g[idx]!r} > kappa*min(1, T-t_{idx})={bound[idx]!r}" if idx >= 0 else "",
+        f"gamma_{idx}={g[idx]} > kappa*min(1, T-t_{idx})={bound[idx]}" if idx >= 0 else "",
     )
 
     uni = np.abs(g[:L] - kappa) <= _VAL_RTOL * kappa + atol_t
@@ -245,12 +247,12 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     record(
         "uniform_phase_gaps",
         uni.all(),
-        f"gamma_{idx}={g[idx]!r} != kappa" if idx >= 0 else "",
+        f"gamma_{idx}={g[idx]} != kappa" if idx >= 0 else "",
     )
     record(
         "uniform_phase_end",
         abs(t[L] - (sched.horizon - 1.0)) <= 1e-12 * max(1.0, sched.horizon),
-        f"t_L={t[L]!r} vs T-1={sched.horizon - 1.0!r}",
+        f"t_L={t[L]} vs T-1={sched.horizon - 1.0}",
     )
 
     # Geometric phase: each gap is kappa times the remaining time after it.
@@ -260,11 +262,15 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     record(
         "geometric_phase_gaps",
         geo.all(),
-        f"gamma_{L + idx}={g[L + idx]!r} != kappa*(T-t_{L + idx + 1})" if idx >= 0 else "",
+        f"gamma_{L + idx}={g[L + idx]} != kappa*(T-t_{L + idx + 1})" if idx >= 0 else "",
     )
 
     failures = tuple(c for c in checks if not c[1])
     return ScheduleValidation(len(failures) == 0, tuple(checks), failures)
+
+
+# Fields of a schedule record, in order, with the type of each entry.
+_RECORD_FIELDS = {"kappa": float, "L": int, "K": int, "T": float, "delta": float, "times": float}
 
 
 def schedule_to_text(sched: TimeSchedule) -> str:
@@ -273,39 +279,33 @@ def schedule_to_text(sched: TimeSchedule) -> str:
     Times are written with 17 significant digits, enough to round-trip
     IEEE doubles bit-exactly.
     """
-    lines = [
-        f"kappa = {sched.kappa:.17g}",
-        f"L = {sched.n_uniform}",
-        f"K = {sched.n_steps}",
-        f"T = {sched.horizon:.17g}",
-        f"delta = {sched.early_stop:.17g}",
-        "times = " + " ".join(f"{x:.17g}" for x in sched.times),
-    ]
-    return "\n".join(lines) + "\n"
+    values = (sched.kappa, sched.n_uniform, sched.n_steps, sched.horizon, sched.early_stop, sched.times)
+    return _record.header(zip(_RECORD_FIELDS, values))
 
 
 def schedule_from_text(text: str) -> TimeSchedule:
     """Parse a record produced by schedule_to_text.
 
-    The resulting grid is taken verbatim from the file; run it through
+    A line that is not ``key = value``, a repeated or unknown key, a missing
+    field or a value that does not convert raises a ValueError naming the
+    line or field.  The grid is taken verbatim from the file; run it through
     validate_schedule before use.
     """
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        kappa = float(fields["kappa"])
-        n_uniform = int(fields["L"])
-        n_steps = int(fields["K"])
-        horizon = float(fields["T"])
-        early_stop = float(fields["delta"])
-        times = np.array([float(x) for x in fields["times"].split()], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"schedule record is missing field {exc.args[0]!r}") from None
+    fields = _record.parse(text, _RECORD_FIELDS, "schedule record")
+    missing = [key for key in _RECORD_FIELDS if key not in fields]
+    if missing:
+        raise ValueError(f"schedule record is missing field {missing[0]!r}")
+
+    def convert(key, token):
+        kind = _RECORD_FIELDS[key]
+        try:
+            return kind(token)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"schedule record field {key} must be {noun}, got {token!r}") from None
+
+    kappa, n_uniform, n_steps, horizon, early_stop = (convert(k, fields[k]) for k in ("kappa", "L", "K", "T", "delta"))
+    times = np.array([convert("times", token) for token in fields["times"].split()], dtype=float)
     return TimeSchedule(
         kappa=kappa,
         n_uniform=n_uniform,

@@ -16,6 +16,7 @@ from revdiff.harness import (
     run_experiment,
 )
 from revdiff import _svg
+from revdiff.schedule import build_schedule, schedule_to_text
 
 
 def run_cli(capsys, *args):
@@ -207,6 +208,108 @@ def test_cli_schedule_flags_invalid_external_grid(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "schedule", "--load", str(path))
     assert code == 1
     assert "step_bound" in out
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("kappa = 0.25", "kappa = x", "field kappa"),
+        ("L = 4", "L = 4.5", "field L"),
+        ("K = 8\n", "K = 8\njunk\n", "'junk'"),
+        ("K = 8\n", "K = 8\nK = 8\n", "field 'K'"),
+        ("K = 8\n", "K = 8\nseed = 3\n", "field 'seed'"),
+        ("1.488", "1.48x", "field times"),
+        ("T = 2\n", "", "field 'T'"),
+    ],
+    ids=["bad-float", "bad-int", "junk-line", "repeated-key", "unknown-key", "bad-time", "missing-field"],
+)
+def test_cli_schedule_load_rejects_malformed_record_naming_the_field(tmp_path, capsys, old, new, named):
+    path = tmp_path / "grid.txt"
+    path.write_text(schedule_to_text(build_schedule(0.25, 4, 8)).replace(old, new, 1))
+    code, out, err = run_cli(capsys, "schedule", "--load", str(path))
+    assert code == 1
+    assert named in err and out == ""
+
+
+def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
+    # Literal bytes of every key-value record the CLI writes, so a change to
+    # the record format shows up here rather than in a replayed run.
+    assert schedule_to_text(build_schedule(0.25, 4, 8)) == (
+        "kappa = 0.25\n"
+        "L = 4\n"
+        "K = 8\n"
+        "T = 2\n"
+        "delta = 0.40960000000000002\n"
+        "times = 0 0.25 0.5 0.75 1 1.2 1.3599999999999999 1.488 1.5904\n"
+    )
+
+    grid = ("--kappa", "0.2", "--L", "10", "--K", "40")
+    code, out, _ = run_cli(
+        capsys, "sample", *grid, "--measure", "two-point:D=2", "--batch", "1000", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert open(out.strip()).read().splitlines()[:9] == [
+        "# scheme = corrected",
+        "# batch = 1000",
+        "# seed = 0",
+        "# init = standard_normal",
+        "# kappa = 0.20000000000000001",
+        "# L = 10",
+        "# K = 40",
+        "# measure = two-point:D=2",
+        "0.43631865086173494 0.18477468188972476",
+    ]
+
+    code, out, _ = run_cli(
+        capsys, "sweep", "--preset", "d-sweep", "--kappa", "0.1", "--horizon", "10", "--delta", "1e-6",
+        "--out", str(tmp_path),
+    )
+    footer = [
+        "fit_intercept = 6.8184545861691959e-18",
+        "fit_r2 = 1",
+        "fit_slope = 0.00066240619399489354",
+    ]
+    assert code == 0
+    assert out == "\n".join(footer + [str(tmp_path / "d-sweep.csv")]) + "\n"
+    assert (tmp_path / "d-sweep.meta").read_text() == (
+        "name = d-sweep\n"
+        "schedule.delta = 9.9999999999999995e-07\n"
+        "schedule.horizon = 10\n"
+        "schedule.kappa = 0.10000000000000001\n"
+        "seed = 0\n"
+        "workers = 1\n"
+    )
+    assert (tmp_path / "d-sweep.csv").read_text().splitlines()[-3:] == ["# " + line for line in footer]
+
+    code, out, _ = run_cli(capsys, "kl", "--kappa", "0.1", "--L", "90", "--K", "235",
+                           "--measure", "gaussian:D=8,rank=2,var=0.25")
+    assert code == 0
+    assert out == (
+        "name = kl_experiment\n"
+        "value = 0.0013248123879897981\n"
+        "stderr = 0\n"
+        "n_samples = 0\n"
+        "seed = 0\n"
+    )
+
+    code, out, _ = run_cli(capsys, "meter", *grid, "--measure", "gaussian:D=4,rank=1", "--mode", "exact",
+                           "--out", str(tmp_path))
+    assert code == 0
+    components = tmp_path / "meter_components.csv"
+    assert out == (
+        "name = discretization_error_meter\n"
+        "value = 0.28012673493560891\n"
+        "stderr = 0\n"
+        "n_samples = 0\n"
+        "seed = \n"
+        "quadrature = 0\n"
+        f"{components}\n"
+    )
+    assert components.read_text().splitlines()[:3] == [
+        "k,t,value,stderr",
+        "0,0,5.7034351900961367e-08,0",
+        "1,0.20000000000000001,1.2768843579080114e-07,0",
+    ]
 
 
 def test_cli_malformed_flags_exit_1(capsys):

@@ -426,9 +426,7 @@ def test_save_batch_writes_header_and_rows(tmp_path):
     assert len(data) == 8 and len(data[0].split()) == 2
 
 
-def test_trajectory_recording_thinned(tmp_path):
-    from revdiff.sampler import save_trajectories
-
+def test_trajectory_recording_thinned():
     sched = build_schedule(0.25, 2, 6)
     oracle = PointMassOracle(np.zeros(2))
     cfg = ReverseRunConfig(schedule=sched, batch=5, seed=2, record_every=2)
@@ -437,7 +435,3 @@ def test_trajectory_recording_thinned(tmp_path):
     np.testing.assert_array_equal(res.recorded_steps, [0, 2, 4, 6])
     assert res.trajectory.shape == (5, 4, 2)
     np.testing.assert_array_equal(res.trajectory[:, -1, :], res.terminal)
-    path = tmp_path / "traj.txt"
-    save_trajectories(path, res)
-    rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == 5 * 4

@@ -155,6 +155,20 @@ def test_schedule_text_roundtrip_is_exact():
     assert validate_schedule(back).passed
 
 
+def test_validate_reports_plain_floats_and_bad_step_counts():
+    # a record with L > K but K + 1 times must be reported, not index past the grid
+    base = build_schedule(0.25, 4, 8)
+    sched = schedule_from_text(schedule_to_text(base).replace("L = 4", "L = 10"))
+    failed = {name for name, ok, _ in validate_schedule(sched).checks if not ok}
+    assert "step_counts" in failed
+    times = base.times.copy()
+    times[2] += 0.01
+    bad = TimeSchedule(0.25, 4, 8, base.horizon, base.early_stop, times, np.diff(times), base.horizon - times)
+    details = {name: detail for name, ok, detail in validate_schedule(bad).checks if not ok}
+    assert details["uniform_phase_gaps"] == f"gamma_1={float(times[2] - times[1])} != kappa"
+    assert not any("np." in detail for detail in details.values())
+
+
 def test_schedule_text_missing_field():
     with pytest.raises(ValueError, match="missing field"):
         schedule_from_text("kappa = 0.2\nL = 1\n")
