@@ -172,9 +172,10 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int, rotate: bool = True) -
     return GaussianLaw(mean=np.zeros(D), factor=math.sqrt(var) * frame, diag_floor=0.0)
 
 
-# Largest D a spec may ask for (a rotated Gaussian draws a D x D normal
-# matrix) and largest n * D of a cloud (its oracle keeps about four n x D
-# float64 arrays, 128 MiB each at the cap).
+# Largest D a spec or preset may ask for (a rotated Gaussian draws a D x D
+# normal matrix in row blocks: O(D^2) time but only O(D * rank) memory) and
+# largest n * D of a cloud (the cloud's points and its oracle's one centred
+# copy are two n x D float64 arrays, 128 MiB each at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
@@ -197,6 +198,24 @@ _MEASURE_PARAMS = {
 _AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
 
 
+def _checked(raw, param, name: str):
+    """``raw`` converted and range-checked by ``param`` = (type, default, check, rule)."""
+    kind_of, _, check, rule = param
+    try:
+        value = kind_of(str(raw).strip())
+    except ValueError:
+        noun = "an integer" if kind_of is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {raw!r}") from None
+    if not (math.isfinite(value) and check(value)):
+        raise ValueError(f"{name} must be {rule}, got {raw!r}")
+    return value
+
+
+def _check_rank(rank: int, D: int, name: str) -> None:
+    if rank > D:
+        raise ValueError(f"{name} must be <= D = {D}, got {rank}")
+
+
 def _measure_params(spec: dict) -> tuple[str, dict]:
     """The kind and every parameter of a spec, converted and range-checked."""
     kind = spec.get("kind", "")
@@ -206,19 +225,9 @@ def _measure_params(spec: dict) -> tuple[str, dict]:
     for key in spec:
         if key != "kind" and key not in params:
             raise ValueError(f"unknown measure parameter {kind}.{key}; expected one of {tuple(params)}")
-    out = {}
-    for key, (kind_of, default, check, rule) in params.items():
-        raw = spec.get(key, default)
-        try:
-            value = kind_of(str(raw).strip())
-        except ValueError:
-            noun = "an integer" if kind_of is int else "a number"
-            raise ValueError(f"measure parameter {kind}.{key} must be {noun}, got {raw!r}") from None
-        if not (math.isfinite(value) and check(value)):
-            raise ValueError(f"measure parameter {kind}.{key} must be {rule}, got {raw!r}")
-        out[key] = value
-    if kind == "gaussian" and out["rank"] > out["D"]:
-        raise ValueError(f"measure parameter gaussian.rank must be <= D = {out['D']}, got {out['rank']}")
+    out = {key: _checked(spec.get(key, p[1]), p, f"measure parameter {kind}.{key}") for key, p in params.items()}
+    if kind == "gaussian":
+        _check_rank(out["rank"], out["D"], "measure parameter gaussian.rank")
     if "n" in out and out["n"] * out["D"] > _SIZE_CAP:
         size = out["n"] * out["D"]
         raise ValueError(f"measure parameter {kind}.n must keep n * D <= {_SIZE_CAP}, got n * D = {size}")
@@ -305,12 +314,31 @@ def _linear_fit(xs, ys):
 # ---------------------------------------------------------------------------
 
 
+# Preset options that size a rank-d Gaussian law take the gaussian spec's rules.
+_RANK = _MEASURE_PARAMS["gaussian"]["rank"]
+_VAR = _MEASURE_PARAMS["gaussian"]["var"]
+
+
+def _option(opts: dict, key: str, default, param):
+    """[options] ``key`` (or ``default``), converted and checked like a spec parameter."""
+    return _checked(opts.get(key, default), param, f"config key options.{key}")
+
+
+def _option_list(opts: dict, key: str, default: str, param) -> list:
+    """The space-separated values of [options] ``key``, each checked by ``param``."""
+    words = str(opts.get(key, default)).split()
+    if not words:
+        raise ValueError(f"config key options.{key} must list at least one value")
+    return [_checked(word, param, f"config key options.{key}") for word in words]
+
+
 def _preset_d_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
     opts = cfg.options
-    D = int(opts.get("D", 32))
-    dims = [int(v) for v in str(opts.get("dims", "1 2 4 8")).split()]
-    var = float(opts.get("var", 0.25))
+    D = _option(opts, "D", 32, _AMBIENT)
+    dims = _option_list(opts, "dims", "1 2 4 8", _RANK)
+    _check_rank(max(dims), D, "config key options.dims")
+    var = _option(opts, "var", 0.25, _VAR)
     rows = []
     for d in dims:
         law = _rank_d_law(D, d, var, cfg.seed)
@@ -336,9 +364,10 @@ def _preset_d_sweep(cfg: ExperimentConfig):
 def _preset_D_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
     opts = cfg.options
-    dims = [int(v) for v in str(opts.get("dims", "4 16 64 256")).split()]
-    d = int(opts.get("d", 2))
-    var = float(opts.get("var", 0.25))
+    dims = _option_list(opts, "dims", "4 16 64 256", _AMBIENT)
+    d = _option(opts, "d", 2, _RANK)
+    _check_rank(d, min(dims), "config key options.d")
+    var = _option(opts, "var", 0.25, _VAR)
     rows = []
     for D in dims:
         law = _rank_d_law(D, d, var, cfg.seed)
@@ -376,9 +405,10 @@ def _preset_K_sweep(cfg: ExperimentConfig):
     horizon = float(cfg.schedule["horizon"])
     delta = float(cfg.schedule["delta"])
     doublings = int(opts.get("doublings", 3))
-    D = int(opts.get("D", 8))
-    d = int(opts.get("d", 2))
-    var = float(opts.get("var", 0.25))
+    D = _option(opts, "D", 8, _AMBIENT)
+    d = _option(opts, "d", 2, _RANK)
+    _check_rank(d, D, "config key options.d")
+    var = _option(opts, "var", 0.25, _VAR)
     law = _rank_d_law(D, d, var, cfg.seed)
     oracle = GaussianOracle(law)
     rows = []
@@ -411,9 +441,10 @@ def _preset_K_sweep(cfg: ExperimentConfig):
 def _preset_eps_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
     opts = cfg.options
-    D = int(opts.get("D", 4))
-    d = int(opts.get("d", 1))
-    var = float(opts.get("var", 0.25))
+    D = _option(opts, "D", 4, _AMBIENT)
+    d = _option(opts, "d", 1, _RANK)
+    _check_rank(d, D, "config key options.d")
+    var = _option(opts, "var", 0.25, _VAR)
     eps_values = [float(v) for v in str(opts.get("eps", "0.01 0.02 0.04 0.08")).split()]
     direction = np.zeros(D)
     if "constant" in cfg.perturbation:

@@ -160,10 +160,14 @@ class ScoreOracle:
     def log_marginal(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} does not expose log_marginal")
 
-    def _check_point(self, x) -> np.ndarray:
+    def _check_shape(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected points in R^{self.dim}, got shape {x.shape}")
+        return x
+
+    def _check_point(self, x) -> np.ndarray:
+        x = self._check_shape(x)
         if not np.isfinite(x).all():
             raise ValueError("non-finite point passed to oracle")
         return x
@@ -407,17 +411,26 @@ class PointCloudOracle(ScoreOracle):
         self.cloud = cloud
         self.dim = cloud.dim
         kept = cloud.weights > 0
-        w, pts = cloud.weights[kept], cloud.points[kept]
+        w, pts = cloud.weights, cloud.points
+        if not kept.all():
+            w, pts = w[kept], pts[kept]
         self.chunk = max(1, 2**16 // len(w)) if chunk is None else int(chunk)
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk!r}")
+        self._mu = w @ pts
+        # the one centred copy of the points: [q | 1], with q a view of it
+        self._q_one = np.empty((len(w), self.dim + 1))
+        self._q = self._q_one[:, : self.dim]
+        np.subtract(pts, self._mu, out=self._q)
+        self._q_one[:, self.dim] = 1.0
+        self._half_q2 = np.empty(len(w))
+        rows = max(1, 2**16 // (self.dim + 1))  # in row blocks, so q * q is never a second n x D array
+        for i in range(0, len(w), rows):
+            self._half_q2[i : i + rows] = (self._q[i : i + rows] ** 2).sum(axis=1)
+        self._half_q2 *= 0.5
+        self._q_max = math.sqrt(2.0 * float(self._half_q2.max()))
         self._log_w = np.log(w)
         self._log_w_span = float(self._log_w.min() - self._log_w.max())
-        self._mu = w @ pts
-        self._q = pts - self._mu
-        self._half_q2 = 0.5 * (self._q * self._q).sum(axis=1)
-        self._q_max = math.sqrt(2.0 * float(self._half_q2.max()))
-        self._q_one = np.concatenate([self._q, np.ones((len(w), 1))], axis=1)
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
@@ -579,7 +592,9 @@ class ProductOracle(ScoreOracle):
     """Independent product across coordinate blocks.
 
     Each factor owns one block of coordinates; scores and posterior means are
-    assembled blockwise, so cross-block structure is exactly zero.
+    assembled blockwise, so cross-block structure is exactly zero.  A query's
+    size is checked here and its values by each factor on its own block: the
+    blocks partition the coordinates, so every one is checked once.
     """
 
     def __init__(self, factors):
@@ -611,7 +626,7 @@ class ProductOracle(ScoreOracle):
         return out
 
     def _apply(self, method, t, x):
-        x = self._check_point(x)
+        x = self._check_shape(x)
         out = np.empty_like(x)
         for oracle, idx in zip(self.oracles, self.blocks):
             out[..., idx] = getattr(oracle, method)(t, x[..., idx])
@@ -624,7 +639,7 @@ class ProductOracle(ScoreOracle):
         return self._apply("score", t, x)
 
     def log_marginal(self, t, x):
-        x = self._check_point(x)
+        x = self._check_shape(x)
         out = 0.0
         for oracle, idx in zip(self.oracles, self.blocks):
             out = out + oracle.log_marginal(t, x[..., idx])
@@ -683,15 +698,19 @@ def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator
 def random_frame(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """First k columns of the random rotation from the QR of one dim x dim normal draw.
 
-    The draw is made in row blocks keeping only its first k columns, whose
-    thin QR gives those columns: O(dim * k) memory, O(dim^2 + dim * k^2) time.
+    The draw is made in row blocks of at most 65536 values, in the order of
+    the full draw, so the generator ends at the same stream position.  The
+    first k columns of each block are copied into the (dim, k) result before
+    the next block is drawn: a view of them would keep its whole block alive,
+    and with it the whole dim x dim draw.  The thin QR of those columns gives
+    the frame: O(dim * k) memory, O(dim^2 + dim * k^2) time.
     """
     if not 0 <= k <= dim:
         raise ValueError(f"need 0 <= k <= dim, got k={k}, dim={dim}")
     rows = max(1, 65536 // dim)
-    a = np.concatenate(
-        [rng.standard_normal((min(rows, dim - i), dim))[:, :k] for i in range(0, dim, rows)]
-    )
+    a = np.empty((dim, k))
+    for i in range(0, dim, rows):
+        a[i : i + rows] = rng.standard_normal((min(rows, dim - i), dim))[:, :k]
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
 

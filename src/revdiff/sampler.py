@@ -258,79 +258,62 @@ class ReverseRunResult:
     config: Optional[ReverseRunConfig] = None
 
 
-def _resolve_score_fn(config: ReverseRunConfig, oracle_or_score):
-    if isinstance(oracle_or_score, ScoreOracle):
-        base = oracle_or_score.score
-        dim = oracle_or_score.dim
-    elif callable(oracle_or_score):
-        base = oracle_or_score
-        dim = None
-    else:
-        raise TypeError("expected a ScoreOracle or a callable score(t, x)")
-    if isinstance(config.score_source, ScorePerturbation):
-        return config.score_source.perturb(base), dim
-    return base, dim
-
-
-def _run_chunk(config, oracle_or_score, score_fn, dim, n, rng, steps):
+def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory):
+    """Run the samples of ``rows`` and write them into the batch's arrays."""
     sched = config.schedule
+    n = rows.stop - rows.start
     if config.init == "data_pT":
-        if not isinstance(oracle_or_score, ScoreOracle):
-            raise ValueError("data_pT initialization requires a ScoreOracle")
-        _, y = forward_sample(oracle_or_score, sched.horizon, rng, n)
+        _, y = forward_sample(oracle, sched.horizon, rng, n)
     else:
-        if dim is None:
-            raise ValueError("standard_normal initialization needs an oracle to fix the dimension")
-        y = rng.standard_normal((n, dim))
-    rec = []
-    rec_steps = []
+        y = rng.standard_normal((n, oracle.dim))
     for k, step in enumerate(steps):
         if config.record_every and k % config.record_every == 0:
-            rec.append(y.copy())
-            rec_steps.append(k)
+            trajectory[rows, k // config.record_every] = y
         y = _affine_step(y, *step, score_fn, rng)
         if not np.isfinite(y).all():
             raise FloatingPointError(
                 f"non-finite state after step k={k} (t={sched.times[k + 1]!r}); "
                 "check the schedule and score source"
             )
+    terminal[rows] = y
     if config.record_every:
-        rec.append(y.copy())
-        rec_steps.append(sched.n_steps)
-    return y, rec, rec_steps
+        trajectory[rows, -1] = y
 
 
-def run_reverse(config: ReverseRunConfig, oracle_or_score) -> ReverseRunResult:
+def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResult:
     """Run the configured reverse scheme for a batch of samples.
 
     Samples start at the configured initialization and take n_steps scheme
     steps; the returned terminal batch approximates the data law noised to
     the early-stopping time.  With ``n_workers > 1`` chunks run on a thread
-    pool; chunk values are identical to the sequential ones.
+    pool; chunk values are identical to the sequential ones.  The (batch, D)
+    terminal is allocated once and each chunk writes its own rows into it,
+    so the batch is never held twice.
     """
-    score_fn, dim = _resolve_score_fn(config, oracle_or_score)
-    sizes = []
-    off = 0
-    while off < config.batch:
-        sizes.append(min(config.chunk_size, config.batch - off))
-        off += sizes[-1]
+    if not isinstance(oracle, ScoreOracle):
+        raise TypeError(f"run_reverse needs a ScoreOracle, got {type(oracle).__name__}")
+    score_fn = oracle.score
+    if isinstance(config.score_source, ScorePerturbation):
+        score_fn = config.score_source.perturb(score_fn)
+    n_steps = config.schedule.n_steps
     tab = step_table(config.schedule, config.scheme)
     # (tau, alpha, beta, eta) of each step, as Python floats
     steps = list(
         zip(config.schedule.taus[:-1].tolist(), tab.alpha.tolist(), tab.beta.tolist(), np.sqrt(tab.eta2).tolist())
     )
-    parts = map_streams(
-        lambda n, rng: _run_chunk(config, oracle_or_score, score_fn, dim, n, rng, steps),
-        sizes,
+    terminal = np.empty((config.batch, oracle.dim))
+    trajectory = recorded = None
+    if config.record_every:
+        recorded = np.append(np.arange(0, n_steps, config.record_every), n_steps)
+        trajectory = np.empty((config.batch, len(recorded), oracle.dim))
+    size = config.chunk_size
+    chunks = [slice(i, min(i + size, config.batch)) for i in range(0, config.batch, size)]
+    map_streams(
+        lambda rows, rng: _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory),
+        chunks,
         config.seed,
         config.n_workers,
     )
-    terminal = np.concatenate([p[0] for p in parts])
-    trajectory = None
-    recorded = None
-    if config.record_every:
-        trajectory = np.concatenate([np.stack(p[1], axis=1) for p in parts])
-        recorded = np.asarray(parts[0][2], dtype=int)
     return ReverseRunResult(
         terminal=terminal, trajectory=trajectory, recorded_steps=recorded, config=config
     )

@@ -480,6 +480,41 @@ def test_cli_config_rejects_unknown_or_malformed_entries(tmp_path, capsys, text,
     assert not (tmp_path / "d-sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "preset, option, named",
+    [
+        ("d-sweep", "D = abc", "options.D"),
+        ("d-sweep", "D = 16385", "options.D"),
+        ("d-sweep", "dims = 1 x", "options.dims"),
+        ("d-sweep", "dims = 1 -1", "options.dims"),
+        ("d-sweep", "dims = 4 40", "options.dims"),  # a rank above the default D = 32
+        ("d-sweep", "dims =", "options.dims"),
+        ("d-sweep", "var = -1", "options.var"),
+        ("D-sweep", "dims = 4 0", "options.dims"),
+        ("D-sweep", "dims = 4 16385", "options.dims"),
+        ("D-sweep", "d = 5", "options.d"),  # above the smallest D = 4
+        ("D-sweep", "var = inf", "options.var"),
+        ("K-sweep", "D = 0", "options.D"),
+        ("K-sweep", "d = 9", "options.d"),
+        ("K-sweep", "var = nan", "options.var"),
+        ("eps-sweep", "D = 2.5", "options.D"),
+        ("eps-sweep", "d = -1", "options.d"),
+        ("eps-sweep", "var = 0", "options.var"),
+    ],
+)
+def test_cli_preset_options_take_the_gaussian_spec_ranges(tmp_path, capsys, preset, option, named):
+    ini = write_sweep_ini(tmp_path / "f.ini", option + "\n")
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", preset, "--config", ini,
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / f"{preset}.csv").exists()
+
+
 def test_cli_seed_and_workers_flags_override_config(tmp_path, capsys):
     ini = write_sweep_ini(tmp_path / "f.ini", "dims = 1 2\n")
     code, _, err = run_cli(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from revdiff.measures import (
     PointCloudOracle,
     PointMassOracle,
     ProductOracle,
+    ScoreOracle,
     forward_bridge,
     forward_sample,
     log_marginal_gradient,
@@ -490,6 +492,26 @@ def test_product_of_point_clouds_equals_product_cloud():
         np.testing.assert_allclose(prod.log_marginal(t, x), joint.log_marginal(t, x), atol=1e-12)
 
 
+def test_product_checks_each_coordinate_once(monkeypatch):
+    # the product checks only the query's size; each factor checks its block
+    calls = []
+    check = ScoreOracle._check_point
+    monkeypatch.setattr(ScoreOracle, "_check_point", lambda self, x: calls.append(1) or check(self, x))
+    two = PointCloudOracle(two_point_cloud())
+    prod = ProductOracle([(two, [0]), (PointMassOracle(np.zeros(1)), [1])])
+    x = np.array([[0.3, -0.9], [0.1, 0.2]])
+    for method in ("score", "posterior_mean", "log_marginal"):
+        calls.clear()
+        getattr(prod, method)(0.5, x)
+        assert len(calls) == 2, method
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        for method in ("score", "posterior_mean", "log_marginal"):
+            with pytest.raises(ValueError, match="non-finite point"):
+                getattr(prod, method)(0.5, np.array(bad))
+    with pytest.raises(ValueError, match="R\\^2"):
+        prod.score(0.5, np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # tweedie consistency via finite differences
 # ---------------------------------------------------------------------------
@@ -673,6 +695,34 @@ def test_random_frame_is_the_leading_columns_of_the_full_rotation():
         else:
             assert np.linalg.norm(frame - full[:, :k]) <= 1e-15 * np.linalg.norm(full[:, :k])
         assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while ``fn()`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_frame_memory_is_one_block_not_the_full_draw():
+    # A 4096 x 2 frame is 64 KiB and one 16-row block of the draw 512 KiB;
+    # measured peak 0.56 MiB.  Holding every block (the full 4096^2 draw) is
+    # 128 MiB, so the 1 MiB bound has 1.8x of margin either way.
+    assert traced_peak(lambda: random_frame(4096, 2, spawn_rng(0, 0))) < 2**20
+
+
+def test_cloud_oracle_keeps_one_centred_copy():
+    # n * D = 2**20 and every weight positive.  Measured peaks, in n x (D+1)
+    # float64 arrays: 1.40 (D=4) and 1.13 (D=16) for [q | 1] plus row-block
+    # temporaries; a copy of the points, a separate centred copy and a full
+    # n x D square besides [q | 1] peaked at 3.43 and 3.13.
+    for n, D in ((2**18, 4), (2**16, 16)):
+        cloud = PointCloudMeasure.uniform(spawn_rng(D, 0).standard_normal((n, D)))
+        assert traced_peak(lambda: PointCloudOracle(cloud)) <= 2 * n * (D + 1) * 8
 
 
 def test_gaussian_spec_law_is_the_full_rotation_law():

@@ -1,12 +1,15 @@
 import math
 import os
+import subprocess
 import sys
-import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import revdiff
+from revdiff.harness import build_measure
 from revdiff.measures import (
     GaussianLaw,
     GaussianOracle,
@@ -14,8 +17,6 @@ from revdiff.measures import (
     PointCloudOracle,
     PointMassOracle,
     ProductOracle,
-    make_manifold_cloud,
-    spawn_rng,
 )
 from revdiff.metrics import propagate_affine_reverse
 from revdiff.sampler import (
@@ -286,30 +287,69 @@ def test_run_reverse_deterministic_and_worker_invariant():
     assert a.terminal.tobytes() == c.terminal.tobytes()
 
 
+# The body of the test below, run in a child process: a deadlocked pool task
+# would also block interpreter exit, so only a process that can be killed
+# bounds the test's time.
+_MORE_WORKERS_THAN_POOL_THREADS = """
+import os
+import sys
+
+from revdiff.measures import PointCloudOracle, make_manifold_cloud, spawn_rng
+from revdiff.sampler import ReverseRunConfig, run_reverse
+from revdiff.schedule import build_schedule
+
+cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
+oracle = PointCloudOracle(cloud)  # 128-row tiles, so each chunk spans 3
+workers = (os.cpu_count() or 1) + 2
+base = dict(schedule=build_schedule(0.25, 2, 6), batch=300 * (workers + 1), seed=4, chunk_size=300)
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)  # switch threads often, so a lost result would show
+try:
+    pooled = run_reverse(ReverseRunConfig(**base, n_workers=workers), oracle)
+finally:
+    sys.setswitchinterval(interval)
+one = run_reverse(ReverseRunConfig(**base), oracle)
+assert pooled.terminal.tobytes() == one.terminal.tobytes()
+"""
+
+
 def test_run_reverse_more_workers_than_pool_threads_matches_one_worker():
     # Pooled chunks run their oracle tiles inline; at one worker the tiles of
     # each chunk are shared out over the pool instead.  More workers than pool
     # threads must neither deadlock nor change a bit.
-    cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
-    oracle = PointCloudOracle(cloud)  # 128-row tiles, so each chunk spans 3
-    workers = (os.cpu_count() or 1) + 2
-    base = dict(schedule=build_schedule(0.25, 2, 6), batch=300 * (workers + 1), seed=4, chunk_size=300)
-    pooled = {}
-
-    def run():
-        pooled["result"] = run_reverse(ReverseRunConfig(**base, n_workers=workers), oracle)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a lost result would show
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=120)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MORE_WORKERS_THAN_POOL_THREADS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("pooled run_reverse did not finish within 120 s")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_reverse_writes_chunks_into_one_batch():
+    # point-mass:D=16, batch 32768: the terminal is 4 MiB.  Measured peak
+    # 1.25x of it (the batch plus each worker's 1024-row chunk state); a list
+    # of chunk terminals joined at the end holds the batch twice (2.0x).
+    oracle = build_measure("point-mass:D=16")
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=32768, seed=1, n_workers=2)
+    run_reverse(cfg, oracle)  # start the pool outside the traced run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_reverse(cfg, oracle)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
-        sys.setswitchinterval(interval)
-    assert not thread.is_alive(), "pooled run_reverse did not finish within 120 s"
-    one = run_reverse(ReverseRunConfig(**base), oracle)
-    assert pooled["result"].terminal.tobytes() == one.terminal.tobytes()
+        tracemalloc.stop()
+    assert peak < 1.5 * 32768 * 16 * 8
+
+
+def test_run_reverse_needs_a_score_oracle():
+    cfg = ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), batch=4)
+    with pytest.raises(TypeError, match="ScoreOracle"):
+        run_reverse(cfg, lambda t, x: -x)
 
 
 class _BlowUpOracle(type(PointMassOracle(np.zeros(2)))):
