@@ -134,19 +134,20 @@ def resolve_schedule(fields: dict):
     """Build a schedule from explicit (kappa, L, K) or (kappa, horizon, delta).
 
     Keys are case-insensitive, so L and K may be given in either case.
-    There are no fallback values: missing parameters are an error.
+    There are no fallback values: missing parameters are an error, and a
+    value that does not convert exits 1 naming ``schedule.<key>``.
     """
     low = {str(k).lower(): v for k, v in fields.items()}
     if "kappa" not in low:
         raise ValueError("schedule requires an explicit kappa")
-    kappa = float(low["kappa"])
+    kappa = _schedule_field(low, "kappa")
     if "l" in low or "k" in low:
         if "l" not in low or "k" not in low:
             raise ValueError("schedule requires both L and K when either is given")
-        return build_schedule(kappa, int(low["l"]), int(low["k"]))
+        return build_schedule(kappa, _schedule_field(low, "l"), _schedule_field(low, "k"))
     if "horizon" in low and "delta" in low:
-        horizon = float(low["horizon"])
-        delta = float(low["delta"])
+        horizon = _schedule_field(low, "horizon")
+        delta = _schedule_field(low, "delta")
         if horizon <= 1.0 or not (0.0 < delta < 1.0):
             raise ValueError("need horizon > 1 and delta in (0, 1)")
         L = max(1, round((horizon - 1.0) / kappa))
@@ -209,6 +210,22 @@ def _checked(raw, param, name: str):
     if not (math.isfinite(value) and check(value)):
         raise ValueError(f"{name} must be {rule}, got {raw!r}")
     return value
+
+
+# [schedule] keys (lower-cased as a config file stores them): the name to report and the type
+_SCHEDULE_FIELDS = {
+    "kappa": ("kappa", float),
+    "l": ("L", int),
+    "k": ("K", int),
+    "horizon": ("horizon", float),
+    "delta": ("delta", float),
+}
+
+
+def _schedule_field(low: dict, key: str):
+    """``low[key]`` converted to its type, finite; ranges are build_schedule's."""
+    name, kind_of = _SCHEDULE_FIELDS[key]
+    return _checked(low[key], (kind_of, None, *_FINITE), f"config key schedule.{name}")
 
 
 def _check_rank(rank: int, D: int, name: str) -> None:
@@ -317,6 +334,12 @@ def _linear_fit(xs, ys):
 # Preset options that size a rank-d Gaussian law take the gaussian spec's rules.
 _RANK = _MEASURE_PARAMS["gaussian"]["rank"]
 _VAR = _MEASURE_PARAMS["gaussian"]["var"]
+# Each doubling halves kappa, so the finest K-sweep grid has about 2**10 times
+# the steps of the given schedule.
+_DOUBLINGS = (int, None, lambda v: 0 <= v <= 10, "in [0, 10]")
+_EPS = (float, None, lambda v: v > 0, "> 0")
+_SAMPLES = (int, None, lambda v: 2 <= v <= _SIZE_CAP, f"in [2, {_SIZE_CAP}]")
+_VALUE = (float, None, *_FINITE)
 
 
 def _option(opts: dict, key: str, default, param):
@@ -324,12 +347,12 @@ def _option(opts: dict, key: str, default, param):
     return _checked(opts.get(key, default), param, f"config key options.{key}")
 
 
-def _option_list(opts: dict, key: str, default: str, param) -> list:
-    """The space-separated values of [options] ``key``, each checked by ``param``."""
+def _option_list(opts: dict, key: str, default: str, param, section: str = "options") -> list:
+    """The space-separated values of ``[section] key``, each checked by ``param``."""
     words = str(opts.get(key, default)).split()
     if not words:
-        raise ValueError(f"config key options.{key} must list at least one value")
-    return [_checked(word, param, f"config key options.{key}") for word in words]
+        raise ValueError(f"config key {section}.{key} must list at least one value")
+    return [_checked(word, param, f"config key {section}.{key}") for word in words]
 
 
 def _preset_d_sweep(cfg: ExperimentConfig):
@@ -401,10 +424,8 @@ def _preset_K_sweep(cfg: ExperimentConfig):
     for key in ("kappa", "horizon", "delta"):
         if key not in cfg.schedule:
             raise ValueError(f"K-sweep requires explicit schedule.{key}")
-    kappa0 = float(cfg.schedule["kappa"])
-    horizon = float(cfg.schedule["horizon"])
-    delta = float(cfg.schedule["delta"])
-    doublings = int(opts.get("doublings", 3))
+    kappa0, horizon, delta = (_schedule_field(cfg.schedule, key) for key in ("kappa", "horizon", "delta"))
+    doublings = _option(opts, "doublings", 3, _DOUBLINGS)
     D = _option(opts, "D", 8, _AMBIENT)
     d = _option(opts, "d", 2, _RANK)
     _check_rank(d, D, "config key options.d")
@@ -445,10 +466,19 @@ def _preset_eps_sweep(cfg: ExperimentConfig):
     d = _option(opts, "d", 1, _RANK)
     _check_rank(d, D, "config key options.d")
     var = _option(opts, "var", 0.25, _VAR)
-    eps_values = [float(v) for v in str(opts.get("eps", "0.01 0.02 0.04 0.08")).split()]
+    eps_values = _option_list(opts, "eps", "0.01 0.02 0.04 0.08", _EPS)
+    if len(set(eps_values)) < 2:
+        raise ValueError(
+            f"config key options.eps must list at least two distinct values, got {opts['eps']!r}"
+        )
     direction = np.zeros(D)
     if "constant" in cfg.perturbation:
-        vals = [float(v) for v in str(cfg.perturbation["constant"]).split()]
+        vals = _option_list(cfg.perturbation, "constant", "", _VALUE, section="perturbation")
+        if len(vals) > D or not any(vals):
+            raise ValueError(
+                f"config key perturbation.constant must list 1 to D = {D} values, not all zero, "
+                f"got {cfg.perturbation['constant']!r}"
+            )
         direction[: len(vals)] = vals
     else:
         direction[0] = 1.0
@@ -543,7 +573,7 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
 
 
 def _preset_lemma_suite(cfg: ExperimentConfig):
-    n = int(cfg.options.get("n", 20000))
+    n = _option(cfg.options, "n", 20000, _SAMPLES)
     rows, ok = lemma_suite(cfg.seed, n, workers=cfg.workers)
     table = [(c, case, v, se, z, int(p)) for c, case, v, se, z, p in rows]
     footer = [("all_passed", int(ok))]

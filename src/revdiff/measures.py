@@ -271,7 +271,7 @@ class GaussianLaw:
         return self.mean.shape[0]
 
     def covariance(self) -> np.ndarray:
-        """Dense D x D covariance, O(D^2 d); of the exact paths only dense propagation needs it."""
+        """Dense D x D covariance, O(D^2 d): a reference; the exact paths work from ``spectrum``."""
         return self.factor @ self.factor.T + self.diag_floor * np.eye(self.dim)
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,8 @@ from .measures import (
     ManifoldSpec,
     PointCloudOracle,
     ScoreOracle,
+    _map_pooled,
+    _pool_size,
     forward_bridge,
     forward_sample,
 )
@@ -242,14 +244,26 @@ def _propagate_channels(data: GaussianLaw, config: ReverseRunConfig):
 def _propagate_dense(data: GaussianLaw, config: ReverseRunConfig):
     """Dense-covariance path for a linear score bias B, in the data eigenbasis U.
 
-    ``eigh`` of the data covariance is taken once.  In that basis the exact
-    score's slope is diagonal, so step k's map is diag(alpha + beta g_k)
-    + beta U^T B U and needs no inverse; the per-step cost is the two D x D
-    products f cov f^T, O(D^3).  Returns (U, mean, cov) in that basis.
+    U is the thin spectrum's basis completed by one complete QR, so the
+    eigenvalues are exact (variance + floor on the factor's span, the floor
+    off it) and a law with no factor gets the identity.  In that basis the
+    exact score's slope is diagonal, so step k's map is
+    f = diag(alpha + beta g_k) + beta U^T B U and needs no inverse.  The
+    step's f cov f^T, O(D^3), is formed on its upper block triangle only, in
+    row blocks of fixed height max(1, 2**15 // D), and the strict lower
+    triangle is mirrored from it, so every cov is exactly symmetric.  Outside
+    pooled work the blocks are dealt over the shared thread pool, inside it
+    they run inline; either way each block makes the same products, so the
+    result does not depend on the thread or worker count.
+    Returns (U, mean, cov) in that basis.
     """
     tab = step_table(config.schedule, config.scheme)
     dim = data.dim
-    lam, basis = np.linalg.eigh(data.covariance())
+    thin, fvar = data.spectrum()
+    basis = np.linalg.qr(thin, mode="complete")[0]
+    basis[:, : len(fvar)] = thin
+    lam = np.full(dim, data.diag_floor)
+    lam[: len(fvar)] += fvar
     src = config.score_source
     lin = basis.T @ (src.epsilon * src.linear) @ basis
     const = np.zeros(dim) if src.constant is None else basis.T @ (src.epsilon * src.constant)
@@ -261,15 +275,31 @@ def _propagate_dense(data: GaussianLaw, config: ReverseRunConfig):
         cT = float(tab.c[0])
         cov, mean = np.diag(cT * cT * lam + float(tab.s2[0])), cT * mean0
 
+    height = max(1, 2**15 // dim)
+    blocks = [slice(i, min(i + height, dim)) for i in range(0, dim, height)]
+    lower = {n: np.tri(n, n, -1, dtype=bool) for n in {b.stop - b.start for b in blocks}}
+    f, f_cov, out = np.empty((dim, dim)), np.empty((dim, dim)), np.empty((dim, dim))
+
+    def run(rows):
+        # out[rows, i:] = f[rows] cov f[i:]^T, then its transpose fills the
+        # rows' columns below the block and the block's own lower triangle
+        i, j = rows.start, rows.stop
+        np.matmul(f[rows], cov, out=f_cov[rows])
+        np.matmul(f_cov[rows], f[i:].T, out=out[rows, i:])
+        out[j:, rows] = out[rows, j:].T
+        square = out[rows, rows]
+        np.copyto(square, square.T, where=lower[j - i])
+
     for alpha, beta, eta2, c, s2 in zip(
         tab.alpha.tolist(), tab.beta.tolist(), tab.eta2.tolist(), tab.c.tolist(), tab.s2.tolist()
     ):
         g = -1.0 / (c * c * lam + s2)
-        f = beta * lin
+        np.multiply(lin, beta, out=f)
         f.flat[diag] += alpha + beta * g
         mean = f @ mean + beta * (const - c * g * mean0)
-        cov = f @ cov @ f.T
-        cov.flat[diag] += eta2
+        _map_pooled(run, blocks, _pool_size())
+        out.flat[diag] += eta2
+        cov, out = out, cov
     return basis, mean, cov
 
 
@@ -312,8 +342,10 @@ def propagate_affine_reverse(data: GaussianLaw, config: ReverseRunConfig) -> Gau
     Composes the K affine step maps acting on the initialization law.  With
     an exact or constant-bias score the channel split applies and the cost is
     O(D * rank + K * rank); a linear score bias falls back to dense
-    covariance propagation in the data eigenbasis, O(D^3) per step for the
-    bias's matrix products.
+    covariance propagation in the data eigenbasis (``_propagate_dense``):
+    O(D^3) per step, the upper block triangle of f cov f^T in fixed row
+    blocks shared over the thread pool, with a result that is exactly
+    symmetric and the same for every thread or worker count.
     """
     src = config.score_source
     if isinstance(src, ScorePerturbation) and src.linear is not None:

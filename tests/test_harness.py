@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,30 @@ def test_resolve_schedule_requires_explicit_fields():
     derived = resolve_schedule({"kappa": 0.2, "horizon": 3.0, "delta": 1e-3})
     assert derived.n_uniform == 10
     assert abs(derived.early_stop - 1e-3) < 4e-4
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"kappa": "x", "L": "4", "K": "9"}, "schedule.kappa"),
+        ({"kappa": "0.2", "L": "4.5", "K": "9"}, "schedule.L"),
+        ({"kappa": "0.2", "l": "4", "k": "nine"}, "schedule.K"),
+        ({"kappa": "0.2", "horizon": "inf", "delta": "1e-3"}, "schedule.horizon"),
+        ({"kappa": "0.2", "horizon": "3", "delta": "1e-3x"}, "schedule.delta"),
+    ],
+)
+def test_resolve_schedule_names_a_field_that_does_not_convert(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        resolve_schedule(fields)
+
+
+def test_resolve_schedule_reads_strings_as_it_reads_numbers():
+    as_text = resolve_schedule({"kappa": "0.1", "horizon": "10", "delta": "1e-6"})
+    as_numbers = resolve_schedule({"kappa": 0.1, "horizon": 10.0, "delta": 1e-6})
+    assert schedule_to_text(as_text) == schedule_to_text(as_numbers)
+    assert schedule_to_text(resolve_schedule({"kappa": "0.2", "L": " 4 ", "K": "9"})) == schedule_to_text(
+        build_schedule(0.2, 4, 9)
+    )
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -513,6 +538,52 @@ def test_cli_preset_options_take_the_gaussian_spec_ranges(tmp_path, capsys, pres
     assert code == 1
     assert named in err
     assert not (tmp_path / f"{preset}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, entries, named",
+    [
+        ("K-sweep", "doublings = -1", "options.doublings"),
+        ("K-sweep", "doublings = 11", "options.doublings"),
+        ("K-sweep", "doublings = 1.5", "options.doublings"),
+        ("eps-sweep", "eps = 0 0.01", "options.eps"),
+        ("eps-sweep", "eps = 0.01 nan", "options.eps"),
+        ("eps-sweep", "eps = 0.01", "options.eps"),
+        ("eps-sweep", "eps = 0.01 0.01", "options.eps"),
+        ("lemma-suite", "n = 0", "options.n"),
+        ("lemma-suite", "n = 1", "options.n"),
+        ("lemma-suite", "n = many", "options.n"),
+        ("eps-sweep", "D = 4\n[perturbation]\nconstant = 1 0 0 0 0 0", "perturbation.constant"),
+        ("eps-sweep", "D = 4\n[perturbation]\nconstant = 1 inf", "perturbation.constant"),
+        ("eps-sweep", "D = 4\n[perturbation]\nconstant = 0 0", "perturbation.constant"),
+        ("eps-sweep", "D = 4\n[perturbation]\nconstant =", "perturbation.constant"),
+    ],
+)
+def test_cli_preset_inputs_exit_1_naming_the_field(tmp_path, capsys, preset, entries, named):
+    ini = write_sweep_ini(tmp_path / "f.ini", entries + "\n")
+    code, _, err = run_cli(
+        capsys,
+        "sweep", "--preset", preset, "--config", ini,
+        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / f"{preset}.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("kappa", "x"), ("horizon", "3.0.0"), ("delta", "")])
+def test_cli_config_schedule_values_name_the_field(tmp_path, capsys, key, value):
+    fields = {"kappa": "0.2", "horizon": "3.0", "delta": "1e-3", key: value}
+    ini = tmp_path / "f.ini"
+    ini.write_text("[schedule]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    for preset in ("d-sweep", "K-sweep"):
+        code, _, err = run_cli(
+            capsys, "sweep", "--preset", preset, "--config", str(ini), "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert f"schedule.{key}" in err
+        assert not (tmp_path / f"{preset}.csv").exists()
 
 
 def test_cli_seed_and_workers_flags_override_config(tmp_path, capsys):

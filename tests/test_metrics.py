@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from revdiff.measures import (
     PointCloudOracle,
     PointMassOracle,
     make_manifold_cloud,
+    map_streams,
     random_frame,
     spawn_rng,
 )
@@ -25,7 +28,7 @@ from revdiff.metrics import (
     propagate_affine_reverse,
     score_error_budget,
 )
-from revdiff import metrics
+from revdiff import measures, metrics
 from revdiff.harness import resolve_schedule
 from revdiff.sampler import ReverseRunConfig, ScorePerturbation, step_table
 from revdiff.schedule import build_schedule
@@ -196,7 +199,8 @@ def _dense_inverse_form(data, config):
 
 def test_eigenbasis_dense_path_matches_inverse_form():
     sched = build_schedule(0.2, 10, 40)
-    for D in (16, 64):
+    # 16 and 64 are one row block; 200 is blocks of 163 rows and a ragged one of 37
+    for D in (16, 64, 200):
         rng = np.random.default_rng(D)
         law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
         bias = ScorePerturbation(
@@ -210,6 +214,61 @@ def test_eigenbasis_dense_path_matches_inverse_form():
                 scale = np.abs(ref_cov).max()
                 assert np.abs(basis @ mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
                 assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
+
+
+def _dense_case(D, init="standard_normal"):
+    rng = np.random.default_rng(D)
+    law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
+    bias = ScorePerturbation(
+        epsilon=0.05, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)) / math.sqrt(D)
+    )
+    return law, ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), init=init, score_source=bias)
+
+
+def test_dense_path_is_bit_identical_over_the_pool_and_inline():
+    law, cfg = _dense_case(200)
+    # from the main thread the two row blocks are dealt to the pool ...
+    assert not getattr(measures._THREAD, "inline", False)
+    pooled = metrics._propagate_dense(law, cfg)
+    # ... and inside a map_streams item they run inline
+    for inline in map_streams(lambda _, rng: metrics._propagate_dense(law, cfg), [0, 1], seed=0, workers=2):
+        for a, b in zip(pooled, inline):
+            assert np.array_equal(a, b)
+    # more callers than cores dealing their blocks to the one pool at once
+    results = [None] * 4
+
+    def call(i):
+        results[i] = metrics._propagate_dense(law, cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        for a, b in zip(pooled, result):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("D", [16, 200])
+@pytest.mark.parametrize("init", ["standard_normal", "data_pT"])
+def test_dense_covariance_is_exactly_symmetric(D, init):
+    _, _, cov = metrics._propagate_dense(*_dense_case(D, init))
+    assert np.array_equal(cov, cov.T)
+
+
+def test_dense_eigenbasis_of_a_law_without_factor_is_the_identity():
+    law = GaussianLaw.isotropic(6, 0.5)
+    bias = ScorePerturbation(0.0, linear=np.eye(6))
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), score_source=bias)
+    basis, _, _ = metrics._propagate_dense(law, cfg)
+    assert np.array_equal(basis, np.eye(6))
 
 
 def test_dense_kl_in_eigenbasis_matches_the_structured_law_route():
