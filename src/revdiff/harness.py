@@ -37,6 +37,7 @@ from .measures import (
 )
 from .sampler import ReverseRunConfig, ScorePerturbation, run_reverse, save_batch
 from .schedule import (
+    MAX_STEPS,
     build_schedule,
     schedule_from_text,
     schedule_to_text,
@@ -44,8 +45,6 @@ from .schedule import (
 )
 
 __all__ = ["ExperimentConfig", "run_experiment", "build_measure", "cli"]
-
-PRESETS = ("d-sweep", "D-sweep", "K-sweep", "eps-sweep", "lemma-suite")
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +109,8 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ValueError(f"unknown config key {name}.{key}; expected one of {allowed}")
     lower = {name: {k.lower(): v for k, v in parser[name].items()} for name in parser.sections()}
     exp = lower.get("experiment", {})
-
-    def as_int(key, default):
-        try:
-            return int(exp.get(key, default))
-        except ValueError:
-            raise ValueError(f"config key experiment.{key} must be an integer, got {exp[key]!r}") from None
-
-    cfg = ExperimentConfig(
-        name=exp.get("name", ""),
-        seed=as_int("seed", 0),
-        out_dir=exp.get("out_dir", "runs"),
-        workers=as_int("workers", 1),
-    )
+    seed, workers = (_checked(exp.get(k, p[1]), p, f"config key experiment.{k}") for k, p in _RUN_FIELDS.items())
+    cfg = ExperimentConfig(name=exp.get("name", ""), seed=seed, out_dir=exp.get("out_dir", "runs"), workers=workers)
     for section in ("schedule", "perturbation"):
         getattr(cfg, section).update(lower.get(section, {}))
     if "options" in parser:
@@ -133,9 +121,12 @@ def load_config(path: str) -> ExperimentConfig:
 def resolve_schedule(fields: dict):
     """Build a schedule from explicit (kappa, L, K) or (kappa, horizon, delta).
 
-    Keys are case-insensitive, so L and K may be given in either case.
-    There are no fallback values: missing parameters are an error, and a
-    value that does not convert exits 1 naming ``schedule.<key>``.
+    The one reader of a schedule: every command's flags and every config's
+    [schedule] section come through here.  Keys are case-insensitive, so L
+    and K may be given in either case.  There are no fallback values:
+    missing parameters are an error, and a value that does not convert or
+    is out of range (kappa in (0, 1/4], horizon > 1, delta in (0, 1), at
+    most ``MAX_STEPS`` steps) raises a ValueError naming ``schedule.<key>``.
     """
     low = {str(k).lower(): v for k, v in fields.items()}
     if "kappa" not in low:
@@ -144,15 +135,21 @@ def resolve_schedule(fields: dict):
     if "l" in low or "k" in low:
         if "l" not in low or "k" not in low:
             raise ValueError("schedule requires both L and K when either is given")
+        if "horizon" in low or "delta" in low:
+            raise ValueError("schedule takes (L, K) or (horizon, delta), not both")
         return build_schedule(kappa, _schedule_field(low, "l"), _schedule_field(low, "k"))
     if "horizon" in low and "delta" in low:
         horizon = _schedule_field(low, "horizon")
         delta = _schedule_field(low, "delta")
-        if horizon <= 1.0 or not (0.0 < delta < 1.0):
-            raise ValueError("need horizon > 1 and delta in (0, 1)")
-        L = max(1, round((horizon - 1.0) / kappa))
-        extra = max(1, round(math.log(1.0 / delta) / math.log1p(kappa)))
-        return build_schedule(kappa, L, L + extra)
+        uniform = (horizon - 1.0) / kappa
+        geometric = math.log(1.0 / delta) / math.log1p(kappa)
+        if not uniform + geometric <= MAX_STEPS:
+            raise ValueError(
+                f"schedule.horizon = {horizon!r} and schedule.delta = {delta!r} need about "
+                f"{uniform + geometric:.3g} steps at kappa = {kappa!r}; K must be at most {MAX_STEPS}"
+            )
+        L = max(1, round(uniform))
+        return build_schedule(kappa, L, L + max(1, round(geometric)))
     raise ValueError("schedule requires kappa plus either (L, K) or (horizon, delta)")
 
 
@@ -207,25 +204,30 @@ def _checked(raw, param, name: str):
     except ValueError:
         noun = "an integer" if kind_of is int else "a number"
         raise ValueError(f"{name} must be {noun}, got {raw!r}") from None
-    if not (math.isfinite(value) and check(value)):
+    # an int is always finite, and may be too large to convert to a float
+    if not ((kind_of is int or math.isfinite(value)) and check(value)):
         raise ValueError(f"{name} must be {rule}, got {raw!r}")
     return value
 
 
-# [schedule] keys (lower-cased as a config file stores them): the name to report and the type
+# [experiment] seed and workers, which the --seed and --workers flags override
+_RUN_FIELDS = {"seed": (int, 0, *_NONNEGATIVE), "workers": (int, 1, *_AT_LEAST_1)}
+
+# [schedule] keys (lower-cased as a config file stores them): the name to
+# report and the rule; L, K and the step cap are build_schedule's
 _SCHEDULE_FIELDS = {
-    "kappa": ("kappa", float),
-    "l": ("L", int),
-    "k": ("K", int),
-    "horizon": ("horizon", float),
-    "delta": ("delta", float),
+    "kappa": ("kappa", (float, None, lambda v: 0.0 < v <= 0.25, "in (0, 0.25]")),
+    "l": ("L", (int, None, *_FINITE)),
+    "k": ("K", (int, None, *_FINITE)),
+    "horizon": ("horizon", (float, None, lambda v: v > 1.0, "> 1")),
+    "delta": ("delta", (float, None, lambda v: 0.0 < v < 1.0, "in (0, 1)")),
 }
 
 
 def _schedule_field(low: dict, key: str):
-    """``low[key]`` converted to its type, finite; ranges are build_schedule's."""
-    name, kind_of = _SCHEDULE_FIELDS[key]
-    return _checked(low[key], (kind_of, None, *_FINITE), f"config key schedule.{name}")
+    """``low[key]`` converted and checked, naming ``schedule.<key>``."""
+    name, param = _SCHEDULE_FIELDS[key]
+    return _checked(low[key], param, f"schedule.{name}")
 
 
 def _check_rank(rank: int, D: int, name: str) -> None:
@@ -421,7 +423,8 @@ def _preset_D_sweep(cfg: ExperimentConfig):
 
 def _preset_K_sweep(cfg: ExperimentConfig):
     opts = cfg.options
-    for key in ("kappa", "horizon", "delta"):
+    resolve_schedule(cfg.schedule)  # the given grid is read as any other, so L and K are not ignored
+    for key in ("horizon", "delta"):
         if key not in cfg.schedule:
             raise ValueError(f"K-sweep requires explicit schedule.{key}")
     kappa0, horizon, delta = (_schedule_field(cfg.schedule, key) for key in ("kappa", "horizon", "delta"))
@@ -433,7 +436,8 @@ def _preset_K_sweep(cfg: ExperimentConfig):
     law = _rank_d_law(D, d, var, cfg.seed)
     oracle = GaussianOracle(law)
     rows = []
-    for i in range(doublings + 1):
+    # finest grid first, so one past the step cap fails before any work; one grid lives at a time
+    for i in reversed(range(doublings + 1)):
         kappa = kappa0 / 2**i
         sched = resolve_schedule({"kappa": kappa, "horizon": horizon, "delta": delta})
         budget = metrics.discretization_error_meter(oracle, sched, 0, None, mode="exact").value
@@ -441,6 +445,7 @@ def _preset_K_sweep(cfg: ExperimentConfig):
             law, ReverseRunConfig(schedule=sched, seed=cfg.seed, init="data_pT")
         ).value
         rows.append((kappa, sched.n_uniform, sched.n_steps, budget, kl_disc))
+    rows.reverse()
     footer = []
     for i in range(1, len(rows)):
         footer.append((f"budget_factor_{i}", rows[i - 1][3] / rows[i][3]))
@@ -520,7 +525,8 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
     must sit within 3 standard errors of zero, monotonicity differences
     above -3 standard errors, concentration curves below the diameter bound
     and non-decreasing up to noise, and scores must match finite-difference
-    gradients of the log marginal to 1e-4 relative.
+    gradients of the log marginal to 1e-4 relative.  A row whose value,
+    stderr or z is not finite fails.
 
     Each case draws from its own derived stream (seed, case index), so the
     table is identical for any worker count; ``workers > 1`` runs cases on a
@@ -547,12 +553,12 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
         check, oname, oracle, ts = case
         if check == "martingale":
             rep = metrics.martingale_checks(oracle, *ts, n, rng)
-            z = rep.value / rep.stderr if rep.stderr > 0 else 0.0
+            z = rep.value / rep.stderr if rep.stderr else 0.0
             return [("martingale", f"{oname}@{ts}", rep.value, rep.stderr, z, abs(z) <= 3.0)]
         if check == "monotonicity":
             t1 = max(ts[0], 0.02)
             rep = metrics.monotonicity_check(oracle, t1, ts[1], ts[2], n, rng)
-            z = rep.value / rep.stderr if rep.stderr > 0 else 0.0
+            z = rep.value / rep.stderr if rep.stderr else 0.0
             return [
                 ("monotonicity", f"{oname}@{(t1, ts[1], ts[2])}", rep.value, rep.stderr, z, z >= -3.0)
             ]
@@ -568,7 +574,8 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
         return [("tweedie_fd", oname, err, 0.0, 0.0, err <= 1e-4)]
 
     chunks = map_streams(run_case, cases, seed, workers, first=1)
-    rows = [row for chunk in chunks for row in chunk]
+    # a non-finite value, stderr or z fails its row whatever the row's gate says
+    rows = [(*row[:5], row[5] and all(map(math.isfinite, row[2:5]))) for chunk in chunks for row in chunk]
     return rows, all(r[5] for r in rows)
 
 
@@ -580,23 +587,25 @@ def _preset_lemma_suite(cfg: ExperimentConfig):
     return ["check", "case", "value", "stderr", "z", "passed"], table, footer, None
 
 
+# Each preset's builder and the [options] keys it reads; other keys are rejected.
+PRESETS = {
+    "d-sweep": (_preset_d_sweep, ("D", "dims", "var")),
+    "D-sweep": (_preset_D_sweep, ("dims", "d", "var")),
+    "K-sweep": (_preset_K_sweep, ("doublings", "D", "d", "var")),
+    "eps-sweep": (_preset_eps_sweep, ("D", "d", "var", "eps")),
+    "lemma-suite": (_preset_lemma_suite, ("n",)),
+}
+
+
 def run_experiment(config: ExperimentConfig):
     """Execute a named preset; writes CSV, JSON, meta and SVG files.
 
     Returns (base path, footer summary).  Unknown presets and malformed
     specs fail before any computation starts.
     """
-    # each preset's builder and the [options] keys it reads; other keys are rejected
-    builders = {
-        "d-sweep": (_preset_d_sweep, ("D", "dims", "var")),
-        "D-sweep": (_preset_D_sweep, ("dims", "d", "var")),
-        "K-sweep": (_preset_K_sweep, ("doublings", "D", "d", "var")),
-        "eps-sweep": (_preset_eps_sweep, ("D", "d", "var", "eps")),
-        "lemma-suite": (_preset_lemma_suite, ("n",)),
-    }
-    if config.name not in builders:
-        raise ValueError(f"unknown preset {config.name!r}; choose from {PRESETS}")
-    build, allowed = builders[config.name]
+    if config.name not in PRESETS:
+        raise ValueError(f"unknown preset {config.name!r}; choose from {tuple(PRESETS)}")
+    build, allowed = PRESETS[config.name]
     for key in config.options:
         if key not in allowed:
             raise ValueError(f"unknown [options] key {key!r} for {config.name}; expected {allowed}")
@@ -616,7 +625,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_schedule_flags(p, required=True):
@@ -625,20 +634,20 @@ def _add_schedule_flags(p, required=True):
     p.add_argument("--K", type=int, required=required)
 
 
-def _schedule_from_args(args):
-    return build_schedule(args.kappa, args.L, args.K)
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` given on the command line."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def cli(argv=None) -> int:
     """Entry point; returns 0 on success, 1 on validation failure, 2 on runtime failure."""
     parser = _Parser(prog="revdiff", description="reverse-diffusion simulation and verification")
     # --seed and --workers default to None so that an explicit value can
-    # override a config file; _dispatch fills in 0 and 1.
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    # override a config file; _dispatch reads and checks them by _RUN_FIELDS.
+    parser.add_argument("--seed", default=None, help="master seed, >= 0 (default 0)")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument(
         "--workers",
-        type=int,
         default=None,
         help="threads for the sampler's 1024-sample chunks and the lemma-suite cases (default 1); "
         "a batch of 1024 or fewer is one chunk, and the point-cloud kernel shares its tiles over "
@@ -648,9 +657,9 @@ def cli(argv=None) -> int:
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it.
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--workers", default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -680,10 +689,10 @@ def cli(argv=None) -> int:
     p_meter.add_argument("--midpoint", action="store_true")
 
     p_check = sub.add_parser("check", parents=[common], help="run the lemma suite")
-    p_check.add_argument("--n", type=int, default=20000)
+    p_check.add_argument("--n", default=20000, help=f"samples per case, in [2, {_SIZE_CAP}]")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a sweep preset")
-    p_sweep.add_argument("--preset", required=True, choices=PRESETS)
+    p_sweep.add_argument("--preset", required=True, choices=tuple(PRESETS))
     p_sweep.add_argument("--kappa", type=float, default=None)
     p_sweep.add_argument("--horizon", type=float, default=None)
     p_sweep.add_argument("--delta", type=float, default=None)
@@ -703,16 +712,14 @@ def cli(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    explicit = {key: getattr(args, key) for key in ("seed", "workers") if getattr(args, key) is not None}
-    args.seed, args.workers = explicit.get("seed", 0), explicit.get("workers", 1)
+    explicit = {k: _checked(v, _RUN_FIELDS[k], f"--{k}") for k, v in _given(args, _RUN_FIELDS).items()}
+    args.seed, args.workers = (explicit.get(k, p[1]) for k, p in _RUN_FIELDS.items())
     if args.command == "schedule":
         if args.load:
             with open(args.load) as fh:
                 sched = schedule_from_text(fh.read())
         else:
-            if args.kappa is None or args.L is None or args.K is None:
-                raise ValueError("schedule needs --kappa --L --K or --load FILE")
-            sched = _schedule_from_args(args)
+            sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
         report = validate_schedule(sched)
         print(f"kappa = {sched.kappa:.17g}  L = {sched.n_uniform}  K = {sched.n_steps}")
         print(f"T = {sched.horizon:.17g}  delta = {sched.early_stop:.17g}")
@@ -725,7 +732,7 @@ def _dispatch(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "sample":
-        sched = _schedule_from_args(args)
+        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
         oracle = build_measure(args.measure, args.seed)
         cfg = ReverseRunConfig(
             schedule=sched,
@@ -746,7 +753,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "kl":
-        sched = _schedule_from_args(args)
+        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
         oracle = build_measure(args.measure, args.seed)
         if not hasattr(oracle, "law"):
             raise ValueError("kl needs a gaussian measure spec")
@@ -756,7 +763,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "meter":
-        sched = _schedule_from_args(args)
+        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
         oracle = build_measure(args.measure, args.seed)
         rng = spawn_rng(args.seed, 2)
         report = metrics.discretization_error_meter(
@@ -776,7 +783,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
-        rows, ok = lemma_suite(args.seed, args.n, workers=args.workers)
+        rows, ok = lemma_suite(args.seed, _checked(args.n, _SAMPLES, "--n"), workers=args.workers)
         for check, case, value, stderr, z, passed in rows:
             state = "pass" if passed else "FAIL"
             print(f"[{state}] {check:<22} {case:<34} value={value:+.6e} stderr={stderr:.3e} z={z:+.2f}")
@@ -791,19 +798,7 @@ def _dispatch(args) -> int:
             cfg.out_dir = args.out
             for key, val in explicit.items():
                 setattr(cfg, key, val)
-        if args.kappa is not None:
-            cfg.schedule["kappa"] = args.kappa
-        if args.horizon is not None:
-            cfg.schedule["horizon"] = args.horizon
-        if args.delta is not None:
-            cfg.schedule["delta"] = args.delta
-        if args.preset != "lemma-suite":
-            missing = [k for k in ("kappa", "horizon", "delta") if k not in cfg.schedule]
-            if missing:
-                raise ValueError(
-                    f"sweep preset {args.preset!r} requires explicit {missing} "
-                    "(via flags or the [schedule] config section)"
-                )
+        cfg.schedule.update(_given(args, ("kappa", "horizon", "delta")))
         base, footer = run_experiment(cfg)
         sys.stdout.write(_record.header(sorted(footer.items())))
         print(base + ".csv")

@@ -45,9 +45,6 @@ __all__ = [
 # score conversion ill conditioned.  Early-stopped schedules never get here.
 T_MIN = 1e-8
 
-# Log-weights this far below the maximum underflow to subnormals; flush to 0.
-_LOG_FLUSH = -745.0
-
 
 def spawn_rng(master_seed: int, stream: int) -> np.random.Generator:
     """Derive an independent generator for one worker or chunk.
@@ -385,11 +382,6 @@ class PointCloudOracle(ScoreOracle):
     a row max, one ``exp`` and one GEMM against [q | 1] that gives the
     weighted sum and the normaliser together; ``log_marginal`` also needs
     the leading component's log density, so it finds the argmax instead.
-    Weights 745 nats below a row's leading one underflow, and a mask flushes
-    them to zero.  The scan for them runs only on a tile where the bound
-    ``log w_min - log w_max - (max |y| + c max |q|)^2 / (2 sigma2)`` on every
-    logit's gap to its row max (y = x - c mu, q = p - mu) comes within 1 nat
-    of -745, which queries near a unit-diameter cloud at t >= 1e-3 never do.
     Zero-weight points are left out of the kernel arrays (``sample0`` still
     draws over the full cloud).
 
@@ -428,9 +420,7 @@ class PointCloudOracle(ScoreOracle):
         for i in range(0, len(w), rows):
             self._half_q2[i : i + rows] = (self._q[i : i + rows] ** 2).sum(axis=1)
         self._half_q2 *= 0.5
-        self._q_max = math.sqrt(2.0 * float(self._half_q2.max()))
         self._log_w = np.log(w)
-        self._log_w_span = float(self._log_w.min() - self._log_w.max())
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
@@ -463,11 +453,6 @@ class PointCloudOracle(ScoreOracle):
         y_one = np.empty((len(y), dim + 1))
         np.multiply(y, c / s2, out=y_one[:, :dim])
         y_one[:, dim] = 1.0
-        # Rows where the bound lets a logit reach the flush level (1 nat of
-        # slack covers the rounding of the computed logits):
-        # span - (|y| + c q_max)^2 / (2 s2) <= flush + 1, i.e. |y| >= near.
-        near = math.sqrt(max(0.0, 2.0 * s2 * (self._log_w_span - _LOG_FLUSH - 1.0))) - c * self._q_max
-        may_flush = (y * y).sum(axis=1) >= near * near if near > 0 else np.ones(len(y), dtype=bool)
 
         # One tile per call, so its logits are freed before the next tile
         # allocates its own: with two 512 KiB buffers live per thread, glibc
@@ -484,8 +469,6 @@ class PointCloudOracle(ScoreOracle):
             else:
                 lw -= lw.max(axis=1, keepdims=True)
                 lead_rows = None
-            if may_flush[rows].any() and lw.min() <= _LOG_FLUSH:
-                lw[lw <= _LOG_FLUSH] = -np.inf
             finish(out[rows], np.exp(lw, out=lw), lead_rows)
 
         _map_pooled(run, range(-(-len(y) // self.chunk)), _pool_size())

@@ -30,6 +30,10 @@ __all__ = [
 
 # Relative slack used when checking closed-form identities on float grids.
 _VAL_RTOL = 1e-12
+# Most steps a grid may have; its times, gaps and remaining times then take
+# 384 MiB.  A K-sweep of ten doublings from kappa = 0.1, T = 10, delta = 1e-6
+# stops near 2.4e5 steps.
+MAX_STEPS = 2**24
 
 
 def contraction(t):
@@ -103,7 +107,7 @@ def build_schedule(kappa: float, n_uniform: int, n_steps: int) -> TimeSchedule:
 
     Raises:
         ValueError: if kappa is outside (0, 1/4], or if the step counts do
-            not satisfy 1 <= n_uniform < n_steps.
+            not satisfy 1 <= n_uniform < n_steps <= MAX_STEPS.
     """
     kappa = float(kappa)
     if not (0.0 < kappa <= 0.25):
@@ -116,6 +120,8 @@ def build_schedule(kappa: float, n_uniform: int, n_steps: int) -> TimeSchedule:
         raise ValueError(
             f"total steps must exceed uniform steps, got K={n_steps} <= L={n_uniform}"
         )
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"K must be at most {MAX_STEPS}, got {n_steps}")
     horizon = kappa * n_uniform + 1.0
     early_stop = (1.0 + kappa) ** (n_uniform - n_steps)
     uniform = kappa * np.arange(n_uniform, dtype=float)

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,13 @@ from revdiff.harness import (
     ExperimentConfig,
     build_measure,
     cli,
+    lemma_suite,
     load_config,
     resolve_schedule,
     run_experiment,
 )
 from revdiff import _svg
-from revdiff.schedule import build_schedule, schedule_to_text
+from revdiff.schedule import MAX_STEPS, build_schedule, schedule_to_text
 
 
 def run_cli(capsys, *args):
@@ -109,6 +112,26 @@ def test_resolve_schedule_requires_explicit_fields():
     ],
 )
 def test_resolve_schedule_names_a_field_that_does_not_convert(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        resolve_schedule(fields)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"kappa": 0.0, "L": 4, "K": 9}, "schedule.kappa"),
+        ({"kappa": 0.3, "horizon": 3.0, "delta": 1e-3}, "schedule.kappa"),
+        ({"kappa": -1.0, "horizon": 3.0, "delta": 1e-3}, "schedule.kappa"),
+        ({"kappa": 0.2, "horizon": 1.0, "delta": 1e-3}, "schedule.horizon"),
+        ({"kappa": 0.2, "horizon": 3.0, "delta": 1.0}, "schedule.delta"),
+        ({"kappa": 0.1, "horizon": 1e15, "delta": 1e-6}, "schedule.horizon"),
+        ({"kappa": 0.1, "horizon": 1e308, "delta": 1e-6}, "schedule.horizon"),
+        ({"kappa": 0.1, "horizon": 10.0, "delta": 5e-324}, "schedule.delta"),
+        ({"kappa": 0.1, "L": 10, "K": 10**14}, f"K must be at most {MAX_STEPS}"),
+        ({"kappa": 0.2, "L": 4, "K": 9, "horizon": 3.0, "delta": 1e-3}, "not both"),
+    ],
+)
+def test_resolve_schedule_names_a_field_out_of_range(fields, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         resolve_schedule(fields)
 
@@ -337,6 +360,37 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
     ]
 
 
+_SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--batch", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "--n", "0"], "--n"),
+        (["check", "--n", "1"], "--n"),
+        (["check", "--n", "many"], "--n"),
+        (["--seed", "-1", "check", "--n", "2"], "--seed"),
+        ([*_SAMPLE, "--seed", "x"], "--seed"),
+        ([*_SAMPLE, "--workers", "0"], "--workers"),
+        (["--workers", "1.5", *_SAMPLE], "--workers"),
+        (["sample", "--kappa", "x", "--L", "10", "--K", "40", "--measure", "point-mass:D=2"], "--kappa"),
+        (["meter", "--kappa", "0.2", "--L", "1.5", "--K", "40", "--measure", "point-mass:D=2"], "--L"),
+        (["sample", "--kappa", "nan", "--L", "10", "--K", "40", "--measure", "point-mass:D=2"], "schedule.kappa"),
+        (["kl", "--kappa", "0.3", "--L", "10", "--K", "40", "--measure", "gaussian:D=2"], "schedule.kappa"),
+        (["schedule", "--kappa", "0.1", "--L", "10", "--K", "100000000000000"], "K must be at most"),
+        (["schedule", "--L", "4", "--K", "8"], "kappa"),
+        (["sweep", "--preset", "d-sweep", "--kappa", "0", "--horizon", "10", "--delta", "1e-6"], "schedule.kappa"),
+        (["sweep", "--preset", "d-sweep", "--kappa", "0.1", "--horizon", "1e15", "--delta", "1e-6"], "schedule.horizon"),
+        (["sweep", "--preset", "nope"], "--preset"),
+    ],
+)
+def test_cli_inputs_exit_1_naming_the_flag_or_field(tmp_path, capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert named in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_malformed_flags_exit_1(capsys):
     code, _, _ = run_cli(capsys, "schedule", "--kappa", "abc", "--L", "4", "--K", "8")
     assert code == 1
@@ -430,6 +484,64 @@ def test_cli_sweep_runs_preset(tmp_path, capsys):
     assert os.path.exists(os.path.join(str(tmp_path), "K-sweep.csv"))
 
 
+def test_cli_sweep_reads_an_L_K_schedule_as_run_experiment_does(tmp_path, capsys):
+    ini = tmp_path / "f.ini"
+    ini.write_text("[experiment]\nseed = 3\n\n[schedule]\nkappa = 0.1\nL = 90\nK = 235\n\n[options]\nD = 8\ndims = 1 2\n")
+    code, _, err = run_cli(capsys, "sweep", "--preset", "d-sweep", "--config", str(ini), "--out", str(tmp_path / "cli"))
+    assert code == 0, err
+    cfg = load_config(str(ini))
+    cfg.name, cfg.out_dir = "d-sweep", str(tmp_path / "direct")
+    base, _ = run_experiment(cfg)
+    for ext in (".csv", ".json", ".meta", ".svg"):
+        assert (tmp_path / "cli" / ("d-sweep" + ext)).read_bytes() == open(base + ext, "rb").read(), ext
+
+
+@pytest.mark.parametrize(
+    "schedule, named",
+    [("L = 4\nK = 9\nhorizon = 3\ndelta = 1e-3", "not both"), ("L = 4\nK = 9", "schedule.horizon")],
+)
+def test_cli_K_sweep_takes_horizon_and_delta_not_L_and_K(tmp_path, capsys, schedule, named):
+    ini = tmp_path / "f.ini"
+    ini.write_text(f"[schedule]\nkappa = 0.2\n{schedule}\n")
+    code, _, err = run_cli(capsys, "sweep", "--preset", "K-sweep", "--config", str(ini), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_K_sweep_past_the_step_cap_exits_1_before_any_work(tmp_path, capsys):
+    # the given grid has about 2e4 steps, the finest of ten doublings 2e7
+    ini = tmp_path / "f.ini"
+    ini.write_text("[schedule]\nkappa = 0.25\nhorizon = 5e3\ndelta = 1e-3\n\n[options]\ndoublings = 10\n")
+    code, _, err = run_cli(capsys, "sweep", "--preset", "K-sweep", "--config", str(ini), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "schedule.horizon" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_lemma_suite_preset_writes_the_suite_table(tmp_path):
+    cfg = ExperimentConfig(name="lemma-suite", seed=4, out_dir=str(tmp_path), workers=2, options={"n": "500"})
+    base, footer = run_experiment(cfg)
+    rows, ok = lemma_suite(4, 500)
+    payload = json.loads(open(base + ".json").read())
+    assert payload["columns"] == ["check", "case", "value", "stderr", "z", "passed"]
+    assert payload["rows"] == [[c, case, v, se, z, int(p)] for c, case, v, se, z, p in rows]
+    assert footer == {"all_passed": int(ok)}
+    assert "options.n = 500" in open(base + ".meta").read().splitlines()
+    assert not os.path.exists(base + ".svg")
+
+
+def test_lemma_suite_fails_rows_that_are_not_finite():
+    # one sample per case leaves every stderr NaN; such rows must fail, not pass with z = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows, ok = lemma_suite(0, n=1)
+    assert not ok
+    bad = [r for r in rows if not all(map(math.isfinite, r[2:5]))]
+    assert {r[0] for r in bad} >= {"martingale", "monotonicity"}
+    assert not any(r[5] for r in bad)
+
+
 def test_eps_sweep_quadratic_slope(tmp_path):
     cfg = small_sweep_config("eps-sweep", tmp_path, D=4, d=1)
     base, footer = run_experiment(cfg)
@@ -489,6 +601,10 @@ def test_cli_config_rejects_unknown_option_key(tmp_path, capsys):
         ("[measure]\nkind = circle\n", "measure.kind"),
         ("[experiment]\nseed = 1\nseed = 2\n", "'seed'"),
         ("seed = 1\n", "no section headers"),
+        ("[experiment]\nseed = -1\n", "experiment.seed"),
+        ("[experiment]\nseed = 1.5\n", "experiment.seed"),
+        ("[experiment]\nworkers = 0\n", "experiment.workers"),
+        ("[experiment]\nworkers = two\n", "experiment.workers"),
     ],
 )
 def test_cli_config_rejects_unknown_or_malformed_entries(tmp_path, capsys, text, named):

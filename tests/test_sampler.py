@@ -430,6 +430,32 @@ def test_standard_gaussian_terminal_matches_exact_propagation():
     assert (var_exact != 1.0).all()
 
 
+_BIASED = ScorePerturbation(epsilon=0.5, constant=[1.0, -0.5, 0.0], linear=0.5 * np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "init, bias",
+    [("data_pT", None), ("standard_normal", _BIASED), ("data_pT", _BIASED)],
+    ids=["data_pT", "perturbed", "perturbed-data_pT"],
+)
+def test_terminal_moments_match_exact_propagation_on_each_sampler_path(init, bias):
+    # the data_pT start and a perturbed score: each coordinate's terminal mean
+    # and variance within 5 standard errors of the exact affine propagation
+    law = GaussianLaw(mean=np.array([1.0, 0.0, -0.5]), factor=np.array([[1.0], [0.5], [0.0]]), diag_floor=0.01)
+    source = "exact" if bias is None else bias
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 2, 20), batch=40_000, seed=29, init=init, score_source=source)
+    res = run_reverse(cfg, GaussianOracle(law))
+    exact = propagate_affine_reverse(law, cfg)
+    var, n = np.diag(exact.covariance()), cfg.batch
+    se_mean = np.sqrt(var / n)
+    assert (np.abs(res.terminal.mean(axis=0) - exact.mean) <= 5 * se_mean).all()
+    assert (np.abs(res.terminal.var(axis=0, ddof=1) - var) <= 5 * var * math.sqrt(2.0 / (n - 1))).all()
+    # at T = 1.4 both the start law and the bias move the terminal mean more
+    # than 10 standard errors from the plain run's, so the check has power
+    plain = propagate_affine_reverse(law, ReverseRunConfig(schedule=cfg.schedule))
+    assert (np.abs(plain.mean - exact.mean) / se_mean).max() > 10
+
+
 def test_coordinate_decoupling_on_product_data():
     two = PointCloudOracle(
         PointCloudMeasure.uniform(np.array([[-0.5], [0.5]]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revdiff.schedule import (
+    MAX_STEPS,
     build_schedule,
     noise_scales,
     schedule_from_text,
@@ -72,6 +73,12 @@ def test_build_schedule_minimal_grid():
 def test_build_schedule_rejects_bad_parameters(kappa, L, K):
     with pytest.raises(ValueError):
         build_schedule(kappa, L, K)
+
+
+@pytest.mark.parametrize("K", [MAX_STEPS + 1, 10**14])
+def test_build_schedule_caps_the_step_count_before_allocating(K):
+    with pytest.raises(ValueError, match=f"K must be at most {MAX_STEPS}"):
+        build_schedule(0.1, 10, K)
 
 
 def test_boundary_kappa_accepted():
