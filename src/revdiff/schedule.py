@@ -32,7 +32,7 @@ __all__ = [
 _VAL_RTOL = 1e-12
 # Most steps a grid may have; its times, gaps and remaining times then take
 # 384 MiB.  A K-sweep of ten doublings from kappa = 0.1, T = 10, delta = 1e-6
-# stops near 2.4e5 steps.
+# stops near 2.3e5 steps.
 MAX_STEPS = 2**24
 
 
