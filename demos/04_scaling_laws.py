@@ -17,7 +17,6 @@ from revdiff import (
     GaussianLaw,
     GaussianOracle,
     ReverseRunConfig,
-    build_schedule,
     discretization_error_meter,
     gaussian_kl,
     kl_experiment,
@@ -25,6 +24,7 @@ from revdiff import (
     random_frame,
     spawn_rng,
 )
+from revdiff.harness import resolve_schedule
 
 
 def rank_law(D, d, var=0.25, seed=0):
@@ -33,9 +33,7 @@ def rank_law(D, d, var=0.25, seed=0):
 
 
 def grid(kappa, horizon=10.0, delta=1e-6):
-    L = round((horizon - 1.0) / kappa)
-    extra = round(math.log(1.0 / delta) / math.log1p(kappa))
-    return build_schedule(kappa, L, L + extra)
+    return resolve_schedule({"kappa": kappa, "horizon": horizon, "delta": delta})
 
 
 sched = grid(0.1)

@@ -91,7 +91,8 @@ def load_config(path: str) -> ExperimentConfig:
     Schedule fields are never defaulted: kappa, and either (L, K) or
     (horizon, delta), must be given explicitly whenever a schedule is needed.
     """
-    parser = configparser.ConfigParser()
+    # values are plain text: no %-interpolation, which raised on a bare '%'
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # [options] keep their case: D (ambient) and d (intrinsic) differ
     try:
         read = parser.read(path)
@@ -176,9 +177,15 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int, rotate: bool = True) -
 # copy are two n x D float64 arrays, 128 MiB each at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
+# A manifold cloud is rotated by a full D x D frame: O(D^3) time and O(D^2)
+# memory.  At D = 1024 the build takes 0.3 s and 78 MB peak RSS; at 2048 it
+# took 1.7 s and 199 MB, and 2**14 would take minutes and about 11 GB.
+_MAX_MANIFOLD_D = 2**10
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _FINITE = (lambda v: True, "finite")
+_AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
+_MANIFOLD_AMBIENT = (int, 2, lambda v: 2 <= v <= _MAX_MANIFOLD_D, f"in [2, {_MAX_MANIFOLD_D}]")
 # Parameters of each measure kind: key -> (type, default, check, the check in words)
 _MEASURE_PARAMS = {
     "gaussian": {
@@ -189,11 +196,14 @@ _MEASURE_PARAMS = {
     },
     "point-mass": {"value": (float, 1.0, *_FINITE)},
     "two-point": {"sep": (float, 1.0, *_FINITE)},
-    "circle": {"n": (int, 2048, *_AT_LEAST_1)},
-    "torus": {"n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
-    "hilbert": {"n": (int, 2048, *_AT_LEAST_1), "order": (int, 3, lambda v: 1 <= v <= 8, "in [1, 8]")},
+    "circle": {"D": _MANIFOLD_AMBIENT, "n": (int, 2048, *_AT_LEAST_1)},
+    "torus": {"D": _MANIFOLD_AMBIENT, "n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
+    "hilbert": {
+        "D": _MANIFOLD_AMBIENT,
+        "n": (int, 2048, *_AT_LEAST_1),
+        "order": (int, 3, lambda v: 1 <= v <= 8, "in [1, 8]"),
+    },
 }
-_AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
 
 
 def _checked(raw, param, name: str):
@@ -259,8 +269,9 @@ def build_measure(spec, seed: int = 0):
     Kinds: gaussian (D, rank, var, floor, rotate), point-mass (D, value),
     two-point (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n,
     order).  An unknown key, a value that does not convert, or one out of
-    range (var > 0, floor >= 0, n >= 1, D <= 2**14, a cloud's n * D at most
-    2**24) raises a ValueError naming ``kind.key``.
+    range (var > 0, floor >= 0, n >= 1, D <= 2**14 and D in [2, 2**10] for
+    circle, torus and hilbert, a cloud's n * D at most 2**24) raises a
+    ValueError naming ``kind.key``.
     """
     if isinstance(spec, str):
         spec = _parse_kv_spec(spec)

@@ -63,8 +63,12 @@ _POOL_LOCK = threading.Lock()
 _THREAD = threading.local()
 
 
+# os.cpu_count() reads sysfs (about 7 us); every cloud query and dense step asks
+_CPUS = os.cpu_count() or 1
+
+
 def _pool_size() -> int:
-    return os.cpu_count() or 1
+    return _CPUS
 
 
 def _mark_inline():
@@ -371,24 +375,52 @@ class PointMassOracle(ScoreOracle):
         return -0.5 * d2 / s2 - 0.5 * self.dim * math.log(2.0 * math.pi * s2)
 
 
+# A row's shifted normaliser below this means its bound overshot the row max
+# by more than about 665 nats; such a row is recomputed with the row max.
+_FAR_NORM = 2.0**-960
+# The shifted logits run only when (D + 6) times the largest term magnitude
+# stays below this: the GEMM's rounding is then at most 2**9 nats, so no
+# logit can round up far enough for exp to overflow (about 709).
+_SHIFT_SCALE_CAP = 2.0**61
+
+
 class PointCloudOracle(ScoreOracle):
     """Finitely supported data; the noised marginal is a Gaussian mixture.
 
     Log-weights use the distance expansion of ``||x - c p_j||^2`` (as in
     scikit-learn's ``euclidean_distances``) on points centred at their
     weighted centroid, so that the expansion does not cancel for clouds far
-    from the origin.  Per tile of query rows the kernel makes one GEMM for
-    the logits, with the t-dependent bias row folded in as an extra column,
-    a row max, one ``exp`` and one GEMM against [q | 1] that gives the
-    weighted sum and the normaliser together; ``log_marginal`` also needs
-    the leading component's log density, so it finds the argmax instead.
-    Zero-weight points are left out of the kernel arrays (``sample0`` still
-    draws over the full cloud).
+    from the origin.  Zero-weight points are left out of the kernel arrays
+    (``sample0`` still draws over the full cloud).
+
+    ``posterior_mean`` makes three passes over each tile's logits: one GEMM,
+    an in-place ``exp`` and one GEMM against [q | 1] that gives the weighted
+    sum and the normaliser together, then a divide of a tile's narrow sums.
+    Each row's logits are shifted not by their max but by a bound b on
+    them that costs O(D) per row.  With y = x - c mu, the kernel's logit
+    (c y.q_j - c^2 ||q_j||^2 / 2) / s2 + log w_j is at most
+    (2 c ||y|| r - c^2 r^2) / (2 s2) + max_j log w_j with r = ||q_j||, and
+    over r in [0, max_j ||q_j||] that peaks at
+    b = u (2 ||y|| - u) / (2 s2) + max_j log w_j, u = min(||y||, c max_j ||q_j||),
+    which is at most ||y||^2 / (2 s2) + max_j log w_j.  (The looser bound
+    overshoots a noisy query's max by about D / 2 nats, so past D = 1300 or
+    so every row would need the fallback below.)  The GEMM takes -b as one
+    more column of the query operand against a row of ones, so no pass
+    finds or subtracts a max, and every weight is at most 1 up to rounding.
+    A row whose normaliser comes out below 2**-960 (b overshot its max by
+    more than about 665 nats: a query far from every point of the noised
+    cloud) is recomputed with its exact row max, after the tile's logits
+    are freed; so is every row of a query whose terms are so large (about
+    2**61 / (D + 6)) that rounding could make ``exp`` overflow.
+    ``log_marginal`` also needs the leading component's log density, so it
+    finds the argmax instead.
 
     A tile has 2**16 // n_points rows, so its logit buffer is 512 KiB
     whatever the cloud size (32 rows for 2048 points): with the tile's
     operands it stays inside a 2 MiB per-core L2 cache through the passes
-    the kernel makes over it.  ``chunk`` overrides the row count.
+    the kernel makes over it.  Doubling it (64 rows for 2048 points) was no
+    faster and added about 2.5 MB of peak RSS.  ``chunk`` overrides the row
+    count.
 
     A query of two or more tiles made outside pooled work hands its tiles,
     whole, to the caller and the threads of the pool behind ``map_streams``
@@ -421,6 +453,8 @@ class PointCloudOracle(ScoreOracle):
             self._half_q2[i : i + rows] = (self._q[i : i + rows] ** 2).sum(axis=1)
         self._half_q2 *= 0.5
         self._log_w = np.log(w)
+        self._log_w_range = (float(self._log_w.min()), float(self._log_w.max()))
+        self._q_max = math.sqrt(2.0 * self._half_q2.max())
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
@@ -432,57 +466,79 @@ class PointCloudOracle(ScoreOracle):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
         return self.cloud.points[idx]
 
-    def _tiles(self, t, x, out, finish, lead):
-        """Call ``finish(out[rows], e, lead)`` on each tile of query rows.
+    def _operands(self, t, x, shift):
+        """``(y, y_op, q_op)`` for the logit GEMM of query ``x``.
 
-        ``e`` holds each row's weights relative to its leading component and
-        ``lead`` (only when asked for) that component's log density in direct
-        form; the logits omit -||y||^2 / (2 s2), which is constant in a row.
+        ``y`` = x - c mu per row.  ``y_op @ q_op[: y_op.shape[1]]`` gives the
+        logits [y c/s2 | 1] @ [q | bias]^T, which omit -||y||^2 / (2 s2),
+        constant in a row; with ``shift`` ``y_op`` has a last column -b, the
+        bound, and those logits are less b.  ``shift`` is turned off, and the
+        column left out, for a query whose terms are too large for it.  Every
+        row-wise step is taken once for the whole query, so a tile makes only
+        its passes over the logits.
         """
         c, s2 = noise_scales(t)
         dim = self.dim
-        log_norm = 0.5 * dim * math.log(2.0 * math.pi * s2)
-        # logits = [y c/s2 | 1] @ [q | bias]^T
-        q_bias = np.empty((dim + 1, len(self._q)))
-        q_bias[:dim] = self._q.T
-        np.multiply(self._half_q2, -(c * c / s2), out=q_bias[dim])
-        q_bias[dim] += self._log_w
-        # every row-wise step is taken once for the whole query, so a tile
-        # makes only its passes over the logits
+        q_op = np.empty((dim + 2, len(self._q)))
+        q_op[:dim] = self._q.T
+        np.multiply(self._half_q2, -(c * c / s2), out=q_op[dim])
+        q_op[dim] += self._log_w
+        q_op[dim + 1] = 1.0
         y = x.reshape(-1, dim) - c * self._mu
-        y_one = np.empty((len(y), dim + 1))
-        np.multiply(y, c / s2, out=y_one[:, :dim])
-        y_one[:, dim] = 1.0
+        if shift:
+            y2 = np.einsum("ij,ij->i", y, y)  # inf, without a warning, past |y| = 1e154
+            low, high = self._log_w_range
+            # a Python float, which overflows to inf silently
+            scale = 0.5 / s2 * (float(y2.max(initial=0.0)) + (c * self._q_max) ** 2) - low
+            shift = scale < _SHIFT_SCALE_CAP / (dim + 6)
+        y_op = np.empty((len(y), dim + 1 + shift))
+        np.multiply(y, c / s2, out=y_op[:, :dim])
+        y_op[:, dim] = 1.0
+        if shift:
+            y_norm = np.sqrt(y2)
+            u = np.minimum(y_norm, c * self._q_max)
+            np.multiply(u * (u - 2.0 * y_norm), 0.5 / s2, out=y_op[:, dim + 1])
+            y_op[:, dim + 1] -= high
+        return y, y_op, q_op
 
-        # One tile per call, so its logits are freed before the next tile
-        # allocates its own: with two 512 KiB buffers live per thread, glibc
-        # malloc gave heap back to the OS and faulted it in again on every
-        # tile (about 90x the page faults of a sampler run).
-        def run(i):
-            rows = slice(i * self.chunk, (i + 1) * self.chunk)
-            lw = y_one[rows] @ q_bias
-            if lead:
-                top = lw.argmax(axis=1)
-                lw -= lw[np.arange(len(top)), top][:, None]
-                d2 = ((y[rows] - c * self._q[top]) ** 2).sum(axis=1)
-                lead_rows = self._log_w[top] - 0.5 * d2 / s2 - log_norm
-            else:
-                lw -= lw.max(axis=1, keepdims=True)
-                lead_rows = None
-            finish(out[rows], np.exp(lw, out=lw), lead_rows)
+    def _map_tiles(self, n_rows, run):
+        """``run(rows)`` for the row slice of each tile, over the pool.
 
-        _map_pooled(run, range(-(-len(y) // self.chunk)), _pool_size())
+        One tile per call, so its logits are freed before the next tile
+        allocates its own: with two 512 KiB buffers live per thread, glibc
+        malloc gave heap back to the OS and faulted it in again on every tile
+        (about 90x the page faults of a sampler run).
+        """
+        chunk = self.chunk
+        _map_pooled(lambda i: run(slice(i * chunk, (i + 1) * chunk)), range(-(-n_rows // chunk)), _pool_size())
 
     def posterior_mean(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
         out = np.empty((math.prod(x.shape[:-1]), self.dim))
+        dim = self.dim
+        _, y_op, q_op = self._operands(t, x, shift=True)
+        shift = y_op.shape[1] > dim + 1
 
-        def finish(dest, e, _):
-            sums = e @ self._q_one
-            np.divide(sums[:, : self.dim], sums[:, self.dim :], out=dest)
+        def max_shifted_sums(rows):
+            lw = y_op[rows, : dim + 1] @ q_op[: dim + 1]
+            lw -= lw.max(axis=1, keepdims=True)
+            return np.exp(lw, out=lw) @ self._q_one
 
-        self._tiles(t, x, out, finish, lead=False)
+        def run(rows):
+            if not shift:
+                sums = max_shifted_sums(rows)
+            else:
+                lw = y_op[rows] @ q_op
+                sums = np.exp(lw, out=lw) @ self._q_one
+                del lw  # freed before a fallback allocates its own logits
+                norm = sums[:, dim]
+                if norm.min() < _FAR_NORM:
+                    far = np.flatnonzero(norm < _FAR_NORM)
+                    sums[far] = max_shifted_sums(far + rows.start)
+            np.divide(sums[:, :dim], sums[:, dim:], out=out[rows])
+
+        self._map_tiles(len(out), run)
         out += self._mu
         return out.reshape(x.shape)
 
@@ -490,11 +546,20 @@ class PointCloudOracle(ScoreOracle):
         t = _check_time(t)
         x = self._check_point(x)
         out = np.empty(math.prod(x.shape[:-1]))
+        c, s2 = noise_scales(t)
+        y, y_op, q_op = self._operands(t, x, shift=False)
+        q_op = q_op[: self.dim + 1]
+        log_norm = 0.5 * self.dim * math.log(2.0 * math.pi * s2)
 
-        def finish(dest, e, lead_rows):
-            np.add(lead_rows, np.log(e.sum(axis=1)), out=dest)
+        def run(rows):
+            lw = y_op[rows] @ q_op
+            top = lw.argmax(axis=1)
+            lw -= lw[np.arange(len(top)), top][:, None]
+            d2 = ((y[rows] - c * self._q[top]) ** 2).sum(axis=1)
+            lead = self._log_w[top] - 0.5 * d2 / s2 - log_norm
+            np.add(lead, np.log(np.exp(lw, out=lw).sum(axis=1)), out=out[rows])
 
-        self._tiles(t, x, out, finish, lead=True)
+        self._map_tiles(len(out), run)
         return out.reshape(x.shape[:-1])
 
 

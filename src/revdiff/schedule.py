@@ -200,7 +200,8 @@ def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
         len(t) == K + 1 and len(g) == K,
         f"len(times)={len(t)}, len(gammas)={len(g)}",
     )
-    if not (1 <= L < K) or len(t) != K + 1 or len(g) != K:  # later checks index by L and K
+    # later checks index by L and K, and raise 1 + kappa to the power L - K
+    if not (0.0 < kappa <= 0.25 and 1 <= L < K) or len(t) != K + 1 or len(g) != K:
         return ScheduleValidation(False, tuple(checks), tuple(c for c in checks if not c[1]))
 
     record("starts_at_zero", t[0] == 0.0, f"t_0={t[0]}")

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revdiff.harness import (
     ExperimentConfig,
@@ -20,7 +22,7 @@ from revdiff.harness import (
     run_experiment,
 )
 from revdiff import _svg
-from revdiff.schedule import MAX_STEPS, build_schedule, schedule_to_text
+from revdiff.schedule import MAX_STEPS, build_schedule, schedule_from_text, schedule_to_text, validate_schedule
 
 
 def run_cli(capsys, *args):
@@ -76,6 +78,11 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("torus:D=4,d=0", "torus.d"),
         ("hilbert:D=2,order=9", "hilbert.order"),
         ("circle:D=2,order=3", "circle.order"),
+        # a manifold's D x D rotation would take minutes and gigabytes at 2**14
+        ("circle:D=1025,n=1", "circle.D"),
+        ("torus:D=4096,d=2,n=1", "torus.D"),
+        ("hilbert:D=16384,n=1", "hilbert.D"),
+        ("circle:D=1,n=1", "circle.D"),
     ],
 )
 def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named):
@@ -87,6 +94,10 @@ def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, n
     assert code == 1
     assert named in err
     assert not (tmp_path / "sample.txt").exists()
+
+
+def test_manifold_D_at_the_cap_builds():
+    assert build_measure("circle:D=1024,n=1", seed=0).dim == 1024
 
 
 def test_resolve_schedule_requires_explicit_fields():
@@ -156,6 +167,106 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.name == "d-sweep" and cfg.seed == 5
     assert cfg.schedule["kappa"] == "0.2"
     assert cfg.options["dims"] == "1 2"
+
+
+# ---------------------------------------------------------------------------
+# input fuzzing: malformed input raises only what the CLI maps to exit 1
+# ---------------------------------------------------------------------------
+
+# Values kept small where they might be valid, so that a spec or schedule that
+# does parse builds in milliseconds; the large ones are all past a cap.
+_FUZZ_VALUES = (
+    st.sampled_from(
+        ["0", "1", "2", "-1", "3.5", "1e-3", "0.25", "nan", "inf", "-inf", "1e999", "5e-324", "99999999999",
+         "0x10", "1_0", " 4 ", "", "=", ",", ":", "%", "%(x)s", "٣", "1 2", "True"]
+    )
+    | st.integers(-3, 40).map(str)
+    | st.floats(-1e3, 1e3).map(repr)
+    | st.text(max_size=6)
+)
+
+
+def _spec_text(kind, items):
+    return kind + (":" + ",".join(f"{k}={v}" for k, v in items) if items else "")
+
+
+@given(
+    spec=st.builds(
+        _spec_text,
+        st.sampled_from(["gaussian", "point-mass", "two-point", "circle", "torus", "hilbert", "", "blob"])
+        | st.text(max_size=8),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["D", "n", "d", "rank", "var", "floor", "rotate", "value", "sep", "order", " D", "N"])
+                | st.text(max_size=4),
+                _FUZZ_VALUES,
+            ),
+            max_size=5,
+        ),
+    )
+    | st.text(max_size=30)
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_measure_specs_raise_only_value_error(spec):
+    try:
+        build_measure(spec, seed=0)
+    except ValueError:
+        pass
+
+
+# a valid saved grid, field by field
+_GRID_FIELDS = dict(line.split(" = ", 1) for line in schedule_to_text(build_schedule(0.25, 4, 8)).splitlines())
+
+
+@given(
+    fields=st.fixed_dictionaries(
+        {},
+        optional={
+            key: st.just(value) | _FUZZ_VALUES | st.lists(_FUZZ_VALUES, max_size=10).map(" ".join)
+            for key, value in _GRID_FIELDS.items()
+        },
+    ),
+    junk=st.lists(st.sampled_from(["", "# note", "junk", "=", "x = 1", "kappa = 0.25"]) | st.text(max_size=20), max_size=3),
+)
+@example(fields={**_GRID_FIELDS, "kappa": "-1"}, junk=[])  # raised ZeroDivisionError from (1 + kappa) ** (L - K)
+@settings(max_examples=300, deadline=None)
+def test_fuzz_schedule_records_raise_only_value_error(fields, junk):
+    # ``schedule --load``: parse, then validate
+    text = "\n".join([f"{key} = {value}" for key, value in fields.items()] + junk)
+    try:
+        validate_schedule(schedule_from_text(text))
+    except ValueError:
+        pass
+
+
+@given(
+    lines=st.lists(
+        st.builds("[{}]".format, st.sampled_from(["experiment", "schedule", "perturbation", "options", "DEFAULT", "Schedule", "x"]))
+        | st.builds(
+            lambda k, sep, v: f"{k}{sep}{v}",
+            st.sampled_from(["name", "seed", "out_dir", "workers", "kappa", "L", "K", "horizon", "delta", "constant", "D", "dims", "x"])
+            | st.text(max_size=4),
+            st.sampled_from([" = ", ": ", "=", " "]),
+            _FUZZ_VALUES,
+        )
+        | st.text(max_size=20),
+        max_size=10,
+    )
+)
+@example(lines=["[experiment]", "name = 50%"])  # raised configparser's InterpolationSyntaxError
+@settings(max_examples=300, deadline=None)
+def test_fuzz_config_files_raise_only_value_key_or_os_error(lines):
+    # the config half of the CLI: load_config, then the schedule it names
+    fd, path = tempfile.mkstemp(suffix=".ini")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write("\n".join(lines))
+        try:
+            resolve_schedule(load_config(path).schedule)
+        except (ValueError, KeyError, OSError):
+            pass
+    finally:
+        os.unlink(path)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +416,7 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
         "# L = 10",
         "# K = 40",
         "# measure = two-point:D=2",
-        "0.43631865086173494 0.18477468188972476",
+        "0.43631865086173499 0.18477468188972476",
     ]
 
     code, out, _ = run_cli(

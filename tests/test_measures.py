@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,96 @@ def test_cloud_far_queries_match_the_long_double_direct_form():
         ref_mean, ref_lm = _direct_form(cloud, t, x, np.longdouble)
         assert np.abs(oracle.posterior_mean(t, x) - ref_mean).max() <= 2e-12
         assert (np.abs(oracle.log_marginal(t, x) - ref_lm) <= 1e-8 * np.maximum(1, np.abs(ref_lm))).all()
+
+
+@given(
+    dim=st.integers(1, 5),
+    n=st.integers(2, 64),
+    offset=st.floats(0.0, 1e3),
+    log_t=st.floats(math.log(T_MIN), math.log(5.0)),
+    noise=st.sampled_from([1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=1, n=3, offset=684.0, log_t=0.0, noise=30.0, seed=41320)  # the bound met exactly
+@settings(max_examples=150, deadline=None)
+def test_cloud_shift_is_never_below_a_row_max_logit(dim, n, offset, log_t, noise, seed):
+    # posterior_mean shifts each row's logits by a bound b instead of by
+    # their max.  Against the long-double logits
+    # (c y.q_j - c^2 ||q_j||^2 / 2) / s2 + log w_j on the oracle's own
+    # centred points, b may fall short only by its rounding, a few ulps of
+    # its terms; in one dimension the bound is often met exactly.
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dim)
+    pts = offset * u / max(np.linalg.norm(u), 1e-12) + rng.standard_normal((n, dim))
+    raw = rng.random(n) * (rng.random(n) > 0.25)
+    raw[rng.integers(n)] += 0.5
+    cloud = PointCloudMeasure(pts, raw / raw.sum())
+    t = max(math.exp(log_t), T_MIN)
+    c, s2 = math.exp(-t), -math.expm1(-2 * t)
+    x = c * pts[rng.integers(n, size=8)] + noise * math.sqrt(s2) * rng.standard_normal((8, dim))
+    oracle = PointCloudOracle(cloud)
+    y, y_op, _ = oracle._operands(t, x, shift=True)
+    assert y_op.shape[1] == dim + 2  # these terms are far below the overflow guard
+    b = -y_op[:, dim + 1]
+    ld = np.longdouble
+    q, y = oracle._q.astype(ld), y.astype(ld)
+    log_w = np.log(cloud.weights[cloud.weights > 0])
+    logits = (ld(c) * (y @ q.T) - 0.5 * ld(c) ** 2 * (q * q).sum(axis=1)) / ld(s2) + log_w.astype(ld)
+    y_norm = np.sqrt((y * y).sum(axis=1))
+    q_max = np.sqrt((q * q).sum(axis=1).max())
+    slack = 16 * np.finfo(float).eps * ((y_norm**2 / 2 + c * q_max * y_norm) / s2 + np.abs(log_w).max())
+    assert (b >= logits.max(axis=1) - slack).all()
+
+
+def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form():
+    # Every tile holds rows near the noised cloud, which the shifted kernel
+    # answers, and rows with |x| about 3 at t = 1e-4.  On a cloud spread to
+    # 1e6 those are far from every point: their bound overshoots the row max
+    # by far more than 665 nats, the shifted normaliser underflows and the
+    # row is recomputed with its max.  On a diameter-1 circle the bound
+    # nearly meets them, since some point lies close to every direction.
+    t = 1e-4
+    c, s2 = math.exp(-t), -math.expm1(-2 * t)
+    rng = np.random.default_rng(16)
+    circle, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(17, 0))
+    spread = PointCloudMeasure.uniform(1e6 * rng.standard_normal((64, 2)))
+    for cloud, scale in ((spread, 1e6), (circle, 1.0)):
+        oracle = PointCloudOracle(cloud, chunk=8)
+        near = c * cloud.points[rng.integers(len(cloud.points), size=24)] + math.sqrt(s2) * rng.standard_normal((24, 2))
+        far = rng.standard_normal((24, 2))
+        far *= 3.0 / np.linalg.norm(far, axis=1, keepdims=True)
+        x = np.empty((48, 2))
+        x[0::2], x[1::2] = near, far
+        if cloud is spread:
+            # the bound less each row's max kernel logit, which is the direct
+            # form's plus ||y||^2 / (2 s2)
+            y, y_op, _ = oracle._operands(t, x, shift=True)
+            y = y.astype(np.longdouble)
+            diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
+            top = (np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2).max(axis=1)
+            overshoot = -y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
+            assert (overshoot[0::2] < 50).all() and (overshoot[1::2] > 1e4).all()
+        mean = oracle.posterior_mean(t, x)
+        assert np.isfinite(mean).all()
+        ref_mean, _ = _direct_form(cloud, t, x, np.longdouble)
+        assert np.abs(mean - ref_mean).max() <= 2e-12 * (1 + scale)
+
+
+def test_cloud_queries_too_large_for_the_shift_stay_finite_and_quiet():
+    # Near queries on a cloud spread to 1e8 at small t give logit terms near
+    # 1e23, whose rounding alone is millions of nats: shifted by b, some
+    # would overflow exp.  Such a query runs every row with its row max.
+    rng = np.random.default_rng(18)
+    cloud = PointCloudMeasure.uniform(1e8 * rng.standard_normal((64, 2)))
+    oracle = PointCloudOracle(cloud)
+    for t in (T_MIN, 1e-4):
+        c, s2 = math.exp(-t), -math.expm1(-2 * t)
+        x = c * cloud.points[rng.integers(64, size=16)] + math.sqrt(s2) * rng.standard_normal((16, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = oracle.posterior_mean(t, x)
+        ref_mean, _ = _direct_form(cloud, t, x, np.longdouble)
+        assert np.abs(mean - ref_mean).max() <= 2e-12 * (1 + 1e8)
 
 
 def _cloud_with_zero_weights(seed):
