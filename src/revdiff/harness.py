@@ -166,40 +166,34 @@ def _parse_kv_spec(spec: str) -> dict:
     return out
 
 
-def _rank_d_law(D: int, rank: int, var: float, seed: int, rotate: bool = True) -> GaussianLaw:
-    frame = random_frame(D, rank, spawn_rng(seed, 104729)) if rotate else np.eye(D, rank)
+def _rank_d_law(D: int, rank: int, var: float, seed: int) -> GaussianLaw:
+    frame = random_frame(D, rank, spawn_rng(seed, 104729))
     return GaussianLaw(mean=np.zeros(D), factor=math.sqrt(var) * frame, diag_floor=0.0)
 
 
-# Largest D a spec or preset may ask for (a rotated Gaussian draws a D x D
-# normal matrix in row blocks: O(D^2) time but only O(D * rank) memory) and
-# largest n * D of a cloud (the cloud's points and its oracle's one centred
-# copy are two n x D float64 arrays, 128 MiB each at the cap).
+# Largest D a spec or preset may ask for (a Gaussian or a manifold cloud is
+# placed by a random frame, which draws a D x D normal matrix in row blocks:
+# O(D^2) time but only O(D * k) memory) and largest n * D of a cloud (the
+# cloud's points and its oracle's one centred copy are two n x D float64
+# arrays, 128 MiB each at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
-# A manifold cloud is rotated by a full D x D frame: O(D^3) time and O(D^2)
-# memory.  At D = 1024 the build takes 0.3 s and 78 MB peak RSS; at 2048 it
-# took 1.7 s and 199 MB, and 2**14 would take minutes and about 11 GB.
-_MAX_MANIFOLD_D = 2**10
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _FINITE = (lambda v: True, "finite")
 _AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
-_MANIFOLD_AMBIENT = (int, 2, lambda v: 2 <= v <= _MAX_MANIFOLD_D, f"in [2, {_MAX_MANIFOLD_D}]")
 # Parameters of each measure kind: key -> (type, default, check, the check in words)
 _MEASURE_PARAMS = {
     "gaussian": {
         "rank": (int, 1, *_NONNEGATIVE),
         "var": (float, 0.25, lambda v: v > 0, "> 0"),
         "floor": (float, 0.0, *_NONNEGATIVE),
-        "rotate": (int, 1, lambda v: v in (0, 1), "0 or 1"),
     },
     "point-mass": {"value": (float, 1.0, *_FINITE)},
     "two-point": {"sep": (float, 1.0, *_FINITE)},
-    "circle": {"D": _MANIFOLD_AMBIENT, "n": (int, 2048, *_AT_LEAST_1)},
-    "torus": {"D": _MANIFOLD_AMBIENT, "n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
+    "circle": {"n": (int, 2048, *_AT_LEAST_1)},
+    "torus": {"n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
     "hilbert": {
-        "D": _MANIFOLD_AMBIENT,
         "n": (int, 2048, *_AT_LEAST_1),
         "order": (int, 3, lambda v: 1 <= v <= 8, "in [1, 8]"),
     },
@@ -257,20 +251,25 @@ def _measure_params(spec: dict) -> tuple[str, dict]:
     out = {key: _checked(spec.get(key, p[1]), p, f"measure parameter {kind}.{key}") for key, p in params.items()}
     if kind == "gaussian":
         _check_rank(out["rank"], out["D"], "measure parameter gaussian.rank")
-    if "n" in out and out["n"] * out["D"] > _SIZE_CAP:
-        size = out["n"] * out["D"]
-        raise ValueError(f"measure parameter {kind}.n must keep n * D <= {_SIZE_CAP}, got n * D = {size}")
+    if "n" in out:  # a manifold cloud, sampled in k = 2 coordinates (a torus: 2d)
+        k = 2 * out.get("d", 1)
+        if out["D"] < k:
+            rule = f"2 * {kind}.d = {k}" if "d" in out else str(k)
+            raise ValueError(f"measure parameter {kind}.D must be >= {rule}, got {out['D']}")
+        if out["n"] * out["D"] > _SIZE_CAP:
+            size = out["n"] * out["D"]
+            raise ValueError(f"measure parameter {kind}.n must keep n * D <= {_SIZE_CAP}, got n * D = {size}")
     return kind, out
 
 
 def build_measure(spec, seed: int = 0):
     """Construct a score oracle from a measure spec dict or spec string.
 
-    Kinds: gaussian (D, rank, var, floor, rotate), point-mass (D, value),
-    two-point (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n,
-    order).  An unknown key, a value that does not convert, or one out of
-    range (var > 0, floor >= 0, n >= 1, D <= 2**14 and D in [2, 2**10] for
-    circle, torus and hilbert, a cloud's n * D at most 2**24) raises a
+    Kinds: gaussian (D, rank, var, floor), point-mass (D, value), two-point
+    (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n, order).  An
+    unknown key, a value that does not convert, or one out of range (var > 0,
+    floor >= 0, n >= 1, D in [1, 2**14], D >= 2 for a circle or hilbert curve
+    and D >= 2d for a torus, a cloud's n * D at most 2**24) raises a
     ValueError naming ``kind.key``.
     """
     if isinstance(spec, str):
@@ -279,7 +278,7 @@ def build_measure(spec, seed: int = 0):
     D = p["D"]
     rng = spawn_rng(seed, 9973)
     if kind == "gaussian":
-        law = _rank_d_law(D, p["rank"], p["var"], seed, rotate=bool(p["rotate"]))
+        law = _rank_d_law(D, p["rank"], p["var"], seed)
         if p["floor"] > 0:
             law = GaussianLaw(law.mean, law.factor, p["floor"])
         return GaussianOracle(law)

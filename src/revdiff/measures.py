@@ -14,6 +14,7 @@ whichever direction is numerically natural for them.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import threading
@@ -231,11 +232,9 @@ class PointCloudMeasure:
         """
         if scale is None:
             scale = self.diameter()
-        if scale <= 0.0:
-            scaled = self.points.copy()
-        else:
-            scaled = self.points / scale
-        return PointCloudMeasure(scaled - scaled[0], self.weights.copy())
+        scaled = self.points / scale if scale > 0.0 else self.points.copy()
+        scaled -= scaled[0].copy()  # in place: no third n x D array
+        return PointCloudMeasure(scaled, self.weights.copy())
 
 
 @dataclass(frozen=True)
@@ -458,7 +457,8 @@ class PointCloudOracle(ScoreOracle):
         self.manifold: ManifoldSpec | None = None
 
     def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
-        out = PointCloudOracle(self.cloud, self.chunk)
+        """This oracle carrying ``spec``; it shares the kernel arrays, which are never written."""
+        out = copy.copy(self)
         out.manifold = spec
         return out
 
@@ -806,31 +806,27 @@ def make_manifold_cloud(
     intrinsic_dim: int = 1,
     radii=None,
     order: int = 2,
-    rotate: bool = True,
 ):
     """Sample n points uniformly from a synthetic manifold embedded in R^D.
 
-    Kinds:
-        circle: radius-1 circle (intrinsic dim 1), needs D >= 2.
+    Kinds, each sampled in k coordinates:
+        circle: radius-1 circle (intrinsic dim 1), k = 2.
         torus: product of ``intrinsic_dim`` circles with the given radii
-            (default all 1), needs D >= 2 * intrinsic_dim.
+            (default all 1), k = 2 * intrinsic_dim.
         hilbert: order-n plane-filling polyline, a stress case whose reach
-            metadata shrinks with the order; needs D >= 2.
+            metadata shrinks with the order; k = 2.
 
-    The manifold is optionally rotated by a seeded random orthogonal map,
-    then rescaled so its analytic diameter is 1 and translated so the first
-    sampled point sits at the origin.  Returns (PointCloudMeasure,
-    ManifoldSpec) with the spec rescaled to the embedded geometry.
+    The k-coordinate points are placed in R^D (D >= k) by a seeded random
+    orthonormal frame, ``random_frame(D, k, rng)``, then rescaled so the
+    analytic diameter is 1 and translated so the first sampled point sits at
+    the origin.  Returns (PointCloudMeasure, ManifoldSpec) with the spec
+    rescaled to the embedded geometry.
     """
     if n < 1:
         raise ValueError("need n >= 1 points")
     if kind == "circle":
-        if D < 2:
-            raise ValueError("circle embedding needs D >= 2")
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        pts2 = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        raw = np.zeros((n, D))
-        raw[:, :2] = pts2
+        raw = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         spec = ManifoldSpec(
             intrinsic_dim=1,
             reach=1.0,
@@ -844,13 +840,11 @@ def make_manifold_cloud(
         d = int(intrinsic_dim)
         if d < 1:
             raise ValueError("torus needs intrinsic_dim >= 1")
-        if D < 2 * d:
-            raise ValueError(f"torus of intrinsic dim {d} needs D >= {2 * d}")
         radii = np.full(d, 1.0) if radii is None else np.asarray(radii, dtype=float)
         if radii.shape != (d,) or (radii <= 0).any():
             raise ValueError("radii must be positive, one per intrinsic dimension")
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
-        raw = np.zeros((n, D))
+        raw = np.empty((n, 2 * d))
         for i in range(d):
             raw[:, 2 * i] = radii[i] * np.cos(theta[:, i])
             raw[:, 2 * i + 1] = radii[i] * np.sin(theta[:, i])
@@ -865,15 +859,11 @@ def make_manifold_cloud(
         )
         diam = 2.0 * math.sqrt(float((radii**2).sum()))
     elif kind == "hilbert":
-        if D < 2:
-            raise ValueError("hilbert embedding needs D >= 2")
         order = int(order)
         if not (1 <= order <= 8):
             raise ValueError("hilbert order must be in [1, 8]")
         verts = _hilbert_vertices(order)
-        pts2 = _sample_polyline(verts, n, rng)
-        raw = np.zeros((n, D))
-        raw[:, :2] = pts2
+        raw = _sample_polyline(verts, n, rng)
         cell = 2.0**-order
         length = float(np.linalg.norm(np.diff(verts, axis=0), axis=1).sum())
         # Right-angle corners make the true reach zero; record half the cell
@@ -892,7 +882,9 @@ def make_manifold_cloud(
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
 
-    if rotate:
-        raw = raw @ random_frame(D, D, rng).T
+    k = raw.shape[1]
+    if D < k:
+        raise ValueError(f"{kind} of intrinsic dim {spec.intrinsic_dim} needs D >= {k}, got D = {D}")
+    raw = raw @ random_frame(D, k, rng).T
     cloud = PointCloudMeasure.uniform(raw).normalized(scale=diam)
     return cloud, spec.rescaled(1.0 / diam)

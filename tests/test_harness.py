@@ -78,11 +78,12 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("torus:D=4,d=0", "torus.d"),
         ("hilbert:D=2,order=9", "hilbert.order"),
         ("circle:D=2,order=3", "circle.order"),
-        # a manifold's D x D rotation would take minutes and gigabytes at 2**14
-        ("circle:D=1025,n=1", "circle.D"),
-        ("torus:D=4096,d=2,n=1", "torus.D"),
-        ("hilbert:D=16384,n=1", "hilbert.D"),
+        # every kind takes D up to 2**14; a manifold needs D >= its 2 (torus: 2d) coordinates
+        ("circle:D=16385,n=1", "circle.D"),
+        ("torus:D=16385,d=2,n=1", "torus.D"),
+        ("hilbert:D=16385,n=1", "hilbert.D"),
         ("circle:D=1,n=1", "circle.D"),
+        ("torus:D=3,d=2", "torus.D"),
     ],
 )
 def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named):
@@ -97,7 +98,15 @@ def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, n
 
 
 def test_manifold_D_at_the_cap_builds():
-    assert build_measure("circle:D=1024,n=1", seed=0).dim == 1024
+    # a manifold far from its 2 coordinates: the thin frame places it in O(D * k) memory
+    pts = build_measure("circle:D=4096,n=64", seed=0).cloud.points
+    centred = pts - pts.mean(axis=0)
+    _, s, vt = np.linalg.svd(centred, full_matrices=False)
+    assert pts.shape == (64, 4096) and s[2] <= 1e-12 * s[0]  # rank 2
+    # the circle through the points, in their plane: |p - c|^2 = r^2 is linear in (c, r^2 - |c|^2)
+    plane = centred @ vt[:2].T
+    centre = np.linalg.lstsq(np.c_[2 * plane, np.ones(64)], (plane**2).sum(axis=1), rcond=None)[0][:2]
+    np.testing.assert_allclose(np.linalg.norm(plane - centre, axis=1), 0.5, atol=1e-12)
 
 
 def test_resolve_schedule_requires_explicit_fields():

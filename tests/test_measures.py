@@ -682,7 +682,7 @@ def test_forward_bridge_rejects_backward_times():
 
 def test_circle_cloud_geometry():
     rng = spawn_rng(9, 0)
-    cloud, spec = make_manifold_cloud("circle", D=2, n=400, rng=rng, rotate=False)
+    cloud, spec = make_manifold_cloud("circle", D=2, n=400, rng=rng)
     # after diameter normalization the circle has radius 1/2 around its center
     center = (cloud.points.max(axis=0) + cloud.points.min(axis=0)) / 2
     radii = np.linalg.norm(cloud.points - center, axis=1)
@@ -812,6 +812,59 @@ def test_gaussian_spec_law_is_the_full_rotation_law():
     law = build_measure("gaussian:D=512,rank=3,var=0.25", seed=4).law
     ref = 0.5 * _full_rotation(512, spawn_rng(4, 104729))[:, :3]
     assert np.linalg.norm(law.factor - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+def test_manifold_oracle_shares_the_kernel_arrays():
+    cloud, spec = make_manifold_cloud("circle", D=3, n=64, rng=spawn_rng(16, 0))
+    oracle = PointCloudOracle(cloud)
+    placed = oracle.with_manifold(spec)
+    assert placed.manifold is spec and oracle.manifold is None
+    assert placed._q_one is oracle._q_one
+
+
+def test_manifold_spec_build_holds_two_n_by_D_arrays():
+    # n * D = 2**21: the points and the oracle's [q | 1] are two n x D
+    # arrays; measured peak 2.17 of them.  A second oracle, or a third n x D
+    # array in ``normalized``, took it past 3.
+    n, D = 2048, 1024
+    assert traced_peak(lambda: build_measure(f"circle:D={D},n={n}", seed=0)) <= 2.25 * n * D * 8
+
+
+def _padded_rotated_cloud(kind, D, n, rng, d=1):
+    """Points of the construction the thin frame replaced: the manifold's
+    coordinates zero-padded to (n, D), then a full D x D rotation."""
+    raw = np.zeros((n, D))
+    if kind == "circle":
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        raw[:, :2] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        diam = 2.0
+    elif kind == "torus":
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
+        for i in range(d):
+            raw[:, 2 * i] = np.cos(theta[:, i])
+            raw[:, 2 * i + 1] = np.sin(theta[:, i])
+        diam = 2.0 * math.sqrt(d)
+    else:
+        verts = measures._hilbert_vertices(2)  # make_manifold_cloud's default order
+        raw[:, :2] = measures._sample_polyline(verts, n, rng)
+        diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    scaled = (raw @ _full_rotation(D, rng).T) / diam
+    return scaled - scaled[0]
+
+
+@pytest.mark.parametrize(
+    "kind, D, d",
+    [("circle", 2, 1), ("circle", 7, 1), ("torus", 4, 2), ("torus", 64, 3), ("hilbert", 2, 1), ("hilbert", 3, 1)],
+)
+def test_manifold_cloud_matches_the_padded_full_rotation(kind, D, d):
+    rng, ref_rng = spawn_rng(18, D), spawn_rng(18, D)
+    pts = make_manifold_cloud(kind, D, 300, rng, intrinsic_dim=d)[0].points
+    ref = _padded_rotated_cloud(kind, D, 300, ref_rng, d=d)
+    if D == 2 * d:
+        assert pts.tobytes() == ref.tobytes()
+    else:
+        assert np.abs(pts - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
 
 
 def test_manifold_clouds_unchanged_by_random_frame(monkeypatch):
