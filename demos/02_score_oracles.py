@@ -56,11 +56,7 @@ xq = np.array([0.3, -0.9])
 s = prod.score(0.8, xq)
 print(f"  score block 2 = {s[1]:.4f}  vs pure-noise value {-xq[1] / (-np.expm1(-1.6)):.4f}")
 
-print("\n== synthetic manifolds carry their analytic geometry ==")
-for kind, D, kw in (("circle", 2, {}), ("torus", 4, {"intrinsic_dim": 2}), ("hilbert", 2, {"order": 4})):
-    cloud, spec = make_manifold_cloud(kind, D=D, n=512, rng=rng, **kw)
-    print(
-        f"  {kind:<8} d={spec.intrinsic_dim} reach={spec.reach:.4f} "
-        f"volume={spec.volume:.4f} regularity C={spec.regularity:.3f} "
-        f"cloud diameter={cloud.diameter():.4f}"
-    )
+print("\n== synthetic manifolds: intrinsic dim d, sampled in k coordinates ==")
+for kind, D, d, kw in (("circle", 2, 1, {}), ("torus", 4, 2, {"intrinsic_dim": 2}), ("hilbert", 2, 1, {"order": 4})):
+    cloud = make_manifold_cloud(kind, D=D, n=512, rng=rng, **kw)
+    print(f"  {kind:<8} d={d} k={2 * d} cloud diameter={cloud.diameter():.4f}")

@@ -53,11 +53,3 @@ print("\n== determinism: same config and seed, any worker count ==")
 a = run_reverse(ReverseRunConfig(schedule=sched, batch=512, seed=7), two)
 b = run_reverse(ReverseRunConfig(schedule=sched, batch=512, seed=7, n_workers=4), two)
 print(f"  bit-identical terminals: {a.terminal.tobytes() == b.terminal.tobytes()}")
-
-print("\n== thinned trajectories ==")
-cfg_tr = ReverseRunConfig(schedule=sched, batch=3, seed=1, record_every=10)
-res_tr = run_reverse(cfg_tr, two)
-print(f"  recorded steps: {res_tr.recorded_steps}")
-for i, snap in enumerate(res_tr.trajectory):
-    path = " -> ".join(f"{v[0]:+.3f}" for v in snap)
-    print(f"  sample {i}: {path}")

@@ -42,8 +42,7 @@ print("\n== posterior spread on manifolds: circle (d=1) vs torus (d=2) ==")
 times = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
 curves = {}
 for kind, D, kw in (("circle", 2, {}), ("torus", 4, {"intrinsic_dim": 2})):
-    cloud, spec = make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kw)
-    oracle = PointCloudOracle(cloud).with_manifold(spec)
+    oracle = PointCloudOracle(make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kw))
     curves[kind] = concentration_curve(oracle, times, 30_000, rng)
 
 print(f"  {'t':>8} {'circle':>12} {'torus':>12} {'ratio':>8}")

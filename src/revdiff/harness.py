@@ -175,7 +175,8 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int) -> GaussianLaw:
 # placed by a random frame, which draws a D x D normal matrix in row blocks:
 # O(D^2) time but only O(D * k) memory) and largest n * D of a cloud (the
 # cloud's points and its oracle's one centred copy are two n x D float64
-# arrays, 128 MiB each at the cap).
+# arrays, 128 MiB each at the cap), of a sample batch and of an MC meter's
+# per-step draw.
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
@@ -296,8 +297,7 @@ def build_measure(spec, seed: int = 0):
         kwargs["intrinsic_dim"] = p["d"]
     if kind == "hilbert":
         kwargs["order"] = p["order"]
-    cloud, mspec = make_manifold_cloud(kind, D, p["n"], rng, **kwargs)
-    return PointCloudOracle(cloud).with_manifold(mspec)
+    return PointCloudOracle(make_manifold_cloud(kind, D, p["n"], rng, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +644,13 @@ def _add_schedule_flags(p, required=True):
     p.add_argument("--K", type=int, required=required)
 
 
+def _rows(raw, low: int, D: int, flag: str) -> int:
+    """``raw`` as a count of D-float rows, at least ``low`` and, like a cloud, n * D <= _SIZE_CAP."""
+    most = _SIZE_CAP // D
+    rule = f"in [{low}, {most}], so that {flag[2:]} * D <= {_SIZE_CAP}"
+    return _checked(raw, (int, None, lambda v: low <= v <= most, rule), flag)
+
+
 def _given(args, keys) -> dict:
     """The flags among ``keys`` given on the command line."""
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
@@ -747,7 +754,7 @@ def _dispatch(args) -> int:
         cfg = ReverseRunConfig(
             schedule=sched,
             scheme=args.scheme,
-            batch=args.batch,
+            batch=_rows(args.batch, 1, oracle.dim, "--batch"),
             seed=args.seed,
             init=args.init,
             n_workers=args.workers,
@@ -775,11 +782,12 @@ def _dispatch(args) -> int:
     if args.command == "meter":
         sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
         oracle = build_measure(args.measure, args.seed)
+        n = _rows(args.n, 100, oracle.dim, "--n") if args.mode == "mc" else args.n
         rng = spawn_rng(args.seed, 2)
         report = metrics.discretization_error_meter(
             oracle,
             sched,
-            args.n,
+            n,
             rng,
             mode=args.mode,
             quadrature="midpoint" if args.midpoint else "right",

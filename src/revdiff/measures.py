@@ -14,11 +14,10 @@ whichever direction is numerically natural for them.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "ScoreOracle",
     "PointCloudMeasure",
     "GaussianLaw",
-    "ManifoldSpec",
     "PointMassOracle",
     "PointCloudOracle",
     "GaussianOracle",
@@ -299,49 +297,6 @@ class GaussianLaw:
         return cls(mean=point, factor=np.zeros((point.shape[0], 0)), diag_floor=0.0)
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """Analytic regularity metadata carried by generated manifold measures.
-
-    ``regularity`` is the single constant bundling volume, flatness scale and
-    density bounds: max(log volume, log 1/r, |log density|) with
-    r = min(reach, 1/curvature_bound) / 8.
-    """
-
-    intrinsic_dim: int
-    reach: float
-    volume: float
-    density_lower: float
-    density_upper: float
-    curvature_bound: float
-    regularity: float = field(init=False)
-
-    def __post_init__(self):
-        vals = (self.reach, self.volume, self.density_lower, self.density_upper, self.curvature_bound)
-        if any(not math.isfinite(v) or v <= 0 for v in vals):
-            raise ValueError("manifold metadata entries must be positive and finite")
-        r = min(self.reach, 1.0 / self.curvature_bound) / 8.0
-        c = max(
-            math.log(self.volume),
-            math.log(1.0 / r),
-            abs(math.log(self.density_lower)),
-            abs(math.log(self.density_upper)),
-            1e-3,  # keep the constant strictly positive for flat cases
-        )
-        object.__setattr__(self, "regularity", c)
-
-    def rescaled(self, s: float) -> "ManifoldSpec":
-        """Metadata after scaling the embedding by factor s."""
-        return ManifoldSpec(
-            intrinsic_dim=self.intrinsic_dim,
-            reach=self.reach * s,
-            volume=self.volume * s**self.intrinsic_dim,
-            density_lower=self.density_lower / s**self.intrinsic_dim,
-            density_upper=self.density_upper / s**self.intrinsic_dim,
-            curvature_bound=self.curvature_bound / s,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Concrete oracles
 # ---------------------------------------------------------------------------
@@ -454,13 +409,6 @@ class PointCloudOracle(ScoreOracle):
         self._log_w = np.log(w)
         self._log_w_range = (float(self._log_w.min()), float(self._log_w.max()))
         self._q_max = math.sqrt(2.0 * self._half_q2.max())
-        self.manifold: ManifoldSpec | None = None
-
-    def with_manifold(self, spec: ManifoldSpec) -> "PointCloudOracle":
-        """This oracle carrying ``spec``; it shares the kernel arrays, which are never written."""
-        out = copy.copy(self)
-        out.manifold = spec
-        return out
 
     def sample0(self, rng, n):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
@@ -804,87 +752,49 @@ def make_manifold_cloud(
     rng: np.random.Generator,
     *,
     intrinsic_dim: int = 1,
-    radii=None,
     order: int = 2,
-):
+) -> PointCloudMeasure:
     """Sample n points uniformly from a synthetic manifold embedded in R^D.
 
     Kinds, each sampled in k coordinates:
         circle: radius-1 circle (intrinsic dim 1), k = 2.
-        torus: product of ``intrinsic_dim`` circles with the given radii
-            (default all 1), k = 2 * intrinsic_dim.
-        hilbert: order-n plane-filling polyline, a stress case whose reach
-            metadata shrinks with the order; k = 2.
+        torus: product of ``intrinsic_dim`` unit circles, k = 2 * intrinsic_dim.
+        hilbert: order-n plane-filling polyline (intrinsic dim 1), a stress
+            case whose strands come within 2**-order of each other; k = 2.
 
     The k-coordinate points are placed in R^D (D >= k) by a seeded random
     orthonormal frame, ``random_frame(D, k, rng)``, then rescaled so the
     analytic diameter is 1 and translated so the first sampled point sits at
-    the origin.  Returns (PointCloudMeasure, ManifoldSpec) with the spec
-    rescaled to the embedded geometry.
+    the origin.
     """
     if n < 1:
         raise ValueError("need n >= 1 points")
     if kind == "circle":
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
         raw = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        spec = ManifoldSpec(
-            intrinsic_dim=1,
-            reach=1.0,
-            volume=2.0 * math.pi,
-            density_lower=1.0 / (2.0 * math.pi),
-            density_upper=1.0 / (2.0 * math.pi),
-            curvature_bound=1.0,
-        )
         diam = 2.0
     elif kind == "torus":
         d = int(intrinsic_dim)
         if d < 1:
             raise ValueError("torus needs intrinsic_dim >= 1")
-        radii = np.full(d, 1.0) if radii is None else np.asarray(radii, dtype=float)
-        if radii.shape != (d,) or (radii <= 0).any():
-            raise ValueError("radii must be positive, one per intrinsic dimension")
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
         raw = np.empty((n, 2 * d))
         for i in range(d):
-            raw[:, 2 * i] = radii[i] * np.cos(theta[:, i])
-            raw[:, 2 * i + 1] = radii[i] * np.sin(theta[:, i])
-        vol = float(np.prod(2.0 * math.pi * radii))
-        spec = ManifoldSpec(
-            intrinsic_dim=d,
-            reach=float(radii.min()),
-            volume=vol,
-            density_lower=1.0 / vol,
-            density_upper=1.0 / vol,
-            curvature_bound=1.0 / float(radii.min()),
-        )
-        diam = 2.0 * math.sqrt(float((radii**2).sum()))
+            raw[:, 2 * i] = np.cos(theta[:, i])
+            raw[:, 2 * i + 1] = np.sin(theta[:, i])
+        diam = 2.0 * math.sqrt(d)
     elif kind == "hilbert":
         order = int(order)
         if not (1 <= order <= 8):
             raise ValueError("hilbert order must be in [1, 8]")
         verts = _hilbert_vertices(order)
         raw = _sample_polyline(verts, n, rng)
-        cell = 2.0**-order
-        length = float(np.linalg.norm(np.diff(verts, axis=0), axis=1).sum())
-        # Right-angle corners make the true reach zero; record half the cell
-        # size, the scale at which distinct strands of the curve collide.
-        spec = ManifoldSpec(
-            intrinsic_dim=1,
-            reach=cell / 2.0,
-            volume=length,
-            density_lower=1.0 / length,
-            density_upper=1.0 / length,
-            curvature_bound=2.0 / cell,
-        )
-        lo = verts.min(axis=0)
-        hi = verts.max(axis=0)
-        diam = float(np.linalg.norm(hi - lo))
+        diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
 
     k = raw.shape[1]
     if D < k:
-        raise ValueError(f"{kind} of intrinsic dim {spec.intrinsic_dim} needs D >= {k}, got D = {D}")
+        raise ValueError(f"{kind} needs D >= {k}, got D = {D}")
     raw = raw @ random_frame(D, k, rng).T
-    cloud = PointCloudMeasure.uniform(raw).normalized(scale=diam)
-    return cloud, spec.rescaled(1.0 / diam)
+    return PointCloudMeasure.uniform(raw).normalized(scale=diam)

@@ -25,7 +25,6 @@ from . import _record
 from .measures import (
     GaussianLaw,
     GaussianOracle,
-    ManifoldSpec,
     PointCloudOracle,
     ScoreOracle,
     _map_pooled,
@@ -616,26 +615,16 @@ def monotonicity_check(oracle, t1, t2, t3, n, rng) -> MetricReport:
     )
 
 
-def concentration_curve(
-    oracle,
-    times,
-    n,
-    rng,
-    spec: Optional[ManifoldSpec] = None,
-) -> MetricReport:
+def concentration_curve(oracle, times, n, rng) -> MetricReport:
     """E||X_0 - m_t(X_t)||^2 along a list of times on shared forward paths.
 
     Sharing paths makes consecutive differences low variance, so the
     monotone growth of the curve can be checked against per-increment
-    standard errors.  When manifold metadata is available (attached to the
-    oracle or passed explicitly), extras carry the curve normalized by
-    d * t * (log(1/t_ref) + C) with t_ref the smallest queried time;
-    without metadata only the raw curve is reported.
+    standard errors; extras carry the smallest increment z-score.
     """
     times = sorted(float(t) for t in times)
     if not times:
         raise ValueError("need at least one time")
-    spec = spec if spec is not None else getattr(oracle, "manifold", None)
     x0, xs = _joint_forward(oracle, times, rng, n)
     vals = []
     for t, x in zip(times, xs):
@@ -645,26 +634,19 @@ def concentration_curve(
         (i, t, float(v.mean()), float(v.std(ddof=1)) / math.sqrt(n))
         for i, (t, v) in enumerate(zip(times, vals))
     )
-    extras = {}
     min_inc_z = math.inf
     for j in range(len(times) - 1):
         inc = vals[j + 1] - vals[j]
         se = float(inc.std(ddof=1)) / math.sqrt(n)
         z = float(inc.mean()) / se if se > 0 else math.inf
         min_inc_z = min(min_inc_z, z)
-    extras["min_increment_z"] = min_inc_z
-    if spec is not None:
-        t_ref = times[0]
-        denom0 = spec.intrinsic_dim * (math.log(1.0 / t_ref) + spec.regularity)
-        for (_, t, v, _), _v in zip(components, vals):
-            extras[f"ratio@{t:.6g}"] = v / (denom0 * t)
     return MetricReport(
         name="concentration_curve",
         value=max(c[2] for c in components),
         stderr=max(c[3] for c in components),
         n_samples=n,
         components=components,
-        extras=extras,
+        extras={"min_increment_z": min_inc_z},
     )
 
 

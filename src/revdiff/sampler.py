@@ -229,14 +229,13 @@ class ReverseRunConfig:
     batch: int = 1
     seed: int = 0
     init: str = "standard_normal"
-    record_every: int = 0
     n_workers: int = 1
     chunk_size: int = 1024
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        for name, low in (("batch", 1), ("chunk_size", 1), ("n_workers", 1), ("record_every", 0)):
+        for name, low in (("batch", 1), ("chunk_size", 1), ("n_workers", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.init not in ("standard_normal", "data_pT"):
@@ -250,16 +249,14 @@ class ReverseRunConfig:
 
 @dataclass(frozen=True)
 class ReverseRunResult:
-    """Terminal batch plus optional thinned trajectories."""
+    """Terminal batch of a reverse run."""
 
     terminal: np.ndarray
-    trajectory: Optional[np.ndarray] = None
-    recorded_steps: Optional[np.ndarray] = None
     config: Optional[ReverseRunConfig] = None
 
 
-def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory):
-    """Run the samples of ``rows`` and write them into the batch's arrays."""
+def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal):
+    """Run the samples of ``rows`` and write them into the batch's terminal."""
     sched = config.schedule
     n = rows.stop - rows.start
     if config.init == "data_pT":
@@ -267,8 +264,6 @@ def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory)
     else:
         y = rng.standard_normal((n, oracle.dim))
     for k, step in enumerate(steps):
-        if config.record_every and k % config.record_every == 0:
-            trajectory[rows, k // config.record_every] = y
         y = _affine_step(y, *step, score_fn, rng)
         if not np.isfinite(y).all():
             raise FloatingPointError(
@@ -276,8 +271,6 @@ def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory)
                 "check the schedule and score source"
             )
     terminal[rows] = y
-    if config.record_every:
-        trajectory[rows, -1] = y
 
 
 def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResult:
@@ -295,28 +288,21 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
     score_fn = oracle.score
     if isinstance(config.score_source, ScorePerturbation):
         score_fn = config.score_source.perturb(score_fn)
-    n_steps = config.schedule.n_steps
     tab = step_table(config.schedule, config.scheme)
     # (tau, alpha, beta, eta) of each step, as Python floats
     steps = list(
         zip(config.schedule.taus[:-1].tolist(), tab.alpha.tolist(), tab.beta.tolist(), np.sqrt(tab.eta2).tolist())
     )
     terminal = np.empty((config.batch, oracle.dim))
-    trajectory = recorded = None
-    if config.record_every:
-        recorded = np.append(np.arange(0, n_steps, config.record_every), n_steps)
-        trajectory = np.empty((config.batch, len(recorded), oracle.dim))
     size = config.chunk_size
     chunks = [slice(i, min(i + size, config.batch)) for i in range(0, config.batch, size)]
     map_streams(
-        lambda rows, rng: _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal, trajectory),
+        lambda rows, rng: _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal),
         chunks,
         config.seed,
         config.n_workers,
     )
-    return ReverseRunResult(
-        terminal=terminal, trajectory=trajectory, recorded_steps=recorded, config=config
-    )
+    return ReverseRunResult(terminal=terminal, config=config)
 
 
 def save_batch(path, result: ReverseRunResult, extra_meta: dict | None = None) -> None:

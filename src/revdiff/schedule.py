@@ -166,9 +166,6 @@ class ScheduleValidation:
     checks: tuple
     failures: tuple
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def validate_schedule(sched: TimeSchedule) -> ScheduleValidation:
     """Check every grid invariant, reporting rather than raising.

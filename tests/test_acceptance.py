@@ -231,8 +231,7 @@ def _check_grid_oracles():
     )
     gauss = GaussianOracle(rotated_rank_law(3, 1, var=0.25, seed=31))
     rng = spawn_rng(523, 9)
-    cloud, _ = make_manifold_cloud("circle", D=2, n=512, rng=rng)
-    circle = PointCloudOracle(cloud)
+    circle = PointCloudOracle(make_manifold_cloud("circle", D=2, n=512, rng=rng))
     return [("two_point", two), ("gaussian", gauss), ("circle", circle)]
 
 
@@ -270,8 +269,7 @@ def test_c11_concentration_curves():
     n = 100_000
     results = {}
     for kind, D, kwargs in (("circle", 2, {}), ("torus", 4, {"intrinsic_dim": 2})):
-        cloud, spec = make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kwargs)
-        oracle = PointCloudOracle(cloud).with_manifold(spec)
+        oracle = PointCloudOracle(make_manifold_cloud(kind, D=D, n=2048, rng=rng, **kwargs))
         rep = concentration_curve(oracle, times, n, rng)
         results[kind] = rep
     bounded = all(

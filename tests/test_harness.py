@@ -44,9 +44,9 @@ def test_build_measure_specs():
     pm = build_measure("point-mass:D=2,value=0.5", seed=1)
     assert pm.point[0] == 0.5
     circ = build_measure("circle:D=2,n=64", seed=1)
-    assert circ.manifold is not None and circ.manifold.intrinsic_dim == 1
+    assert circ.dim == 2 and circ.cloud.points.shape == (64, 2)
     tor = build_measure("torus:D=4,d=2,n=49", seed=1)
-    assert tor.manifold.intrinsic_dim == 2
+    assert tor.dim == 4 and tor.cloud.points.shape == (49, 4)
 
 
 def test_build_measure_rejects_unknown_kind_and_bad_params():
@@ -502,6 +502,11 @@ _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "p
         (["sweep", "--preset", "d-sweep", "--kappa", "0", "--horizon", "10", "--delta", "1e-6"], "schedule.kappa"),
         (["sweep", "--preset", "d-sweep", "--kappa", "0.1", "--horizon", "1e15", "--delta", "1e-6"], "schedule.horizon"),
         (["sweep", "--preset", "nope"], "--preset"),
+        # a batch or MC sample count is a row count: n * D may not pass the cloud cap
+        (["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "gaussian:D=4,rank=1", "--batch", "1000000000000"], "--batch"),
+        ([*_SAMPLE[:-1], "0"], "--batch"),
+        (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--mode", "mc", "--n", "100000000000"], "--n"),
+        (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--n", "50"], "--n"),
     ],
 )
 def test_cli_inputs_exit_1_naming_the_flag_or_field(tmp_path, capsys, argv, named):

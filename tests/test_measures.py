@@ -194,7 +194,7 @@ def test_cloud_kernel_bit_identical_threaded_and_inline(dim, monkeypatch):
     # thread a tile runs on may change a bit.  Three threads at once force
     # the sharing on any core count.
     kind = "circle" if dim == 2 else "torus"
-    cloud, _ = make_manifold_cloud(kind, dim, 2048, spawn_rng(11, 0), intrinsic_dim=dim // 2)
+    cloud = make_manifold_cloud(kind, dim, 2048, spawn_rng(11, 0), intrinsic_dim=dim // 2)
     oracle = PointCloudOracle(cloud)
     x = np.random.default_rng(12).standard_normal((5 * oracle.chunk + 7, dim))
 
@@ -215,7 +215,7 @@ def test_cloud_far_queries_match_the_long_double_direct_form():
     # Far queries at tiny t put logits more than 745 nats below their row's
     # max, where exp underflows to zero; the answers must still match the
     # long-double direct form.
-    cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(13, 0))
+    cloud = make_manifold_cloud("circle", 2, 512, spawn_rng(13, 0))
     oracle = PointCloudOracle(cloud, chunk=16)
     x = 3.0 * np.random.default_rng(14).standard_normal((40, 2))
     for t in (1e-4, 1e-3):
@@ -277,7 +277,7 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
     t = 1e-4
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
     rng = np.random.default_rng(16)
-    circle, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(17, 0))
+    circle = make_manifold_cloud("circle", 2, 512, spawn_rng(17, 0))
     spread = PointCloudMeasure.uniform(1e6 * rng.standard_normal((64, 2)))
     for cloud, scale in ((spread, 1e6), (circle, 1.0)):
         oracle = PointCloudOracle(cloud, chunk=8)
@@ -350,7 +350,7 @@ def test_cloud_default_tile_matches_single_rows():
     # Tile height changes only the BLAS summation order of the logit GEMM, so
     # the bound is 1e-15 in units of the logit scale 1 + c |y| |q| / sigma2
     # (plus |log p| for the log marginal); the diameter is 1.
-    cloud, _ = make_manifold_cloud("torus", 4, 2048, spawn_rng(8, 0), intrinsic_dim=2)
+    cloud = make_manifold_cloud("torus", 4, 2048, spawn_rng(8, 0), intrinsic_dim=2)
     tiled, rows = PointCloudOracle(cloud), PointCloudOracle(cloud, chunk=1)
     assert tiled.chunk == 32
     centroid = cloud.weights @ cloud.points
@@ -682,23 +682,17 @@ def test_forward_bridge_rejects_backward_times():
 
 def test_circle_cloud_geometry():
     rng = spawn_rng(9, 0)
-    cloud, spec = make_manifold_cloud("circle", D=2, n=400, rng=rng)
+    cloud = make_manifold_cloud("circle", D=2, n=400, rng=rng)
     # after diameter normalization the circle has radius 1/2 around its center
     center = (cloud.points.max(axis=0) + cloud.points.min(axis=0)) / 2
     radii = np.linalg.norm(cloud.points - center, axis=1)
     np.testing.assert_allclose(radii, 0.5, atol=1e-3)
-    assert spec.intrinsic_dim == 1
-    np.testing.assert_allclose(spec.reach, 0.5, atol=1e-12)
-    np.testing.assert_allclose(spec.volume, math.pi, atol=1e-12)
     assert cloud.diameter() <= 1.0 + 1e-9
 
 
 def test_torus_cloud_spec():
     rng = spawn_rng(10, 0)
-    cloud, spec = make_manifold_cloud("torus", D=4, n=500, rng=rng, intrinsic_dim=2)
-    assert spec.intrinsic_dim == 2
-    # equal unit radii scaled by 1/diam with diam = 2 sqrt(2)
-    np.testing.assert_allclose(spec.reach, 1.0 / (2.0 * math.sqrt(2.0)), atol=1e-12)
+    cloud = make_manifold_cloud("torus", D=4, n=500, rng=rng, intrinsic_dim=2)
     assert cloud.dim == 4
     assert cloud.diameter() <= 1.0 + 1e-9
     assert np.linalg.norm(cloud.points[0]) == 0.0
@@ -735,14 +729,6 @@ def test_torus_reach_by_nearest_point_uniqueness():
     assert d.std() < 1e-12
 
 
-def test_hilbert_reach_decreases_with_order():
-    rng = spawn_rng(11, 0)
-    _, spec2 = make_manifold_cloud("hilbert", D=2, n=256, rng=rng, order=2)
-    _, spec6 = make_manifold_cloud("hilbert", D=2, n=256, rng=rng, order=6)
-    assert spec6.reach < spec2.reach
-    assert spec6.regularity > spec2.regularity
-
-
 def test_manifold_dimension_checks():
     rng = spawn_rng(12, 0)
     with pytest.raises(ValueError):
@@ -755,7 +741,7 @@ def test_manifold_dimension_checks():
 
 def test_rotation_is_isometric():
     rng = spawn_rng(13, 0)
-    cloud, _ = make_manifold_cloud("circle", D=5, n=64, rng=rng)
+    cloud = make_manifold_cloud("circle", D=5, n=64, rng=rng)
     center = cloud.points.mean(axis=0)
     radii = np.linalg.norm(cloud.points - center, axis=1)
     # all points still lie on a circle of radius ~1/2 in the rotated plane
@@ -814,14 +800,6 @@ def test_gaussian_spec_law_is_the_full_rotation_law():
     assert np.linalg.norm(law.factor - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
-def test_manifold_oracle_shares_the_kernel_arrays():
-    cloud, spec = make_manifold_cloud("circle", D=3, n=64, rng=spawn_rng(16, 0))
-    oracle = PointCloudOracle(cloud)
-    placed = oracle.with_manifold(spec)
-    assert placed.manifold is spec and oracle.manifold is None
-    assert placed._q_one is oracle._q_one
-
-
 def test_manifold_spec_build_holds_two_n_by_D_arrays():
     # n * D = 2**21: the points and the oracle's [q | 1] are two n x D
     # arrays; measured peak 2.17 of them.  A second oracle, or a third n x D
@@ -858,7 +836,7 @@ def _padded_rotated_cloud(kind, D, n, rng, d=1):
 )
 def test_manifold_cloud_matches_the_padded_full_rotation(kind, D, d):
     rng, ref_rng = spawn_rng(18, D), spawn_rng(18, D)
-    pts = make_manifold_cloud(kind, D, 300, rng, intrinsic_dim=d)[0].points
+    pts = make_manifold_cloud(kind, D, 300, rng, intrinsic_dim=d).points
     ref = _padded_rotated_cloud(kind, D, 300, ref_rng, d=d)
     if D == 2 * d:
         assert pts.tobytes() == ref.tobytes()
@@ -870,7 +848,7 @@ def test_manifold_cloud_matches_the_padded_full_rotation(kind, D, d):
 def test_manifold_clouds_unchanged_by_random_frame(monkeypatch):
     def build():
         return [
-            make_manifold_cloud(kind, D, 200, spawn_rng(15, D), intrinsic_dim=d)[0].points
+            make_manifold_cloud(kind, D, 200, spawn_rng(15, D), intrinsic_dim=d).points
             for kind, D, d in (("circle", 7, 1), ("torus", 6, 3), ("hilbert", 3, 1))
         ]
 

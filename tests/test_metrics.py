@@ -521,20 +521,11 @@ def test_concentration_point_mass_is_zero_everywhere():
 
 def test_concentration_circle_bounded_and_normalized():
     rng = spawn_rng(22, 0)
-    cloud, spec = make_manifold_cloud("circle", D=2, n=1024, rng=rng)
-    oracle = PointCloudOracle(cloud).with_manifold(spec)
+    oracle = PointCloudOracle(make_manifold_cloud("circle", D=2, n=1024, rng=rng))
     rep = concentration_curve(oracle, [1e-3, 1e-2, 1e-1], 20_000, rng)
     for (_, _, val, se) in rep.components:
         assert val <= 1.0 + 3 * se
-    assert any(k.startswith("ratio@") for k in rep.extras)
     assert rep.extras["min_increment_z"] > -3.0
-
-
-def test_concentration_without_spec_has_no_ratios():
-    oracle = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
-    rng = spawn_rng(23, 0)
-    rep = concentration_curve(oracle, [0.01, 0.1], 2000, rng)
-    assert not any(k.startswith("ratio@") for k in rep.extras)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ from revdiff.measures import PointCloudOracle, make_manifold_cloud, spawn_rng
 from revdiff.sampler import ReverseRunConfig, run_reverse
 from revdiff.schedule import build_schedule
 
-cloud, _ = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
+cloud = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
 oracle = PointCloudOracle(cloud)  # 128-row tiles, so each chunk spans 3
 workers = (os.cpu_count() or 1) + 2
 base = dict(schedule=build_schedule(0.25, 2, 6), batch=300 * (workers + 1), seed=4, chunk_size=300)
@@ -375,7 +375,7 @@ def test_run_reverse_config_validation():
         ReverseRunConfig(schedule=sched, batch=0)
     with pytest.raises(ValueError):
         ReverseRunConfig(schedule=sched, init="prior")
-    for field, value in (("chunk_size", 0), ("n_workers", 0), ("record_every", -1)):
+    for field, value in (("chunk_size", 0), ("n_workers", 0)):
         with pytest.raises(ValueError, match=field):
             ReverseRunConfig(schedule=sched, **{field: value})
     bad_times = np.array([0.0, 0.5, 0.6])
@@ -490,14 +490,3 @@ def test_save_batch_writes_header_and_rows(tmp_path):
     assert any(line.startswith("# seed = 3") for line in lines)
     data = [line for line in lines if not line.startswith("#")]
     assert len(data) == 8 and len(data[0].split()) == 2
-
-
-def test_trajectory_recording_thinned():
-    sched = build_schedule(0.25, 2, 6)
-    oracle = PointMassOracle(np.zeros(2))
-    cfg = ReverseRunConfig(schedule=sched, batch=5, seed=2, record_every=2)
-    res = run_reverse(cfg, oracle)
-    # steps 0, 2, 4 plus the terminal state
-    np.testing.assert_array_equal(res.recorded_steps, [0, 2, 4, 6])
-    assert res.trajectory.shape == (5, 4, 2)
-    np.testing.assert_array_equal(res.trajectory[:, -1, :], res.terminal)
