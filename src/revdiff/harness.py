@@ -75,7 +75,7 @@ class ExperimentConfig:
 # Keys each config section accepts (case-insensitive); [options] keys are
 # checked per preset by run_experiment.
 _CONFIG_KEYS = {
-    "experiment": ("name", "seed", "out_dir", "workers"),
+    "experiment": ("seed", "workers"),
     "schedule": ("kappa", "l", "k", "horizon", "delta"),
     "perturbation": ("constant",),
     "options": None,
@@ -85,9 +85,11 @@ _CONFIG_KEYS = {
 def load_config(path: str) -> ExperimentConfig:
     """Read the sectioned key-value config format.
 
-    Sections: [experiment] (name, seed, out_dir, workers), [schedule]
-    (kappa, L, K, horizon, delta), [perturbation] (constant), [options].
-    Any other section or key is rejected with a ValueError naming it.
+    Sections: [experiment] (seed, workers), [schedule] (kappa, L, K,
+    horizon, delta), [perturbation] (constant), [options].  Any other
+    section or key is rejected with a ValueError naming it; the preset and
+    the output directory come from the command line, so the returned
+    config's name is empty.
     Schedule fields are never defaulted: kappa, and either (L, K) or
     (horizon, delta), must be given explicitly whenever a schedule is needed.
     """
@@ -111,7 +113,7 @@ def load_config(path: str) -> ExperimentConfig:
     lower = {name: {k.lower(): v for k, v in parser[name].items()} for name in parser.sections()}
     exp = lower.get("experiment", {})
     seed, workers = (_checked(exp.get(k, p[1]), p, f"config key experiment.{k}") for k, p in _RUN_FIELDS.items())
-    cfg = ExperimentConfig(name=exp.get("name", ""), seed=seed, out_dir=exp.get("out_dir", "runs"), workers=workers)
+    cfg = ExperimentConfig(name="", seed=seed, workers=workers)
     for section in ("schedule", "perturbation"):
         getattr(cfg, section).update(lower.get(section, {}))
     if "options" in parser:
@@ -176,7 +178,8 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int) -> GaussianLaw:
 # O(D^2) time but only O(D * k) memory) and largest n * D of a cloud (the
 # cloud's points and its oracle's one centred copy are two n x D float64
 # arrays, 128 MiB each at the cap), of a sample batch and of an MC meter's
-# per-step draw.
+# per-step draw (the meter holds about four n x D arrays at once: a draw,
+# its posterior mean and the oracle's query operands, so 512 MiB at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
@@ -670,7 +673,7 @@ def cli(argv=None) -> int:
         "a batch of 1024 or fewer is one chunk, and the point-cloud kernel shares its tiles over "
         "all cores whatever this is",
     )
-    parser.add_argument("--config", default=None, help="sectioned key-value config file")
+    parser.add_argument("--config", default=None, help="sectioned key-value config file (sweep only)")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it.
     common = _Parser(add_help=False)
@@ -731,8 +734,13 @@ def cli(argv=None) -> int:
 def _dispatch(args) -> int:
     explicit = {k: _checked(v, _RUN_FIELDS[k], f"--{k}") for k, v in _given(args, _RUN_FIELDS).items()}
     args.seed, args.workers = (explicit.get(k, p[1]) for k, p in _RUN_FIELDS.items())
+    if args.config is not None and args.command != "sweep":
+        raise ValueError(f"--config is read only by sweep, not by {args.command}")
     if args.command == "schedule":
         if args.load:
+            ignored = [f"--{k}" for k in _given(args, ("kappa", "L", "K"))]
+            if ignored:
+                raise ValueError(f"schedule --load takes its grid from the file; drop {', '.join(ignored)}")
             with open(args.load) as fh:
                 sched = schedule_from_text(fh.read())
         else:
@@ -810,7 +818,7 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         cfg = ExperimentConfig(name=args.preset, seed=args.seed, out_dir=args.out, workers=args.workers)
-        if args.config:
+        if args.config is not None:
             cfg = load_config(args.config)
             cfg.name = args.preset
             cfg.out_dir = args.out

@@ -221,15 +221,12 @@ class PointCloudMeasure:
             best = max(best, float(d2.max()))
         return math.sqrt(best)
 
-    def normalized(self, scale: float | None = None) -> "PointCloudMeasure":
-        """Rescale to diameter <= 1 and translate the first point to the origin.
+    def normalized(self, scale: float) -> "PointCloudMeasure":
+        """Divide by ``scale`` (no-op for 0) and translate the first point to the origin.
 
-        With the default scale the cloud diameter becomes exactly 1 (no-op
-        for diameter 0); pass an analytic manifold diameter to normalize by
-        the continuum geometry instead of the sampled cloud.
+        ``make_manifold_cloud`` passes the analytic manifold diameter, so the
+        continuum geometry, not the sampled cloud, has diameter 1.
         """
-        if scale is None:
-            scale = self.diameter()
         scaled = self.points / scale if scale > 0.0 else self.points.copy()
         scaled -= scaled[0].copy()  # in place: no third n x D array
         return PointCloudMeasure(scaled, self.weights.copy())
@@ -332,9 +329,10 @@ class PointMassOracle(ScoreOracle):
 # A row's shifted normaliser below this means its bound overshot the row max
 # by more than about 665 nats; such a row is recomputed with the row max.
 _FAR_NORM = 2.0**-960
-# The shifted logits run only when (D + 6) times the largest term magnitude
+# A row keeps its bound only when (D + 6) times its largest term magnitude
 # stays below this: the GEMM's rounding is then at most 2**9 nats, so no
-# logit can round up far enough for exp to overflow (about 709).
+# logit can round up far enough for exp to overflow (about 709).  A row past
+# it gets b = +inf, a shifted normaliser of 0 and so the row-max fallback.
 _SHIFT_SCALE_CAP = 2.0**61
 
 
@@ -364,8 +362,9 @@ class PointCloudOracle(ScoreOracle):
     A row whose normaliser comes out below 2**-960 (b overshot its max by
     more than about 665 nats: a query far from every point of the noised
     cloud) is recomputed with its exact row max, after the tile's logits
-    are freed; so is every row of a query whose terms are so large (about
-    2**61 / (D + 6)) that rounding could make ``exp`` overflow.
+    are freed.  So is a row whose terms are so large (about 2**61 / (D + 6))
+    that rounding could make ``exp`` overflow: its bound is +inf, so its
+    shifted normaliser is 0.
     ``log_marginal`` also needs the leading component's log density, so it
     finds the argmax instead.
 
@@ -373,8 +372,7 @@ class PointCloudOracle(ScoreOracle):
     whatever the cloud size (32 rows for 2048 points): with the tile's
     operands it stays inside a 2 MiB per-core L2 cache through the passes
     the kernel makes over it.  Doubling it (64 rows for 2048 points) was no
-    faster and added about 2.5 MB of peak RSS.  ``chunk`` overrides the row
-    count.
+    faster and added about 2.5 MB of peak RSS.
 
     A query of two or more tiles made outside pooled work hands its tiles,
     whole, to the caller and the threads of the pool behind ``map_streams``
@@ -385,16 +383,14 @@ class PointCloudOracle(ScoreOracle):
     whatever the thread or worker count.
     """
 
-    def __init__(self, cloud: PointCloudMeasure, chunk: int | None = None):
+    def __init__(self, cloud: PointCloudMeasure):
         self.cloud = cloud
         self.dim = cloud.dim
         kept = cloud.weights > 0
         w, pts = cloud.weights, cloud.points
         if not kept.all():
             w, pts = w[kept], pts[kept]
-        self.chunk = max(1, 2**16 // len(w)) if chunk is None else int(chunk)
-        if self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk!r}")
+        self.chunk = max(1, 2**16 // len(w))
         self._mu = w @ pts
         # the one centred copy of the points: [q | 1], with q a view of it
         self._q_one = np.empty((len(w), self.dim + 1))
@@ -414,14 +410,13 @@ class PointCloudOracle(ScoreOracle):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
         return self.cloud.points[idx]
 
-    def _operands(self, t, x, shift):
+    def _operands(self, t, x):
         """``(y, y_op, q_op)`` for the logit GEMM of query ``x``.
 
-        ``y`` = x - c mu per row.  ``y_op @ q_op[: y_op.shape[1]]`` gives the
-        logits [y c/s2 | 1] @ [q | bias]^T, which omit -||y||^2 / (2 s2),
-        constant in a row; with ``shift`` ``y_op`` has a last column -b, the
-        bound, and those logits are less b.  ``shift`` is turned off, and the
-        column left out, for a query whose terms are too large for it.  Every
+        ``y`` = x - c mu per row.  ``y_op[:, : D + 1] @ q_op[: D + 1]`` gives
+        the logits [y c/s2 | 1] @ [q | bias]^T, which omit -||y||^2 / (2 s2),
+        constant in a row; the last column of ``y_op``, -b, meets the row of
+        ones in ``q_op``, so ``y_op @ q_op`` gives those logits less b.  Every
         row-wise step is taken once for the whole query, so a tile makes only
         its passes over the logits.
         """
@@ -433,20 +428,20 @@ class PointCloudOracle(ScoreOracle):
         q_op[dim] += self._log_w
         q_op[dim + 1] = 1.0
         y = x.reshape(-1, dim) - c * self._mu
-        if shift:
-            y2 = np.einsum("ij,ij->i", y, y)  # inf, without a warning, past |y| = 1e154
-            low, high = self._log_w_range
-            # a Python float, which overflows to inf silently
-            scale = 0.5 / s2 * (float(y2.max(initial=0.0)) + (c * self._q_max) ** 2) - low
-            shift = scale < _SHIFT_SCALE_CAP / (dim + 6)
-        y_op = np.empty((len(y), dim + 1 + shift))
+        y2 = np.einsum("ij,ij->i", y, y)  # inf, without a warning, past |y| = 1e154
+        low, high = self._log_w_range
+        # b = +inf, set last, where the row's term scale
+        # 0.5 / s2 (||y||^2 + (c max ||q||)^2) - low reaches the cap; ||y||^2
+        # clipped at the limit keeps those rows' bound finite until then
+        limit = max(0.0, 2.0 * s2 * (_SHIFT_SCALE_CAP / (dim + 6) + low) - (c * self._q_max) ** 2)
+        y_norm = np.sqrt(np.minimum(y2, limit))
+        y_op = np.empty((len(y), dim + 2))
         np.multiply(y, c / s2, out=y_op[:, :dim])
         y_op[:, dim] = 1.0
-        if shift:
-            y_norm = np.sqrt(y2)
-            u = np.minimum(y_norm, c * self._q_max)
-            np.multiply(u * (u - 2.0 * y_norm), 0.5 / s2, out=y_op[:, dim + 1])
-            y_op[:, dim + 1] -= high
+        u = np.minimum(y_norm, c * self._q_max)
+        np.multiply(u * (u - 2.0 * y_norm), 0.5 / s2, out=y_op[:, dim + 1])
+        y_op[:, dim + 1] -= high
+        y_op[~(y2 < limit), dim + 1] = -math.inf
         return y, y_op, q_op
 
     def _map_tiles(self, n_rows, run):
@@ -463,27 +458,21 @@ class PointCloudOracle(ScoreOracle):
     def posterior_mean(self, t, x):
         t = _check_time(t)
         x = self._check_point(x)
-        out = np.empty((math.prod(x.shape[:-1]), self.dim))
         dim = self.dim
-        _, y_op, q_op = self._operands(t, x, shift=True)
-        shift = y_op.shape[1] > dim + 1
-
-        def max_shifted_sums(rows):
-            lw = y_op[rows, : dim + 1] @ q_op[: dim + 1]
-            lw -= lw.max(axis=1, keepdims=True)
-            return np.exp(lw, out=lw) @ self._q_one
+        y_op, q_op = self._operands(t, x)[1:]  # y is freed before out is allocated
+        out = np.empty((len(y_op), dim))
 
         def run(rows):
-            if not shift:
-                sums = max_shifted_sums(rows)
-            else:
-                lw = y_op[rows] @ q_op
-                sums = np.exp(lw, out=lw) @ self._q_one
-                del lw  # freed before a fallback allocates its own logits
-                norm = sums[:, dim]
-                if norm.min() < _FAR_NORM:
-                    far = np.flatnonzero(norm < _FAR_NORM)
-                    sums[far] = max_shifted_sums(far + rows.start)
+            lw = y_op[rows] @ q_op
+            sums = np.exp(lw, out=lw) @ self._q_one
+            del lw  # freed before a fallback allocates its own logits
+            norm = sums[:, dim]
+            # not >=: a too-large row whose logits overflow has a NaN normaliser
+            if not norm.min() >= _FAR_NORM:
+                far = np.flatnonzero(~(norm >= _FAR_NORM))
+                lw = y_op[far + rows.start, : dim + 1] @ q_op[: dim + 1]
+                lw -= lw.max(axis=1, keepdims=True)
+                sums[far] = np.exp(lw, out=lw) @ self._q_one
             np.divide(sums[:, :dim], sums[:, dim:], out=out[rows])
 
         self._map_tiles(len(out), run)
@@ -495,8 +484,8 @@ class PointCloudOracle(ScoreOracle):
         x = self._check_point(x)
         out = np.empty(math.prod(x.shape[:-1]))
         c, s2 = noise_scales(t)
-        y, y_op, q_op = self._operands(t, x, shift=False)
-        q_op = q_op[: self.dim + 1]
+        y, y_op, q_op = self._operands(t, x)
+        y_op, q_op = y_op[:, : self.dim + 1], q_op[: self.dim + 1]
         log_norm = 0.5 * self.dim * math.log(2.0 * math.pi * s2)
 
         def run(rows):
@@ -669,7 +658,9 @@ def forward_sample(oracle: ScoreOracle, t: float, rng: np.random.Generator, n: i
     x0 = oracle.sample0(rng, n)
     if s2 == 0.0:
         return x0, x0.copy()
-    return x0, c * x0 + math.sqrt(s2) * rng.standard_normal(x0.shape)
+    xt = math.sqrt(s2) * rng.standard_normal(x0.shape)
+    xt += c * x0  # in place: no n x D array for the sum
+    return x0, xt
 
 
 def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator):
@@ -683,7 +674,9 @@ def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator
         raise ValueError(f"bridge requires t2 > t, got t={t!r}, t2={t2!r}")
     xt = np.asarray(xt, dtype=float)
     c, s2 = noise_scales(t2 - t)
-    return c * xt + math.sqrt(s2) * rng.standard_normal(xt.shape)
+    out = math.sqrt(s2) * rng.standard_normal(xt.shape)
+    out += c * xt
+    return out
 
 
 # ---------------------------------------------------------------------------

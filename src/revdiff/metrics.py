@@ -461,14 +461,16 @@ def discretization_error_meter(
     total = 0.0
     var_sum = 0.0
     for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
-        _, x_lo = forward_sample(oracle, tau_lo, rng, n)
-        x_hi = forward_bridge(x_lo, tau_lo, tau_hi, rng)
+        # each draw dropped once used, the difference squared in place: about four n x D arrays at the peak
+        x = forward_sample(oracle, tau_lo, rng, n)[1]
         try:
-            m_lo = oracle.posterior_mean(tau_lo, x_lo)
-            m_hi = oracle.posterior_mean(tau_hi, x_hi)
+            m = oracle.posterior_mean(tau_lo, x)
+            x = forward_bridge(x, tau_lo, tau_hi, rng)
+            m -= oracle.posterior_mean(tau_hi, x)
         except ValueError as exc:
             raise ValueError(f"oracle rejected step k={k} (tau={tau_lo!r}): {exc}") from exc
-        sq = ((m_lo - m_hi) ** 2).sum(axis=-1)
+        sq = np.square(m, out=m).sum(axis=-1)
+        del x, m
         val = w_k * float(sq.mean())
         err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
         total += val
@@ -659,9 +661,6 @@ def score_error_budget(
     data: GaussianLaw,
     bias: ScorePerturbation,
     schedule: TimeSchedule,
-    *,
-    scheme: str = "corrected",
-    init: str = "standard_normal",
 ) -> MetricReport:
     """Step-weighted mean-squared score bias, with its exact KL price.
 
@@ -679,17 +678,15 @@ def score_error_budget(
         # E||b + B X_tau||^2 = |b|^2 + 2c b.Bm + c^2 (tr(B^T B Cov) + |Bm|^2) + s2 tr(B^T B)
         # for X_tau ~ N(c m, c^2 Cov + s2 I); tr(B^T B Cov) = |B F|_F^2 + floor |B|_F^2.
         b_lin = bias.epsilon * bias.linear
-        tab = step_table(schedule, scheme)
+        tab = step_table(schedule)
         c, s2 = tab.c[:-1], tab.s2[:-1]
         bm = b_lin @ data.mean
         tr_m = float((b_lin * b_lin).sum())
         tr_m_cov = float(np.square(b_lin @ data.factor).sum()) + data.diag_floor * tr_m
         sq = sq + 2.0 * c * float(b_const @ bm) + c * c * (tr_m_cov + float(bm @ bm)) + s2 * tr_m
     budget = float(np.sum(schedule.gammas * sq))
-    base_cfg = ReverseRunConfig(schedule=schedule, scheme=scheme, init=init)
-    pert_cfg = ReverseRunConfig(schedule=schedule, scheme=scheme, init=init, score_source=bias)
-    kl_base = kl_experiment(data, base_cfg).value
-    kl_pert = kl_experiment(data, pert_cfg).value
+    kl_base = kl_experiment(data, ReverseRunConfig(schedule=schedule)).value
+    kl_pert = kl_experiment(data, ReverseRunConfig(schedule=schedule, score_source=bias)).value
     delta = kl_pert - kl_base
     return MetricReport(
         name="score_error_budget",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -252,7 +251,7 @@ class ReverseRunResult:
     """Terminal batch of a reverse run."""
 
     terminal: np.ndarray
-    config: Optional[ReverseRunConfig] = None
+    config: ReverseRunConfig
 
 
 def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal):
@@ -305,15 +304,12 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
     return ReverseRunResult(terminal=terminal, config=config)
 
 
-def save_batch(path, result: ReverseRunResult, extra_meta: dict | None = None) -> None:
+def save_batch(path, result: ReverseRunResult, extra_meta: dict) -> None:
     """Write the terminal batch, one sample per row, under a ``# key = value`` header."""
     cfg = result.config
-    meta = []
-    if cfg is not None:
-        sched = cfg.schedule
-        meta += [("scheme", cfg.scheme), ("batch", cfg.batch), ("seed", cfg.seed), ("init", cfg.init)]
-        meta += [("kappa", sched.kappa), ("L", sched.n_uniform), ("K", sched.n_steps)]
-    meta += (extra_meta or {}).items()
+    sched = cfg.schedule
+    meta = [("scheme", cfg.scheme), ("batch", cfg.batch), ("seed", cfg.seed), ("init", cfg.init)]
+    meta += [("kappa", sched.kappa), ("L", sched.n_uniform), ("K", sched.n_steps), *extra_meta.items()]
     with open(path, "w") as fh:
         fh.write(_record.header(meta, table=True))
         fh.writelines(_record.value(row) + "\n" for row in np.atleast_2d(result.terminal))

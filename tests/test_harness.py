@@ -168,12 +168,12 @@ def test_resolve_schedule_reads_strings_as_it_reads_numbers():
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
-        "[experiment]\nname = d-sweep\nseed = 5\n\n"
+        "[experiment]\nseed = 5\nworkers = 2\n\n"
         "[schedule]\nkappa = 0.2\nhorizon = 3.0\ndelta = 1e-3\n\n"
         "[options]\nD = 8\ndims = 1 2\n"
     )
     cfg = load_config(path)
-    assert cfg.name == "d-sweep" and cfg.seed == 5
+    assert cfg.seed == 5 and cfg.workers == 2
     assert cfg.schedule["kappa"] == "0.2"
     assert cfg.options["dims"] == "1 2"
 
@@ -507,6 +507,13 @@ _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "p
         ([*_SAMPLE[:-1], "0"], "--batch"),
         (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--mode", "mc", "--n", "100000000000"], "--n"),
         (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--n", "50"], "--n"),
+        # inputs that would be ignored: only sweep reads --config, before or
+        # after the subcommand, and --load takes the whole grid from its file
+        (["--config", "f.ini", "kl", "--kappa", "0.1", "--L", "90", "--K", "235", "--measure", "gaussian:D=8"], "--config"),
+        (["kl", "--kappa", "0.1", "--L", "90", "--K", "235", "--measure", "gaussian:D=8", "--config", "f.ini"], "--config"),
+        (["schedule", "--config", "/nonexistent.ini", "--kappa", "0.25", "--L", "4", "--K", "8"], "--config"),
+        (["schedule", "--load", "g.txt", "--kappa", "0.1", "--L", "90", "--K", "235"], "--kappa, --L, --K"),
+        (["schedule", "--load", "g.txt", "--K", "235"], "--K"),
     ],
 )
 def test_cli_inputs_exit_1_naming_the_flag_or_field(tmp_path, capsys, argv, named):
@@ -721,6 +728,9 @@ def test_cli_config_rejects_unknown_option_key(tmp_path, capsys):
     "text, named",
     [
         ("[experiment]\nsede = 5\n", "experiment.sede"),
+        # the preset comes from --preset and the directory from --out
+        ("[experiment]\nname = K-sweep\n", "experiment.name"),
+        ("[experiment]\nout_dir = mydir\n", "experiment.out_dir"),
         ("[schedule]\nkapa = 0.1\n", "schedule.kapa"),
         ("[perturbation]\nconst = 0 1\n", "perturbation.const"),
         ("[measure]\nkind = circle\n", "measure.kind"),

@@ -86,11 +86,6 @@ def test_cloud_weight_validation():
             PointCloudMeasure(pts, np.array([bad, 1.0]))
 
 
-def test_cloud_oracle_rejects_empty_chunk():
-    with pytest.raises(ValueError, match="chunk"):
-        PointCloudOracle(two_point_cloud(), chunk=0)
-
-
 def test_symmetric_two_point_posterior_mean_is_zero():
     oracle = PointCloudOracle(two_point_cloud())
     for t in (0.05, 0.5, 2.0):
@@ -157,6 +152,11 @@ def _direct_form(cloud, t, x, dtype):
     return mean, m[:, 0] + np.log(e.sum(axis=1)) - log_norm
 
 
+def _tall(rows, oracle):
+    """``rows`` repeated cyclically to one tile and 3 rows more, so a query spans two tiles."""
+    return np.resize(rows, (oracle.chunk + 3, *rows.shape[1:]))
+
+
 @given(
     dim=st.integers(1, 5),
     n=st.integers(2, 64),
@@ -169,7 +169,8 @@ def _direct_form(cloud, t, x, dtype):
 def test_cloud_kernel_precision_off_origin(dim, n, offset, log_t, noise, seed):
     # The expanded kernel cancels badly far from the origin at small t unless
     # it is centred.  Tolerances are 5-7x the worst errors seen in 32k
-    # random cases; the float64 direct form stays within them as well.
+    # random cases; the float64 direct form stays within them as well.  The
+    # 8 query rows are repeated past one tile, so the query spans two.
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     pts = offset * u / max(np.linalg.norm(u), 1e-12) + rng.standard_normal((n, dim))
@@ -179,8 +180,9 @@ def test_cloud_kernel_precision_off_origin(dim, n, offset, log_t, noise, seed):
     t = max(math.exp(log_t), T_MIN)
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
     x = c * pts[rng.integers(n, size=8)] + noise * math.sqrt(s2) * rng.standard_normal((8, dim))
-    oracle = PointCloudOracle(cloud, chunk=5)
-    ref_mean, ref_lm = _direct_form(cloud, t, x, np.longdouble)
+    oracle = PointCloudOracle(cloud)
+    ref_mean, ref_lm = (_tall(r, oracle) for r in _direct_form(cloud, t, x, np.longdouble))
+    x = _tall(x, oracle)
     err_mean = np.abs(oracle.posterior_mean(t, x) - ref_mean).max()
     assert err_mean <= 2e-12 * (1 + offset)
     err_lm = np.abs(oracle.log_marginal(t, x) - ref_lm) / np.maximum(1, np.abs(ref_lm))
@@ -216,16 +218,17 @@ def test_cloud_far_queries_match_the_long_double_direct_form():
     # max, where exp underflows to zero; the answers must still match the
     # long-double direct form.
     cloud = make_manifold_cloud("circle", 2, 512, spawn_rng(13, 0))
-    oracle = PointCloudOracle(cloud, chunk=16)
+    oracle = PointCloudOracle(cloud)
     x = 3.0 * np.random.default_rng(14).standard_normal((40, 2))
+    tall = _tall(x, oracle)
     for t in (1e-4, 1e-3):
         c, s2 = math.exp(-t), -math.expm1(-2 * t)
         diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
         logits = np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2
         assert (logits - logits.max(axis=1, keepdims=True) <= -745).any()
-        ref_mean, ref_lm = _direct_form(cloud, t, x, np.longdouble)
-        assert np.abs(oracle.posterior_mean(t, x) - ref_mean).max() <= 2e-12
-        assert (np.abs(oracle.log_marginal(t, x) - ref_lm) <= 1e-8 * np.maximum(1, np.abs(ref_lm))).all()
+        ref_mean, ref_lm = (_tall(r, oracle) for r in _direct_form(cloud, t, x, np.longdouble))
+        assert np.abs(oracle.posterior_mean(t, tall) - ref_mean).max() <= 2e-12
+        assert (np.abs(oracle.log_marginal(t, tall) - ref_lm) <= 1e-8 * np.maximum(1, np.abs(ref_lm))).all()
 
 
 @given(
@@ -254,9 +257,9 @@ def test_cloud_shift_is_never_below_a_row_max_logit(dim, n, offset, log_t, noise
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
     x = c * pts[rng.integers(n, size=8)] + noise * math.sqrt(s2) * rng.standard_normal((8, dim))
     oracle = PointCloudOracle(cloud)
-    y, y_op, _ = oracle._operands(t, x, shift=True)
-    assert y_op.shape[1] == dim + 2  # these terms are far below the overflow guard
+    y, y_op, _ = oracle._operands(t, x)
     b = -y_op[:, dim + 1]
+    assert np.isfinite(b).all()  # these terms are far below the overflow guard
     ld = np.longdouble
     q, y = oracle._q.astype(ld), y.astype(ld)
     log_w = np.log(cloud.weights[cloud.weights > 0])
@@ -274,13 +277,14 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
     # by far more than 665 nats, the shifted normaliser underflows and the
     # row is recomputed with its max.  On a diameter-1 circle the bound
     # nearly meets them, since some point lies close to every direction.
+    # The 48 rows are repeated past one tile, so the query spans two.
     t = 1e-4
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
     rng = np.random.default_rng(16)
     circle = make_manifold_cloud("circle", 2, 512, spawn_rng(17, 0))
     spread = PointCloudMeasure.uniform(1e6 * rng.standard_normal((64, 2)))
     for cloud, scale in ((spread, 1e6), (circle, 1.0)):
-        oracle = PointCloudOracle(cloud, chunk=8)
+        oracle = PointCloudOracle(cloud)
         near = c * cloud.points[rng.integers(len(cloud.points), size=24)] + math.sqrt(s2) * rng.standard_normal((24, 2))
         far = rng.standard_normal((24, 2))
         far *= 3.0 / np.linalg.norm(far, axis=1, keepdims=True)
@@ -289,33 +293,50 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
         if cloud is spread:
             # the bound less each row's max kernel logit, which is the direct
             # form's plus ||y||^2 / (2 s2)
-            y, y_op, _ = oracle._operands(t, x, shift=True)
+            y, y_op, _ = oracle._operands(t, x)
             y = y.astype(np.longdouble)
             diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
             top = (np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2).max(axis=1)
             overshoot = -y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
             assert (overshoot[0::2] < 50).all() and (overshoot[1::2] > 1e4).all()
-        mean = oracle.posterior_mean(t, x)
+        mean = oracle.posterior_mean(t, _tall(x, oracle))
         assert np.isfinite(mean).all()
-        ref_mean, _ = _direct_form(cloud, t, x, np.longdouble)
+        ref_mean = _tall(_direct_form(cloud, t, x, np.longdouble)[0], oracle)
         assert np.abs(mean - ref_mean).max() <= 2e-12 * (1 + scale)
 
 
 def test_cloud_queries_too_large_for_the_shift_stay_finite_and_quiet():
     # Near queries on a cloud spread to 1e8 at small t give logit terms near
     # 1e23, whose rounding alone is millions of nats: shifted by b, some
-    # would overflow exp.  Such a query runs every row with its row max.
+    # would overflow exp.  Each such row gets the bound +inf, a shifted
+    # normaliser of 0, and so runs with its row max.
     rng = np.random.default_rng(18)
     cloud = PointCloudMeasure.uniform(1e8 * rng.standard_normal((64, 2)))
     oracle = PointCloudOracle(cloud)
     for t in (T_MIN, 1e-4):
         c, s2 = math.exp(-t), -math.expm1(-2 * t)
         x = c * cloud.points[rng.integers(64, size=16)] + math.sqrt(s2) * rng.standard_normal((16, 2))
+        assert (oracle._operands(t, x)[1][:, -1] == -np.inf).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean = oracle.posterior_mean(t, x)
         ref_mean, _ = _direct_form(cloud, t, x, np.longdouble)
         assert np.abs(mean - ref_mean).max() <= 2e-12 * (1 + 1e8)
+
+
+def test_cloud_rows_whose_logits_overflow_leave_the_other_rows_alone():
+    # On a cloud spread to 1e150 at t = 1e-8 some rows' logits overflow to
+    # inf and their shifted normaliser is NaN; each row must still get the
+    # answer it gets alone, NaN for those rows and finite for the rest.
+    rng = np.random.default_rng(1)
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(1e150 * rng.standard_normal((16, 2))))
+    x = 1e150 * rng.standard_normal((5, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = oracle.posterior_mean(T_MIN, x)
+        alone = np.array([oracle.posterior_mean(T_MIN, row) for row in x])
+    assert np.isfinite(mean).all(axis=1).sum() == 3
+    np.testing.assert_allclose(mean, alone, rtol=1e-12, equal_nan=True)
 
 
 def _cloud_with_zero_weights(seed):
@@ -347,28 +368,31 @@ def test_cloud_zero_weight_points_change_nothing():
 
 
 def test_cloud_default_tile_matches_single_rows():
-    # Tile height changes only the BLAS summation order of the logit GEMM, so
-    # the bound is 1e-15 in units of the logit scale 1 + c |y| |q| / sigma2
-    # (plus |log p| for the log marginal); the diameter is 1.
+    # A tall query runs in 32-row tiles and a one-row query is a one-row
+    # tile.  Tile height changes only the BLAS summation order of the logit
+    # GEMM, so the bound is 1e-15 in units of the logit scale
+    # 1 + c |y| |q| / sigma2 (plus |log p| for the log marginal); the
+    # diameter is 1.
     cloud = make_manifold_cloud("torus", 4, 2048, spawn_rng(8, 0), intrinsic_dim=2)
-    tiled, rows = PointCloudOracle(cloud), PointCloudOracle(cloud, chunk=1)
-    assert tiled.chunk == 32
+    oracle = PointCloudOracle(cloud)
+    assert oracle.chunk == 32
     centroid = cloud.weights @ cloud.points
     q_max = np.linalg.norm(cloud.points - centroid, axis=1).max()
     x = np.random.default_rng(9).standard_normal((300, 4))
     for t in (1e-3, 0.05, 1.0):
         c, s2 = math.exp(-t), -math.expm1(-2 * t)
         scale = 1.0 + c * np.linalg.norm(x - c * centroid, axis=1) * q_max / s2
-        m_tiled, m_rows = tiled.posterior_mean(t, x), rows.posterior_mean(t, x)
+        m_tiled, m_rows = oracle.posterior_mean(t, x), np.array([oracle.posterior_mean(t, row) for row in x])
         assert (np.abs(m_tiled - m_rows).max(axis=1) <= 1e-15 * scale).all()
-        l_tiled, l_rows = tiled.log_marginal(t, x), rows.log_marginal(t, x)
+        l_tiled, l_rows = oracle.log_marginal(t, x), np.array([oracle.log_marginal(t, row) for row in x])
         assert (np.abs(l_tiled - l_rows) <= 1e-15 * (scale + np.abs(l_rows))).all()
 
 
 def test_boundedness_for_diameter_one_cloud():
     rng = spawn_rng(2, 0)
     pts = rng.standard_normal((40, 3))
-    cloud = PointCloudMeasure.uniform(pts).normalized()
+    raw = PointCloudMeasure.uniform(pts)
+    cloud = raw.normalized(raw.diameter())
     oracle = PointCloudOracle(cloud)
     for t in (0.02, 0.3, 1.5):
         x0, xt = forward_sample(oracle, t, rng, 500)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from revdiff.metrics import (
     score_error_budget,
 )
 from revdiff import measures, metrics
-from revdiff.harness import resolve_schedule
+from revdiff.harness import build_measure, resolve_schedule
 from revdiff.sampler import ReverseRunConfig, ScorePerturbation, step_table
 from revdiff.schedule import build_schedule
 
@@ -428,6 +429,24 @@ def test_meter_requires_samples_and_rng():
         discretization_error_meter(oracle, sched, 500, None)
     with pytest.raises(ValueError):
         discretization_error_meter(oracle, sched, 0, None, mode="exact")
+
+
+@pytest.mark.parametrize("spec", ["gaussian:D=256,rank=1", "circle:D=256,n=256"])
+def test_meter_mc_peak_is_at_most_six_draws(spec):
+    # n = 4096 rows of D = 256: one n x D draw is 8 MiB.  Measured peak 4.0x
+    # (Gaussian) and 4.4x (circle): a draw, its posterior mean and the
+    # oracle's query operands.  Keeping X_0, both draws and both means alive
+    # at once peaked at 8.0x and 8.4x.
+    oracle, sched = build_measure(spec), build_schedule(0.2, 2, 6)
+    discretization_error_meter(oracle, sched, 4096, spawn_rng(0, 2))  # start the pool outside the traced run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        discretization_error_meter(oracle, sched, 4096, spawn_rng(0, 2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 4096 * 256 * 8
 
 
 # ---------------------------------------------------------------------------
