@@ -345,9 +345,10 @@ class PointCloudOracle(ScoreOracle):
     from the origin.  Zero-weight points are left out of the kernel arrays
     (``sample0`` still draws over the full cloud).
 
-    ``posterior_mean`` makes three passes over each tile's logits: one GEMM,
-    an in-place ``exp`` and one GEMM against [q | 1] that gives the weighted
-    sum and the normaliser together, then a divide of a tile's narrow sums.
+    ``posterior_mean`` makes three calls per tile that release the GIL: the
+    logit GEMM, an in-place ``exp`` and one GEMM against [q | 1] that writes
+    the weighted sums and normalisers into one rows x (D + 1) array per
+    query.  The far-row test, its fallback and the divide run once per query.
     Each row's logits are shifted not by their max but by a bound b on
     them that costs O(D) per row.  With y = x - c mu, the kernel's logit
     (c y.q_j - c^2 ||q_j||^2 / 2) / s2 + log w_j is at most
@@ -361,10 +362,9 @@ class PointCloudOracle(ScoreOracle):
     finds or subtracts a max, and every weight is at most 1 up to rounding.
     A row whose normaliser comes out below 2**-960 (b overshot its max by
     more than about 665 nats: a query far from every point of the noised
-    cloud) is recomputed with its exact row max, after the tile's logits
-    are freed.  So is a row whose terms are so large (about 2**61 / (D + 6))
-    that rounding could make ``exp`` overflow: its bound is +inf, so its
-    shifted normaliser is 0.
+    cloud) is redone with its row max, one GEMM per tile over its far rows;
+    so is a row whose terms are so large (about 2**61 / (D + 6)) that
+    rounding could make ``exp`` overflow: its bound is +inf, its normaliser 0.
     ``log_marginal`` also needs the leading component's log density, so it
     finds the argmax instead.
 
@@ -447,10 +447,11 @@ class PointCloudOracle(ScoreOracle):
     def _map_tiles(self, n_rows, run):
         """``run(rows)`` for the row slice of each tile, over the pool.
 
-        One tile per call, so its logits are freed before the next tile
-        allocates its own: with two 512 KiB buffers live per thread, glibc
-        malloc gave heap back to the OS and faulted it in again on every tile
-        (about 90x the page faults of a sampler run).
+        One tile per call: for ``posterior_mean`` three calls that release
+        the GIL, so threads compute at once.  Its logits are freed before the
+        next tile allocates its own: with two 512 KiB buffers live per thread,
+        glibc malloc gave heap back to the OS and faulted it in again on every
+        tile (about 90x the page faults of a sampler run).
         """
         chunk = self.chunk
         _map_pooled(lambda i: run(slice(i * chunk, (i + 1) * chunk)), range(-(-n_rows // chunk)), _pool_size())
@@ -459,23 +460,22 @@ class PointCloudOracle(ScoreOracle):
         t = _check_time(t)
         x = self._check_point(x)
         dim = self.dim
-        y_op, q_op = self._operands(t, x)[1:]  # y is freed before out is allocated
-        out = np.empty((len(y_op), dim))
+        y_op, q_op = self._operands(t, x)[1:]  # y is freed before sums is allocated
+        sums = np.empty((len(y_op), dim + 1))
 
         def run(rows):
             lw = y_op[rows] @ q_op
-            sums = np.exp(lw, out=lw) @ self._q_one
-            del lw  # freed before a fallback allocates its own logits
-            norm = sums[:, dim]
-            # not >=: a too-large row whose logits overflow has a NaN normaliser
-            if not norm.min() >= _FAR_NORM:
-                far = np.flatnonzero(~(norm >= _FAR_NORM))
-                lw = y_op[far + rows.start, : dim + 1] @ q_op[: dim + 1]
-                lw -= lw.max(axis=1, keepdims=True)
-                sums[far] = np.exp(lw, out=lw) @ self._q_one
-            np.divide(sums[:, :dim], sums[:, dim:], out=out[rows])
+            # np.dot, not @: numpy's @ keeps the GIL for a product this narrow
+            np.dot(np.exp(lw, out=lw), self._q_one, out=sums[rows])
 
-        self._map_tiles(len(out), run)
+        self._map_tiles(len(sums), run)
+        far = np.flatnonzero(~(sums[:, dim] >= _FAR_NORM))  # not <: a row whose logits overflow has a NaN normaliser
+        for rows in np.split(far, np.flatnonzero(np.diff(far // self.chunk)) + 1) if len(far) else ():  # one GEMM per tile
+            lw = y_op[rows, : dim + 1] @ q_op[: dim + 1]
+            lw -= lw.max(axis=1, keepdims=True)
+            sums[rows] = np.dot(np.exp(lw, out=lw), self._q_one)
+        del y_op  # freed before out is allocated
+        out = sums[:, :dim] / sums[:, dim:]
         out += self._mu
         return out.reshape(x.shape)
 

@@ -184,8 +184,8 @@ class ScorePerturbation:
     """
 
     epsilon: float
-    constant: Optional[np.ndarray] = None
-    linear: Optional[np.ndarray] = None
+    constant: np.ndarray | None = None
+    linear: np.ndarray | None = None
 
     def __post_init__(self):
         if self.constant is not None:

@@ -213,6 +213,50 @@ def test_cloud_kernel_bit_identical_threaded_and_inline(dim, monkeypatch):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(threaded, got))
 
 
+def test_cloud_kernel_is_the_per_tile_passes_byte_for_byte(monkeypatch):
+    # The reference makes each tile's passes in turn: logit GEMM, in-place
+    # exp, GEMM against [q | 1], then a row-max redo of the tile's far rows
+    # (normaliser below 2**-960) as one GEMM, and the divide.  The kernel
+    # takes the far-row test, the redo and the divide out of the tiles; its
+    # bits must not move, whatever the thread count.  At t = 1e-4 a row
+    # about midway between two points 2 apart is far from the noised cloud,
+    # and its mean depends on the bits of both logits.  The far rows sit in
+    # tiles 1 and 3 of a 4-tile-and-5-row query, one in the first and two
+    # in the second: a one-row product (BLAS gemv) rounds differently from
+    # the same row inside a taller one, so the redo's grouping shows.
+    t = 1e-4
+    c, s2 = math.exp(-t), -math.expm1(-2 * t)
+    rng = np.random.default_rng(19)
+    pts = 1e3 * rng.standard_normal((64, 2))
+    pts[1:6:2] = pts[0:6:2] + 2.0 * np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+    cloud = PointCloudMeasure.uniform(pts)
+    oracle = PointCloudOracle(cloud)
+    chunk, dim = oracle.chunk, oracle.dim
+    x = c * pts[rng.integers(64, size=4 * chunk + 5)] + math.sqrt(s2) * rng.standard_normal((4 * chunk + 5, 2))
+    far_rows = [chunk + 7, 3 * chunk + 1, 4 * chunk - 1]
+    x[far_rows] = c * (0.5 * (pts[0:6:2] + pts[1:6:2]) + 1e-4 * (pts[1:6:2] - pts[0:6:2]))
+
+    _, y_op, q_op = oracle._operands(t, x)
+    q_one = np.hstack([oracle._q, np.ones((len(oracle._q), 1))])
+    ref, redone = [], []
+    for start in range(0, len(x), chunk):
+        tile_op = y_op[start : start + chunk]
+        lw = tile_op @ q_op
+        sums = np.exp(lw, out=lw) @ q_one
+        far = ~(sums[:, dim] >= 2.0**-960)
+        if far.any():
+            lw = tile_op[far, : dim + 1] @ q_op[: dim + 1]
+            lw -= lw.max(axis=1, keepdims=True)
+            sums[far] = np.exp(lw, out=lw) @ q_one
+            redone.extend(start + np.flatnonzero(far))
+        ref.append(sums[:, :dim] / sums[:, dim:] + oracle._mu)
+    assert redone == far_rows
+    ref = np.concatenate(ref)
+    for pool in (1, 3):
+        monkeypatch.setattr(measures, "_pool_size", lambda: pool)
+        assert oracle.posterior_mean(t, x).tobytes() == ref.tobytes()
+
+
 def test_cloud_far_queries_match_the_long_double_direct_form():
     # Far queries at tiny t put logits more than 745 nats below their row's
     # max, where exp underflows to zero; the answers must still match the

@@ -1,8 +1,11 @@
+import importlib
+import inspect
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -490,3 +493,14 @@ def test_save_batch_writes_header_and_rows(tmp_path):
     assert any(line.startswith("# seed = 3") for line in lines)
     data = [line for line in lines if not line.startswith("#")]
     assert len(data) == 8 and len(data[0].split()) == 2
+
+
+@pytest.mark.parametrize("module", ["revdiff.schedule", "revdiff.measures", "revdiff.sampler", "revdiff.metrics", "revdiff.harness"])
+def test_public_annotations_resolve(module):
+    # Annotations are strings under `from __future__ import annotations`, so
+    # a name missing from the module shows only when they are resolved.
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            typing.get_type_hints(obj)
