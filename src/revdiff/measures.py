@@ -137,8 +137,9 @@ class ScoreOracle:
     """Contract for one data distribution; concrete laws subclass this.
 
     All point arguments accept shape (D,) or a batch (..., D) and return
-    matching shapes.  Oracles are immutable after construction and safe for
-    concurrent read-only use; all sampling goes through an explicit rng.
+    new arrays of matching shape, which callers may overwrite.  Oracles are
+    immutable after construction and safe for concurrent read-only use; all
+    sampling goes through an explicit rng.
     """
 
     dim: int
@@ -377,7 +378,7 @@ class PointCloudOracle(ScoreOracle):
     A query of two or more tiles made outside pooled work hands its tiles,
     whole, to the caller and the threads of the pool behind ``map_streams``
     (up to ``os.cpu_count()`` at once), each taking the next tile as it
-    finishes one; inside pooled work (sampler chunks, lemma-suite cases) the
+    finishes one; inside pooled work (sampler blocks, lemma-suite cases) the
     tiles run inline.  Tile boundaries are fixed by the tile height and no
     tile's arithmetic depends on its thread, so results are bit-identical
     whatever the thread or worker count.

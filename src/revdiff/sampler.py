@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _record
-from .measures import ScoreOracle, forward_sample, map_streams
+from .measures import ScoreOracle, _map_pooled, forward_sample, spawn_rng
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var, validate_schedule
 
 __all__ = [
@@ -83,15 +83,15 @@ def step_table(schedule: TimeSchedule, scheme: str = "corrected") -> StepTable:
     return StepTable(alpha=np.exp(g), beta=beta, eta2=eta2, c=contraction(schedule.taus), s2=s2)
 
 
-def _affine_step(y, tau, alpha, beta, eta, score_fn, rng) -> np.ndarray:
-    """alpha y + beta score(tau, y) + eta z, in place, bit-identical to that expression."""
-    y = np.asarray(y, dtype=float)
-    out = np.multiply(y, alpha)
-    out += beta * score_fn(tau, y)
-    noise = rng.standard_normal(y.shape)
-    noise *= eta
-    out += noise
-    return out
+def _affine_step(y, s, alpha, beta, eta, draw) -> np.ndarray:
+    """alpha y + beta s + eta z in y, bit-identical to that expression; ``draw(s)`` writes z over s once s is added."""
+    y *= alpha
+    s *= beta
+    y += s
+    draw(s)
+    s *= eta
+    y += s
+    return y
 
 
 def corrected_score(t, x, t2, x2, base_score_fn) -> np.ndarray:
@@ -217,9 +217,11 @@ class ReverseRunConfig:
     exact score.  ``init`` selects the start law: "standard_normal" for the
     N(0, I) initialization, or "data_pT" to start from the true noised data
     law at the horizon (useful to isolate discretization error).  Runs are
-    bit-reproducible for fixed (config, seed): the batch is processed in
-    fixed chunks of ``chunk_size`` samples, chunk i drawing from the derived
-    stream (seed, i), so the worker count changes wall time only.
+    bit-reproducible for fixed (config, seed): chunk i, samples
+    [i chunk_size, (i + 1) chunk_size), draws its init and noise from the
+    derived stream (seed, i), and each max(1, 2**15 // (chunk_size D))
+    consecutive chunks step together as one block.  A block's size is fixed
+    by ``chunk_size`` and D alone, so the worker count changes wall time only.
     """
 
     schedule: TimeSchedule
@@ -254,22 +256,25 @@ class ReverseRunResult:
     config: ReverseRunConfig
 
 
-def _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal):
-    """Run the samples of ``rows`` and write them into the batch's terminal."""
-    sched = config.schedule
-    n = rows.stop - rows.start
-    if config.init == "data_pT":
-        _, y = forward_sample(oracle, sched.horizon, rng, n)
-    else:
-        y = rng.standard_normal((n, oracle.dim))
-    for k, step in enumerate(steps):
-        y = _affine_step(y, *step, score_fn, rng)
+def _run_block(config, oracle, score_fn, steps, chunks, terminal):
+    """Step the chunks of the range ``chunks`` as one array, in place in their rows of ``terminal``."""
+    size = config.chunk_size
+    y = terminal[chunks.start * size : chunks.stop * size]  # the batch's last chunk may be short
+    rows = [slice(j * size, (j + 1) * size) for j in range(len(chunks))]
+    rngs = [spawn_rng(config.seed, i) for i in chunks]
+    for r, rng in zip(rows, rngs):
+        if config.init == "data_pT":
+            y[r] = forward_sample(oracle, config.schedule.horizon, rng, len(y[r]))[1]
+        else:
+            rng.standard_normal(out=y[r])
+    draw = lambda z: [rng.standard_normal(out=z[r]) for r, rng in zip(rows, rngs)]
+    for k, (tau, alpha, beta, eta) in enumerate(steps):
+        _affine_step(y, score_fn(tau, y), alpha, beta, eta, draw)
         if not np.isfinite(y).all():
             raise FloatingPointError(
-                f"non-finite state after step k={k} (t={sched.times[k + 1]!r}); "
-                "check the schedule and score source"
+                f"non-finite state after step k={k} (t={float(config.schedule.times[k + 1])!r}) in batch row "
+                f"{chunks.start * size + int(np.isfinite(y).all(axis=1).argmin())}; check the schedule and score source"
             )
-    terminal[rows] = y
 
 
 def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResult:
@@ -277,30 +282,24 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
 
     Samples start at the configured initialization and take n_steps scheme
     steps; the returned terminal batch approximates the data law noised to
-    the early-stopping time.  With ``n_workers > 1`` chunks run on a thread
-    pool; chunk values are identical to the sequential ones.  The (batch, D)
-    terminal is allocated once and each chunk writes its own rows into it,
-    so the batch is never held twice.
+    the early-stopping time.  Each block steps in place in its rows of the
+    (batch, D) terminal, one score query a step, so the batch is never held
+    twice.  With ``n_workers > 1`` blocks share the pool; a batch of one block
+    runs in the caller, so a point-cloud oracle shares its tiles over the pool.
     """
     if not isinstance(oracle, ScoreOracle):
         raise TypeError(f"run_reverse needs a ScoreOracle, got {type(oracle).__name__}")
-    score_fn = oracle.score
-    if isinstance(config.score_source, ScorePerturbation):
-        score_fn = config.score_source.perturb(score_fn)
+    score_fn = oracle.score if config.score_source == "exact" else config.score_source.perturb(oracle.score)
     tab = step_table(config.schedule, config.scheme)
     # (tau, alpha, beta, eta) of each step, as Python floats
     steps = list(
         zip(config.schedule.taus[:-1].tolist(), tab.alpha.tolist(), tab.beta.tolist(), np.sqrt(tab.eta2).tolist())
     )
     terminal = np.empty((config.batch, oracle.dim))
-    size = config.chunk_size
-    chunks = [slice(i, min(i + size, config.batch)) for i in range(0, config.batch, size)]
-    map_streams(
-        lambda rows, rng: _run_chunk(config, oracle, score_fn, steps, rows, rng, terminal),
-        chunks,
-        config.seed,
-        config.n_workers,
-    )
+    per = max(1, 2**15 // (config.chunk_size * oracle.dim))  # chunks per block: the dense path's 2**15-value budget
+    chunks = range(-(-config.batch // config.chunk_size))
+    blocks = [chunks[i : i + per] for i in range(0, len(chunks), per)]
+    _map_pooled(lambda block: _run_block(config, oracle, score_fn, steps, block, terminal), blocks, config.n_workers)
     return ReverseRunResult(terminal=terminal, config=config)
 
 

@@ -20,6 +20,8 @@ from revdiff.measures import (
     PointCloudOracle,
     PointMassOracle,
     ProductOracle,
+    forward_sample,
+    spawn_rng,
 )
 from revdiff.metrics import propagate_affine_reverse
 from revdiff.sampler import (
@@ -58,13 +60,6 @@ def coefficients(sched, k, scheme="corrected"):
     """(alpha, beta, eta) of step k, read from the step table."""
     tab = step_table(sched, scheme)
     return float(tab.alpha[k]), float(tab.beta[k]), math.sqrt(tab.eta2[k])
-
-
-class ZeroNormal:
-    """rng stub that suppresses the injected noise."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
 
 
 def test_corrected_coefficients_at_ln2_gap():
@@ -134,8 +129,7 @@ def test_step_index_bounds():
 def test_corrected_step_drift_only_is_pure_scaling():
     sched = schedule_with_gap(0.3, 1.5)
     y = np.array([[0.5, -1.0]])
-    zero_score = lambda t, x: np.zeros_like(x)
-    out = _affine_step(y, float(sched.taus[0]), *coefficients(sched, 0), zero_score, ZeroNormal())
+    out = _affine_step(y.copy(), np.zeros_like(y), *coefficients(sched, 0), lambda z: z.fill(0.0))
     np.testing.assert_allclose(out, math.exp(0.3) * y, atol=1e-15)
 
 
@@ -143,9 +137,9 @@ def test_corrected_step_reproducible_bit_exact():
     sched = build_schedule(0.2, 2, 5)
     oracle = PointMassOracle(np.array([0.5, 0.0]))
     y = np.array([[0.1, 0.2]])
-    step = float(sched.taus[1]), *coefficients(sched, 1)
-    a = _affine_step(y, *step, oracle.score, np.random.default_rng(42))
-    b = _affine_step(y, *step, oracle.score, np.random.default_rng(42))
+    tau, step = float(sched.taus[1]), coefficients(sched, 1)
+    a = _affine_step(y.copy(), oracle.score(tau, y), *step, lambda z: np.random.default_rng(42).standard_normal(out=z))
+    b = _affine_step(y.copy(), oracle.score(tau, y), *step, lambda z: np.random.default_rng(42).standard_normal(out=z))
     assert a.tobytes() == b.tobytes()
 
 
@@ -161,7 +155,8 @@ def test_affine_step_is_the_expression_bit_for_bit(scheme):
         for k in range(sched.n_steps):
             tau, (alpha, beta, eta) = float(sched.taus[k]), coefficients(sched, k, scheme)
             expected = alpha * y + beta * oracle.score(tau, y) + eta * np.random.default_rng(k).standard_normal(y.shape)
-            got = _affine_step(y, tau, alpha, beta, eta, oracle.score, np.random.default_rng(k))
+            rng = np.random.default_rng(k)
+            got = _affine_step(y.copy(), oracle.score(tau, y), alpha, beta, eta, lambda z: rng.standard_normal(out=z))
             assert got.tobytes() == expected.tobytes()
             y = got
 
@@ -279,6 +274,60 @@ def test_fine_integrate_requires_substeps():
 # ---------------------------------------------------------------------------
 
 
+def _per_chunk_reference(cfg, oracle):
+    """The batch run one chunk at a time, each as the step expression, joined."""
+    sched, tab = cfg.schedule, step_table(cfg.schedule, cfg.scheme)
+    score = oracle.score if cfg.score_source == "exact" else cfg.score_source.perturb(oracle.score)
+    chunks = []
+    for i, start in enumerate(range(0, cfg.batch, cfg.chunk_size)):
+        rng, n = spawn_rng(cfg.seed, i), min(cfg.chunk_size, cfg.batch - start)
+        if cfg.init == "data_pT":
+            y = forward_sample(oracle, sched.horizon, rng, n)[1]
+        else:
+            y = rng.standard_normal((n, oracle.dim))
+        for k in range(sched.n_steps):
+            tau, alpha, beta, eta = float(sched.taus[k]), *coefficients(sched, k, cfg.scheme)
+            y = alpha * y + beta * score(tau, y) + eta * rng.standard_normal(y.shape)
+        chunks.append(y)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize(
+    "spec, batch, chunk_size",
+    # point-mass: 6 chunks (the last of 100 rows) in blocks of 4 and 2;
+    # the control: 7 chunks (the last of 300 rows) in blocks of 4 and 3
+    [("point-mass:D=16", 5 * 512 + 100, 512), ("gaussian:D=4,rank=1", 6 * 2048 + 300, 2048)],
+)
+@pytest.mark.parametrize("scheme", ["corrected", "exponential_integrator"])
+def test_run_reverse_blocks_match_a_per_chunk_reference(spec, batch, chunk_size, scheme):
+    oracle = build_measure(spec, 3)
+    cfg = ReverseRunConfig(
+        schedule=build_schedule(0.2, 10, 40), scheme=scheme, batch=batch, seed=5, chunk_size=chunk_size, n_workers=2
+    )
+    assert run_reverse(cfg, oracle).terminal.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
+
+
+def test_run_reverse_blocks_are_worker_invariant_from_data_pT_with_a_bias():
+    # D = 8 and 1024-sample chunks: 10 chunks (the last of 17 rows) in blocks of 4, 4 and 2
+    oracle = build_measure("gaussian:D=8,rank=2,var=0.25", 2)
+    bias = ScorePerturbation(epsilon=0.3, constant=np.linspace(-1.0, 1.0, 8), linear=0.2 * np.eye(8))
+    base = dict(
+        schedule=build_schedule(0.2, 10, 40), batch=9 * 1024 + 17, seed=6, init="data_pT", score_source=bias
+    )
+    runs = [run_reverse(ReverseRunConfig(**base, n_workers=w), oracle).terminal.tobytes() for w in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_standard_normal_into_rows_matches_the_sized_draw():
+    # blocks draw each chunk's init and noise into its rows of a wider array
+    buf = np.empty((40, 5))
+    sized, into = np.random.default_rng(12), np.random.default_rng(12)
+    for rows in (slice(3, 20), slice(0, 40), slice(39, 40), slice(7, 8)):
+        want = sized.standard_normal((rows.stop - rows.start, 5))
+        into.standard_normal(out=buf[rows])
+        assert buf[rows].tobytes() == want.tobytes()
+
+
 def test_run_reverse_deterministic_and_worker_invariant():
     sched = build_schedule(0.25, 2, 6)
     oracle = PointMassOracle(np.array([0.5, -0.5]))
@@ -301,8 +350,9 @@ from revdiff.measures import PointCloudOracle, make_manifold_cloud, spawn_rng
 from revdiff.sampler import ReverseRunConfig, run_reverse
 from revdiff.schedule import build_schedule
 
-cloud = make_manifold_cloud("circle", 2, 512, spawn_rng(15, 0))
+cloud = make_manifold_cloud("circle", 64, 512, spawn_rng(15, 0))
 oracle = PointCloudOracle(cloud)  # 128-row tiles, so each chunk spans 3
+# 300 x 64 values fill a block, so each chunk is a block of its own
 workers = (os.cpu_count() or 1) + 2
 base = dict(schedule=build_schedule(0.25, 2, 6), batch=300 * (workers + 1), seed=4, chunk_size=300)
 interval = sys.getswitchinterval()
@@ -317,8 +367,8 @@ assert pooled.terminal.tobytes() == one.terminal.tobytes()
 
 
 def test_run_reverse_more_workers_than_pool_threads_matches_one_worker():
-    # Pooled chunks run their oracle tiles inline; at one worker the tiles of
-    # each chunk are shared out over the pool instead.  More workers than pool
+    # Pooled blocks run their oracle tiles inline; at one worker the tiles of
+    # each block are shared out over the pool instead.  More workers than pool
     # threads must neither deadlock nor change a bit.
     src = os.path.dirname(os.path.dirname(os.path.abspath(revdiff.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -334,8 +384,9 @@ def test_run_reverse_more_workers_than_pool_threads_matches_one_worker():
 
 def test_run_reverse_writes_chunks_into_one_batch():
     # point-mass:D=16, batch 32768: the terminal is 4 MiB.  Measured peak
-    # 1.25x of it (the batch plus each worker's 1024-row chunk state); a list
-    # of chunk terminals joined at the end holds the batch twice (2.0x).
+    # 1.13x of it (the batch plus each worker's 2048-row block score, which
+    # the step reuses for its noise); a list of chunk terminals joined at the
+    # end holds the batch twice (2.0x).
     oracle = build_measure("point-mass:D=16")
     cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=32768, seed=1, n_workers=2)
     run_reverse(cfg, oracle)  # start the pool outside the traced run
@@ -356,18 +407,27 @@ def test_run_reverse_needs_a_score_oracle():
 
 
 class _BlowUpOracle(type(PointMassOracle(np.zeros(2)))):
-    def __init__(self):
+    """Infinite score at time ``tau`` on the rows whose first coordinate exceeds ``limit``."""
+
+    def __init__(self, tau, limit):
         super().__init__(np.zeros(2))
+        self.tau, self.limit = tau, limit
 
     def score(self, t, x):
-        return np.full_like(np.asarray(x, dtype=float), np.inf)
+        x = np.asarray(x, dtype=float)
+        return np.where((x[..., :1] > self.limit) & (t == self.tau), np.inf, 0.0) + np.zeros_like(x)
 
 
 def test_run_reverse_aborts_on_nonfinite_state():
-    sched = build_schedule(0.25, 2, 6)
-    cfg = ReverseRunConfig(schedule=sched, batch=4, seed=0)
-    with pytest.raises(FloatingPointError, match="k=0"):
-        run_reverse(cfg, _BlowUpOracle())
+    # two blocks of one 16384-sample chunk each; the first step blows up only
+    # rows of the second block, so the error must name a row past the first
+    sched, size = build_schedule(0.25, 2, 6), 2**14
+    cfg = ReverseRunConfig(schedule=sched, batch=2 * size, seed=3, chunk_size=size)
+    first, second = (spawn_rng(3, i).standard_normal((size, 2))[:, 0] for i in (0, 1))
+    bad = second > first.max()
+    assert bad.any()
+    with pytest.raises(FloatingPointError, match=rf"k=0 \(t=.*\) in batch row {size + int(bad.argmax())};"):
+        run_reverse(cfg, _BlowUpOracle(float(sched.taus[0]), first.max()))
 
 
 def test_run_reverse_config_validation():
