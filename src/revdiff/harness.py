@@ -792,6 +792,7 @@ def _dispatch(args) -> int:
         oracle = build_measure(args.measure, args.seed)
         n = _rows(args.n, 100, oracle.dim, "--n") if args.mode == "mc" else args.n
         rng = spawn_rng(args.seed, 2)
+        start = time.perf_counter()
         report = metrics.discretization_error_meter(
             oracle,
             sched,
@@ -800,6 +801,7 @@ def _dispatch(args) -> int:
             mode=args.mode,
             quadrature="midpoint" if args.midpoint else "right",
         )
+        print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
         sys.stdout.write(report.to_keyvalues())
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "meter_components.csv")

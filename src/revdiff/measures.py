@@ -74,36 +74,49 @@ def _mark_inline():
     _THREAD.inline = True
 
 
-def _map_pooled(call, items, workers: int) -> list:
-    """``[call(item) for item in items]`` with at most ``workers`` items at once.
-
-    The work runs on one process-wide pool of ``os.cpu_count()`` threads,
-    created on first use, with the caller draining items alongside it.  A
-    map made from inside pooled work runs inline, so nested maps never
-    oversubscribe the cores or wait on the pool they run in.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1 or getattr(_THREAD, "inline", False):
-        return [call(item) for item in items]
+def _pool():
+    """The process-wide pool of ``os.cpu_count()`` threads, created on first use."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             import concurrent.futures  # only pooled runs pay for the import
 
             _POOL = concurrent.futures.ThreadPoolExecutor(_pool_size(), initializer=_mark_inline)
+    return _POOL
+
+
+def _map_pooled(call, items, workers: int) -> list:
+    """``[call(item) for item in items]`` with at most ``workers`` items at once.
+
+    The work runs on the shared pool, with the caller draining items
+    alongside it.  A map made from inside pooled work runs inline, so nested
+    maps never oversubscribe the cores or wait on the pool they run in.  Once
+    a call raises, no new item is taken; the calls in flight finish and the
+    exception reaches the caller.
+    """
+    items = list(items)
+    if workers <= 1 or len(items) <= 1 or getattr(_THREAD, "inline", False):
+        return [call(item) for item in items]
+    pool = _pool()
     results = [None] * len(items)
     pending = iter(enumerate(items))
     lock = threading.Lock()
 
     def drain():
+        nonlocal pending
         while True:
             with lock:
                 job = next(pending, None)
             if job is None:
                 return
-            results[job[0]] = call(job[1])
+            try:
+                results[job[0]] = call(job[1])
+            except BaseException:
+                with lock:
+                    pending = iter(())
+                raise
 
-    helpers = [_POOL.submit(drain) for _ in range(min(workers, len(items)) - 1)]
+    helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
     _THREAD.inline = True
     try:
         drain()
@@ -114,6 +127,31 @@ def _map_pooled(call, items, workers: int) -> list:
             if not helper.cancel():
                 helper.result()
     return results
+
+
+def _map_ahead(fn, items):
+    """Yield ``fn(item)`` in order, each call made on the pool while the caller works on the one before.
+
+    Calls run one at a time, so ``fn`` may draw from a shared generator; inside
+    pooled work they run inline.  After a call raises, or the caller closes the
+    generator, the call in flight is waited for and no new one is started.  No
+    reference to a handed-out result is kept, so the caller frees it at will.
+    """
+    items = list(items)
+    if getattr(_THREAD, "inline", False):
+        yield from map(fn, items)
+        return
+    ahead, done = None, []
+    try:
+        for i in range(len(items) + 1):
+            if ahead is not None:
+                done.append(ahead.result())
+            ahead = _pool().submit(fn, items[i]) if i < len(items) else None
+            if done:
+                yield done.pop()
+    finally:
+        if ahead is not None:
+            ahead.exception()  # waits for it
 
 
 def map_streams(fn, items, seed: int, workers: int = 1, first: int = 0) -> list:
@@ -510,7 +548,9 @@ class GaussianOracle(ScoreOracle):
     off it.  A query splits x - c mean into z = (x - c mean) U and the rest
     and scales each part, so there is no Woodbury solve, Gram matrix or
     determinant: per row two thin GEMMs, O(D r), plus O(D) elementwise work.
-    The posterior mean is the closed-form Tweedie mean
+    The thin products use ``np.dot``: ``@`` gives the same bits but takes a
+    slow path for an inner dimension of 1 and keeps the GIL for narrow
+    products.  The posterior mean is the closed-form Tweedie mean
     ``mean + c Cov Cov_t^{-1} (x - c mean)``; it never divides by c, so it keeps
     its digits at large t.
     """
@@ -523,10 +563,10 @@ class GaussianOracle(ScoreOracle):
 
     def sample0(self, rng, n):
         law = self.law
-        z = rng.standard_normal((n, law.factor.shape[1]))
-        x = law.mean + z @ law.factor.T
+        x = np.dot(rng.standard_normal((n, law.factor.shape[1])), law.factor.T)
+        x += law.mean
         if law.diag_floor > 0:
-            x = x + math.sqrt(law.diag_floor) * rng.standard_normal((n, self.dim))
+            x += math.sqrt(law.diag_floor) * rng.standard_normal((n, self.dim))
         return x
 
     def _split(self, t, x):
@@ -535,7 +575,7 @@ class GaussianOracle(ScoreOracle):
         nu = c * c * self.law.diag_floor + s2
         den = (c * c) * self._var + nu
         v = x.reshape(-1, self.dim) - c * self.law.mean
-        return c, s2, nu, den, v, v @ self._basis
+        return c, s2, nu, den, v, np.dot(v, self._basis)
 
     def score(self, t, x):
         x = self._check_point(x)
@@ -549,7 +589,7 @@ class GaussianOracle(ScoreOracle):
         else:
             k = int(self._var.argmin())
             low, gap = den[k], (c * c) * (self._var - self._var[k])
-        out = (z * (gap / den)) @ self._basis_t
+        out = np.dot(z * (gap / den), self._basis_t)
         out -= v
         out /= low
         return out.reshape(x.shape)
@@ -558,7 +598,7 @@ class GaussianOracle(ScoreOracle):
         # c Cov Cov_t^{-1} v = (c lam / nu) v + z (c sigma2 v_i / (nu den)) U^T: no term cancels
         x = self._check_point(x)
         c, s2, nu, den, v, z = self._split(t, x)
-        out = (z * (c * s2 * self._var / (nu * den))) @ self._basis_t
+        out = np.dot(z * (c * s2 * self._var / (nu * den)), self._basis_t)
         out += self.law.mean
         if self.law.diag_floor > 0:
             out += (c * self.law.diag_floor / nu) * v
@@ -653,15 +693,21 @@ def log_marginal_gradient(oracle: ScoreOracle, t: float, x, h: float = 1e-5) -> 
 # ---------------------------------------------------------------------------
 
 
+def _forward_kernel(x: np.ndarray, t: float, z: np.ndarray) -> np.ndarray:
+    """c(t) x + sigma(t) z, in place in the normals z: the one formula of the forward kernel."""
+    c, s2 = noise_scales(t)
+    z *= math.sqrt(s2)
+    z += c * x
+    return z
+
+
 def forward_sample(oracle: ScoreOracle, t: float, rng: np.random.Generator, n: int = 1):
     """Sample (X_0, X_t) jointly: X_t = c(t) X_0 + sigma(t) Z."""
-    c, s2 = noise_scales(t)
+    s2 = noise_scales(t)[1]
     x0 = oracle.sample0(rng, n)
     if s2 == 0.0:
         return x0, x0.copy()
-    xt = math.sqrt(s2) * rng.standard_normal(x0.shape)
-    xt += c * x0  # in place: no n x D array for the sum
-    return x0, xt
+    return x0, _forward_kernel(x0, t, rng.standard_normal(x0.shape))
 
 
 def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator):
@@ -674,10 +720,7 @@ def forward_bridge(xt: np.ndarray, t: float, t2: float, rng: np.random.Generator
     if t2 <= t:
         raise ValueError(f"bridge requires t2 > t, got t={t!r}, t2={t2!r}")
     xt = np.asarray(xt, dtype=float)
-    c, s2 = noise_scales(t2 - t)
-    out = math.sqrt(s2) * rng.standard_normal(xt.shape)
-    out += c * xt
-    return out
+    return _forward_kernel(xt, t2 - t, rng.standard_normal(xt.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@ from .measures import (
     GaussianOracle,
     PointCloudOracle,
     ScoreOracle,
+    _forward_kernel,
+    _map_ahead,
     _map_pooled,
     _pool_size,
     forward_bridge,
-    forward_sample,
 )
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var
@@ -430,6 +431,12 @@ def discretization_error_meter(
     mode "mc" samples jointly correlated pairs via the forward kernel and
     reports per-step standard errors; mode "exact" requires a Gaussian
     oracle and evaluates the channel closed form (n and rng are ignored).
+
+    Each mc step draws X_0, then the forward and the bridge normals.  When
+    they hold 2**12 to 2**17 values each (n * D), step k + 1's are drawn on
+    the pool while this thread computes step k; the draws never overlap, so
+    ``rng`` is consumed in step order and the report is byte-identical at
+    any thread count.  ``rng`` is never advanced after the meter returns or raises.
     """
     if quadrature not in ("right", "midpoint"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -458,24 +465,38 @@ def discretization_error_meter(
         raise ValueError("mc mode needs n >= 100 samples per step")
     if rng is None:
         raise ValueError("mc mode needs an rng")
+
+    def draw(_):
+        x0 = oracle.sample0(rng, n)
+        return x0, rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)
+
+    # below 2**12 a hand-off costs more than the draw; above 2**17 the three
+    # arrays drawn ahead would lift the peak past six n x D draws
+    ahead = 2**12 <= n * oracle.dim <= 2**17
+    draws = _map_ahead(draw, range(len(w))) if ahead else (draw(k) for k in range(len(w)))
     total = 0.0
     var_sum = 0.0
-    for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
-        # each draw dropped once used, the difference squared in place: about four n x D arrays at the peak
-        x = forward_sample(oracle, tau_lo, rng, n)[1]
-        try:
-            m = oracle.posterior_mean(tau_lo, x)
-            x = forward_bridge(x, tau_lo, tau_hi, rng)
-            m -= oracle.posterior_mean(tau_hi, x)
-        except ValueError as exc:
-            raise ValueError(f"oracle rejected step k={k} (tau={tau_lo!r}): {exc}") from exc
-        sq = np.square(m, out=m).sum(axis=-1)
-        del x, m
-        val = w_k * float(sq.mean())
-        err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
-        total += val
-        var_sum += err * err
-        components.append((k, float(times[k]), val, err))
+    try:
+        for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
+            # each array dropped once used, the difference squared in place
+            x0, x, z = next(draws)  # not through zip, whose cached tuple would keep them alive
+            try:
+                x = _forward_kernel(x0, tau_lo, x)
+                del x0
+                m = oracle.posterior_mean(tau_lo, x)
+                x = _forward_kernel(x, tau_hi - tau_lo, z)
+                m -= oracle.posterior_mean(tau_hi, x)
+            except ValueError as exc:
+                raise ValueError(f"oracle rejected step k={k} (tau={tau_lo!r}): {exc}") from exc
+            sq = np.square(m, out=m).sum(axis=-1)
+            del x, m
+            val = w_k * float(sq.mean())
+            err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
+            total += val
+            var_sum += err * err
+            components.append((k, float(times[k]), val, err))
+    finally:
+        draws.close()  # waits for a draw in flight, so rng is not advanced after a raise
     return MetricReport(
         name="discretization_error_meter",
         value=total,

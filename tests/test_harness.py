@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -478,6 +479,29 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
         "0,0,5.7034351900961367e-08,0",
         "1,0.20000000000000001,1.2768843579080114e-07,0",
     ]
+
+
+def test_cli_meter_mc_times_on_stderr_and_pins_its_output(tmp_path, capsys):
+    # The wall time goes to stderr only.  stdout and the components file are
+    # pinned byte for byte: drawing steps ahead on the pool must not move them.
+    code, out, err = run_cli(
+        capsys, "meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "gaussian:D=4,rank=1",
+        "--mode", "mc", "--n", "2500", "--out", str(tmp_path),
+    )
+    components = tmp_path / "meter_components.csv"
+    assert code == 0
+    assert re.fullmatch(r"wall_time_s = \d+\.\d{3}\n", err)
+    assert out == (
+        "name = discretization_error_meter\n"
+        "value = 0.28253414763960255\n"
+        "stderr = 0.0018120192360197062\n"
+        "n_samples = 2500\n"
+        "seed = \n"
+        "quadrature = 0\n"
+        f"{components}\n"
+    )
+    digest = hashlib.sha256(components.read_bytes()).hexdigest()
+    assert digest == "771277811dc8fb208f8f7f157b144e22d3466749dc9b68c0dc292f76af83f7ec"
 
 
 _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--batch", "4"]

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -593,6 +595,38 @@ def test_gaussian_sampling_moments():
     np.testing.assert_allclose(np.cov(x.T), law.covariance(), atol=0.01)
 
 
+class _DotAsMatmul:
+    """numpy with ``dot`` taken by ``@``: the reference for the oracle's thin products."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def dot(a, b):
+        return a @ b
+
+
+@pytest.mark.parametrize(
+    "spec", ["gaussian:D=4,rank=1", "gaussian:D=64,rank=4", "gaussian:D=8,rank=8", "gaussian:D=8,rank=8,floor=0.1"]
+)
+def test_gaussian_thin_products_match_matmul_byte_for_byte(spec, monkeypatch):
+    # np.dot makes the same product as @, without @'s slow path for an inner
+    # dimension of 1; the bits of every draw and query must not move.
+    oracle = build_measure(spec, 3)
+    x = spawn_rng(4, 0).standard_normal((5000, oracle.dim))
+
+    def outputs():
+        got = [oracle.sample0(spawn_rng(4, 1), 3000)]
+        for t in (1e-4, 0.05, 1.0, 8.0):
+            got += [oracle.posterior_mean(t, x), oracle.score(t, x), oracle.posterior_mean(t, x[0])]
+        return got
+
+    dot = outputs()
+    monkeypatch.setattr(measures, "np", _DotAsMatmul())
+    for a, b in zip(dot, outputs(), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -924,3 +958,85 @@ def test_manifold_clouds_unchanged_by_random_frame(monkeypatch):
     monkeypatch.setattr(measures, "random_frame", lambda dim, k, rng: _full_rotation(dim, rng)[:, :k])
     for a, b in zip(new, build()):
         assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the shared pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_map_pooled_takes_no_item_after_a_call_raises(where):
+    # The raise may come from the caller's share or a pool thread's.  A thread
+    # busy at that moment finishes its call; no thread starts a new one after
+    # the failing thread stops the map, so only a scheduling race can start
+    # one per thread.  The parent drained all 200 items first.
+    started, failed = [], threading.Event()
+    on_caller = where == "caller"
+
+    def call(i):
+        started.append(failed.is_set())
+        time.sleep(2e-3)
+        if i >= 5 and not failed.is_set() and (threading.current_thread() is threading.main_thread()) == on_caller:
+            failed.set()
+            raise RuntimeError("planted")
+        return i
+
+    with pytest.raises(RuntimeError, match="planted"):
+        measures._map_pooled(call, range(200), 3)
+    assert failed.is_set()
+    assert sum(started) <= 2 * 3
+    assert len(started) < 60
+
+
+def test_map_ahead_runs_one_call_ahead_on_the_pool_in_order():
+    # When the caller gets result i, call i + 1 has been handed to a pool
+    # thread and call i + 2 has not: one call in flight, in item order.
+    called = [threading.Event() for _ in range(8)]
+    threads = []
+
+    def fn(i):
+        threads.append(threading.get_ident())
+        called[i].set()
+        return i * i
+
+    got = []
+    for i, value in enumerate(measures._map_ahead(fn, range(6))):
+        got.append(value)
+        if i + 1 < 6:
+            assert called[i + 1].wait(timeout=30)
+        assert not called[i + 2].is_set()
+    assert got == [i * i for i in range(6)]
+    assert threading.get_ident() not in threads
+
+
+def test_map_ahead_runs_inline_inside_pooled_work():
+    def item(_, rng):
+        threads = []
+        list(measures._map_ahead(lambda i: threads.append(threading.get_ident()), range(4)))
+        return set(threads) == {threading.get_ident()}
+
+    assert measures.map_streams(item, [0, 1], seed=0, workers=2) == [True, True]
+
+
+def test_map_ahead_stops_at_a_failed_call_and_waits_for_the_call_in_flight():
+    calls, finished = [], []
+
+    def fn(i):
+        calls.append(i)
+        if i == 2:
+            raise RuntimeError("planted")
+        time.sleep(0.05)
+        finished.append(i)
+        return i
+
+    gen = measures._map_ahead(fn, range(10))
+    with pytest.raises(RuntimeError, match="planted"):
+        list(gen)
+    assert calls == [0, 1, 2]  # no call after the failure
+
+    gen = measures._map_ahead(fn, [0, 1, 3, 4])
+    assert next(gen) == 0  # 1 is in flight
+    gen.close()
+    assert finished == [0, 1, 0, 1]  # close waited for it
+    assert calls == [0, 1, 2, 0, 1]
