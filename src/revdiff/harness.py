@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -659,180 +659,181 @@ def _given(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
+def _run_flag(args, key: str):
+    """``--seed`` or ``--workers`` checked by ``_RUN_FIELDS``, or its default when not given."""
+    param = _RUN_FIELDS[key]
+    return _checked(getattr(args, key), param, f"--{key}") if key in args else param[1]
+
+
+def _schedule(args) -> int:
+    """Print and validate a time grid, or validate a saved one."""
+    given = _given(args, ("kappa", "L", "K"))
+    if args.load:
+        if given:
+            drop = ", ".join(f"--{k}" for k in given)
+            raise ValueError(f"schedule --load takes its grid from the file; drop {drop}")
+        with open(args.load) as fh:
+            sched = schedule_from_text(fh.read())
+    else:
+        sched = resolve_schedule(given)
+    report = validate_schedule(sched)
+    print(f"kappa = {sched.kappa:.17g}  L = {sched.n_uniform}  K = {sched.n_steps}")
+    print(f"T = {sched.horizon:.17g}  delta = {sched.early_stop:.17g}")
+    print("times = " + " ".join(f"{t:.12g}" for t in sched.times))
+    for name, ok, detail in report.checks:
+        print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
+    if args.save:
+        with open(args.save, "w") as fh:
+            fh.write(schedule_to_text(sched))
+    return 0 if report.passed else 1
+
+
+def _sample(args) -> int:
+    """Run the reverse sampler and write its terminal batch."""
+    seed, workers = _run_flag(args, "seed"), _run_flag(args, "workers")
+    sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
+    oracle = build_measure(args.measure, seed)
+    batch = _rows(args.batch, 1, oracle.dim, "--batch")
+    cfg = ReverseRunConfig(sched, args.scheme, batch=batch, seed=seed, init=args.init, n_workers=workers)
+    start = time.perf_counter()
+    result = run_reverse(cfg, oracle)
+    # timing goes to stderr only: output files stay byte-reproducible
+    print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "sample.txt")
+    save_batch(path, result, extra_meta={"measure": args.measure})
+    print(path)
+    return 0
+
+
+def _kl(args) -> int:
+    """Exact terminal KL of a reverse run on a Gaussian measure."""
+    seed = _run_flag(args, "seed")
+    sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
+    oracle = build_measure(args.measure, seed)
+    if not hasattr(oracle, "law"):
+        raise ValueError("kl needs a gaussian measure spec")
+    cfg = ReverseRunConfig(schedule=sched, scheme=args.scheme, seed=seed, init=args.init)
+    sys.stdout.write(metrics.kl_experiment(oracle.law, cfg).to_keyvalues())
+    return 0
+
+
+def _meter(args) -> int:
+    """The discretization error functional, by Monte Carlo or exactly."""
+    seed = _run_flag(args, "seed")
+    if args.mode == "exact" and args.n is not None:
+        raise ValueError("--n is read only by --mode mc; --mode exact draws no samples")
+    sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
+    oracle = build_measure(args.measure, seed)
+    n = _rows(2000 if args.n is None else args.n, 100, oracle.dim, "--n") if args.mode == "mc" else 0
+    start = time.perf_counter()
+    report = metrics.discretization_error_meter(
+        oracle, sched, n, spawn_rng(seed, 2), mode=args.mode, quadrature="midpoint" if args.midpoint else "right"
+    )
+    print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
+    sys.stdout.write(report.to_keyvalues())
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "meter_components.csv")
+    with open(path, "w") as fh:
+        fh.write(report.components_csv())
+    print(path)
+    return 0
+
+
+def _check(args) -> int:
+    """Run the lemma suite."""
+    seed, workers = _run_flag(args, "seed"), _run_flag(args, "workers")
+    rows, ok = lemma_suite(seed, _checked(args.n, _SAMPLES, "--n"), workers=workers)
+    for check, case, value, stderr, z, passed in rows:
+        state = "pass" if passed else "FAIL"
+        print(f"[{state}] {check:<22} {case:<34} value={value:+.6e} stderr={stderr:.3e} z={z:+.2f}")
+    print(f"lemma suite: {'all passed' if ok else 'FAILURES PRESENT'}")
+    return 0 if ok else 1
+
+
+def _sweep(args) -> int:
+    """Run a sweep preset to files."""
+    # the flags override the config file's [experiment] seed and workers
+    explicit = {key: _run_flag(args, key) for key in _RUN_FIELDS if key in args}
+    cfg = load_config(args.config) if "config" in args else ExperimentConfig(name="")
+    cfg = replace(cfg, name=args.preset, out_dir=args.out, **explicit)
+    cfg.schedule.update(_given(args, ("kappa", "horizon", "delta")))
+    base, footer = run_experiment(cfg)
+    sys.stdout.write(_record.header(sorted(footer.items())))
+    print(base + ".csv")
+    return 0
+
+
+# Each command's handler and the run flags it reads, like PRESETS; any other
+# run flag exits 1 naming it, before or after the subcommand.
+COMMANDS = {
+    "schedule": (_schedule, ()),
+    "sample": (_sample, ("seed", "workers", "out")),
+    "kl": (_kl, ("seed",)),
+    "meter": (_meter, ("seed", "out")),
+    "check": (_check, ("seed", "workers")),
+    "sweep": (_sweep, ("seed", "workers", "out", "config")),
+}
+
+# The run flags' help; a handler checks --seed and --workers by _RUN_FIELDS.
+_RUN_FLAG_HELP = {
+    "seed": "master seed, >= 0 (default 0)",
+    "out": "output directory (default runs)",
+    "workers": "threads for the sampler's blocks and the lemma-suite cases (default 1); a block is "
+    "max(1, 2**15 // (1024 * D)) consecutive 1024-sample chunks, and a batch of one block runs on "
+    "the calling thread, whatever this is; the point-cloud kernel shares its tiles over all cores",
+    "config": "sectioned key-value config file",
+}
+
+
 def cli(argv=None) -> int:
     """Entry point; returns 0 on success, 1 on validation failure, 2 on runtime failure."""
     parser = _Parser(prog="revdiff", description="reverse-diffusion simulation and verification")
-    # --seed and --workers default to None so that an explicit value can
-    # override a config file; _dispatch reads and checks them by _RUN_FIELDS.
-    parser.add_argument("--seed", default=None, help="master seed, >= 0 (default 0)")
-    parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="threads for the sampler's 1024-sample chunks and the lemma-suite cases (default 1); "
-        "a batch of 1024 or fewer is one chunk, and the point-cloud kernel shares its tiles over "
-        "all cores whatever this is",
-    )
-    parser.add_argument("--config", default=None, help="sectioned key-value config file (sweep only)")
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values given before it.
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--workers", default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS)
+    # A run flag is set only when given, so a subparser never clobbers one
+    # given before it; each subparser adds only the run flags its command reads.
+    for flag, text in _RUN_FLAG_HELP.items():
+        parser.add_argument(f"--{flag}", default=argparse.SUPPRESS, help=text)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_sched = sub.add_parser("schedule", parents=[common], help="print or validate a time grid")
-    _add_schedule_flags(p_sched, required=False)
-    p_sched.add_argument("--save", default=None, help="write the grid record here")
-    p_sched.add_argument("--load", default=None, help="validate a saved grid instead")
-
-    p_sample = sub.add_parser("sample", parents=[common], help="run the reverse sampler to files")
-    _add_schedule_flags(p_sample)
-    p_sample.add_argument("--measure", required=True)
-    p_sample.add_argument("--batch", type=int, default=256)
-    p_sample.add_argument("--scheme", choices=("corrected", "exponential_integrator"), default="corrected")
-    p_sample.add_argument("--init", choices=("standard_normal", "data_pT"), default="standard_normal")
-
-    p_kl = sub.add_parser("kl", parents=[common], help="exact Gaussian KL experiment")
-    _add_schedule_flags(p_kl)
-    p_kl.add_argument("--measure", required=True, help="gaussian measure spec")
-    p_kl.add_argument("--scheme", choices=("corrected", "exponential_integrator"), default="corrected")
-    p_kl.add_argument("--init", choices=("standard_normal", "data_pT"), default="standard_normal")
-
-    p_meter = sub.add_parser("meter", parents=[common], help="discretization error functional")
-    _add_schedule_flags(p_meter)
-    p_meter.add_argument("--measure", required=True)
-    p_meter.add_argument("--n", type=int, default=2000)
-    p_meter.add_argument("--mode", choices=("mc", "exact"), default="mc")
-    p_meter.add_argument("--midpoint", action="store_true")
-
-    p_check = sub.add_parser("check", parents=[common], help="run the lemma suite")
-    p_check.add_argument("--n", default=20000, help=f"samples per case, in [2, {_SIZE_CAP}]")
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="run a sweep preset")
-    p_sweep.add_argument("--preset", required=True, choices=tuple(PRESETS))
-    p_sweep.add_argument("--kappa", type=float, default=None)
-    p_sweep.add_argument("--horizon", type=float, default=None)
-    p_sweep.add_argument("--delta", type=float, default=None)
+    p = {}
+    for name, (handler, reads) in COMMANDS.items():
+        p[name] = sub.add_parser(name, help=handler.__doc__)
+        for flag in reads:
+            p[name].add_argument(f"--{flag}", default=argparse.SUPPRESS, help=_RUN_FLAG_HELP[flag])
+    _add_schedule_flags(p["schedule"], required=False)
+    p["schedule"].add_argument("--save", default=None, help="write the grid record here")
+    p["schedule"].add_argument("--load", default=None, help="validate a saved grid instead")
+    for name in ("sample", "kl", "meter"):
+        _add_schedule_flags(p[name])
+        p[name].add_argument("--measure", required=True)
+    for name in ("sample", "kl"):
+        p[name].add_argument("--scheme", choices=("corrected", "exponential_integrator"), default="corrected")
+        p[name].add_argument("--init", choices=("standard_normal", "data_pT"), default="standard_normal")
+    p["sample"].add_argument("--batch", type=int, default=256)
+    p["meter"].add_argument("--n", type=int, default=None, help="samples per step, mc mode only (default 2000)")
+    p["meter"].add_argument("--mode", choices=("mc", "exact"), default="mc")
+    p["meter"].add_argument("--midpoint", action="store_true")
+    p["check"].add_argument("--n", default=20000, help=f"samples per case, in [2, {_SIZE_CAP}]")
+    p["sweep"].add_argument("--preset", required=True, choices=tuple(PRESETS))
+    for key in ("kappa", "horizon", "delta"):
+        p["sweep"].add_argument(f"--{key}", type=float, default=None)
 
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, reads = COMMANDS[args.command]
     try:
-        return _dispatch(args)
+        for flag in _RUN_FLAG_HELP:
+            if flag in args and flag not in reads:
+                raise ValueError(f"{args.command} does not read --{flag}")
+        vars(args).setdefault("out", "runs")
+        return handler(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: numerical blow-ups, internal errors
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    explicit = {k: _checked(v, _RUN_FIELDS[k], f"--{k}") for k, v in _given(args, _RUN_FIELDS).items()}
-    args.seed, args.workers = (explicit.get(k, p[1]) for k, p in _RUN_FIELDS.items())
-    if args.config is not None and args.command != "sweep":
-        raise ValueError(f"--config is read only by sweep, not by {args.command}")
-    if args.command == "schedule":
-        if args.load:
-            ignored = [f"--{k}" for k in _given(args, ("kappa", "L", "K"))]
-            if ignored:
-                raise ValueError(f"schedule --load takes its grid from the file; drop {', '.join(ignored)}")
-            with open(args.load) as fh:
-                sched = schedule_from_text(fh.read())
-        else:
-            sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
-        report = validate_schedule(sched)
-        print(f"kappa = {sched.kappa:.17g}  L = {sched.n_uniform}  K = {sched.n_steps}")
-        print(f"T = {sched.horizon:.17g}  delta = {sched.early_stop:.17g}")
-        print("times = " + " ".join(f"{t:.12g}" for t in sched.times))
-        for name, ok, detail in report.checks:
-            print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-        if args.save:
-            with open(args.save, "w") as fh:
-                fh.write(schedule_to_text(sched))
-        return 0 if report.passed else 1
-
-    if args.command == "sample":
-        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
-        oracle = build_measure(args.measure, args.seed)
-        cfg = ReverseRunConfig(
-            schedule=sched,
-            scheme=args.scheme,
-            batch=_rows(args.batch, 1, oracle.dim, "--batch"),
-            seed=args.seed,
-            init=args.init,
-            n_workers=args.workers,
-        )
-        start = time.perf_counter()
-        result = run_reverse(cfg, oracle)
-        # timing goes to stderr only: output files stay byte-reproducible
-        print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "sample.txt")
-        save_batch(path, result, extra_meta={"measure": args.measure})
-        print(path)
-        return 0
-
-    if args.command == "kl":
-        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
-        oracle = build_measure(args.measure, args.seed)
-        if not hasattr(oracle, "law"):
-            raise ValueError("kl needs a gaussian measure spec")
-        cfg = ReverseRunConfig(schedule=sched, scheme=args.scheme, seed=args.seed, init=args.init)
-        report = metrics.kl_experiment(oracle.law, cfg)
-        sys.stdout.write(report.to_keyvalues())
-        return 0
-
-    if args.command == "meter":
-        sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
-        oracle = build_measure(args.measure, args.seed)
-        n = _rows(args.n, 100, oracle.dim, "--n") if args.mode == "mc" else args.n
-        rng = spawn_rng(args.seed, 2)
-        start = time.perf_counter()
-        report = metrics.discretization_error_meter(
-            oracle,
-            sched,
-            n,
-            rng,
-            mode=args.mode,
-            quadrature="midpoint" if args.midpoint else "right",
-        )
-        print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
-        sys.stdout.write(report.to_keyvalues())
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "meter_components.csv")
-        with open(path, "w") as fh:
-            fh.write(report.components_csv())
-        print(path)
-        return 0
-
-    if args.command == "check":
-        rows, ok = lemma_suite(args.seed, _checked(args.n, _SAMPLES, "--n"), workers=args.workers)
-        for check, case, value, stderr, z, passed in rows:
-            state = "pass" if passed else "FAIL"
-            print(f"[{state}] {check:<22} {case:<34} value={value:+.6e} stderr={stderr:.3e} z={z:+.2f}")
-        print(f"lemma suite: {'all passed' if ok else 'FAILURES PRESENT'}")
-        return 0 if ok else 1
-
-    if args.command == "sweep":
-        cfg = ExperimentConfig(name=args.preset, seed=args.seed, out_dir=args.out, workers=args.workers)
-        if args.config is not None:
-            cfg = load_config(args.config)
-            cfg.name = args.preset
-            cfg.out_dir = args.out
-            for key, val in explicit.items():
-                setattr(cfg, key, val)
-        cfg.schedule.update(_given(args, ("kappa", "horizon", "delta")))
-        base, footer = run_experiment(cfg)
-        sys.stdout.write(_record.header(sorted(footer.items())))
-        print(base + ".csv")
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

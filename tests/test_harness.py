@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revdiff.harness import (
+    COMMANDS,
     ExperimentConfig,
     build_measure,
     cli,
@@ -538,13 +539,60 @@ _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "p
         (["schedule", "--config", "/nonexistent.ini", "--kappa", "0.25", "--L", "4", "--K", "8"], "--config"),
         (["schedule", "--load", "g.txt", "--kappa", "0.1", "--L", "90", "--K", "235"], "--kappa, --L, --K"),
         (["schedule", "--load", "g.txt", "--K", "235"], "--K"),
+        # exact mode draws no samples, so it reads no --n
+        (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "gaussian:D=4,rank=1", "--mode", "exact", "--n", "5"], "--n"),
     ],
 )
 def test_cli_inputs_exit_1_naming_the_flag_or_field(tmp_path, capsys, argv, named):
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    # --out goes only to a command that reads it: any other rejects it
+    command = next(word for word in argv if word in COMMANDS)
+    out = ["--out", str(tmp_path)] if "out" in COMMANDS[command][1] else []
+    code, _, err = run_cli(capsys, *argv, *out)
     assert code == 1
     assert named in err
     assert not list(tmp_path.iterdir())
+
+
+# A valid run of each command.
+_COMMAND_ARGV = {
+    "schedule": ["--kappa", "0.25", "--L", "4", "--K", "8"],
+    "kl": ["--kappa", "0.1", "--L", "90", "--K", "235", "--measure", "gaussian:D=8,rank=2,var=0.25"],
+    "meter": ["--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "gaussian:D=4,rank=1", "--mode", "exact"],
+    "check": ["--n", "200"],
+    "sample": ["--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--batch", "4"],
+    "sweep": ["--preset", "d-sweep", "--kappa", "0.1", "--horizon", "10", "--delta", "1e-6"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_commands_take_only_the_run_flags_they_read(tmp_path, capsys, monkeypatch, command):
+    # A run flag the command does not read exits 1 naming it, before or
+    # after the subcommand, and nothing is written; one it reads is taken in
+    # either place.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[options]\ndims = 1 2\n")
+    values = {"seed": "3", "out": "o", "workers": "2", "config": str(ini)}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    reads = COMMANDS[command][1]
+    argv = [command, *_COMMAND_ARGV[command]]
+    for flag, value in values.items():
+        if flag in reads:
+            continue
+        for given in ([f"--{flag}", value, *argv], [*argv, f"--{flag}", value]):
+            code, _, err = run_cli(capsys, *given)
+            assert code == 1, given
+            assert f"--{flag}" in err
+            assert not list(cwd.iterdir())
+    flags = [word for flag in reads for word in (f"--{flag}", values[flag])]
+    for given in ([*flags, *argv], [*argv, *flags]):
+        code, _, err = run_cli(capsys, *given)
+        assert code == 0, (given, err)
+    # the command's help lists exactly the run flags it reads
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert {flag for flag in values if f"--{flag} " in out} == set(reads)
 
 
 def test_cli_malformed_flags_exit_1(capsys):

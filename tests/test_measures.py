@@ -619,6 +619,7 @@ def test_gaussian_thin_products_match_matmul_byte_for_byte(spec, monkeypatch):
         got = [oracle.sample0(spawn_rng(4, 1), 3000)]
         for t in (1e-4, 0.05, 1.0, 8.0):
             got += [oracle.posterior_mean(t, x), oracle.score(t, x), oracle.posterior_mean(t, x[0])]
+            got += [oracle.log_marginal(t, x), oracle.log_marginal(t, x[0])]
         return got
 
     dot = outputs()
