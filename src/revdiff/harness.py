@@ -326,7 +326,10 @@ def _write_outputs(out_dir, name, columns, rows, meta, footer=(), plot=None):
     with open(base + ".meta", "w") as fh:
         fh.write(_record.header(sorted(meta.items())))
     if plot is not None:
-        _svg.line_plot(base + ".svg", **plot)
+        # the spec names columns: the x column and each series' (label, y column)
+        col = dict(zip(columns, zip(*rows)))
+        series = [(label, col[plot["x"]], col[y]) for label, y in plot["series"]]
+        _svg.line_plot(base + ".svg", series, **{k: v for k, v in plot.items() if k not in ("x", "series")})
     return base
 
 
@@ -370,53 +373,55 @@ def _option_list(opts: dict, key: str, default: str, param, section: str = "opti
     return [_checked(word, param, f"config key {section}.{key}") for word in words]
 
 
+# Each sweep column's quantity of (law, schedule, seed); a sweep row is its x
+# value, then the quantities of its other columns.
+_COLUMNS = {
+    "L": lambda law, sched, seed: sched.n_uniform,
+    "K": lambda law, sched, seed: sched.n_steps,
+    "kl_total": lambda law, sched, seed: metrics.kl_experiment(law, ReverseRunConfig(schedule=sched, seed=seed)).value,
+    "kl_discretization": lambda law, sched, seed: metrics.kl_experiment(
+        law, ReverseRunConfig(schedule=sched, seed=seed, init="data_pT")
+    ).value,
+    "discretization_budget": lambda law, sched, seed: metrics.discretization_error_meter(
+        GaussianOracle(law), sched, 0, None, mode="exact"
+    ).value,
+    "kl_init": lambda law, sched, seed: metrics.gaussian_kl(
+        metrics.marginal_law(law, sched.horizon), GaussianLaw.isotropic(law.dim)
+    ),
+}
+
+
+def _sweep_rows(columns, points, seed: int) -> list:
+    """One row per (x, law, schedule) point: x, then each later column's ``_COLUMNS`` quantity."""
+    return [(x, *(_COLUMNS[name](law, sched, seed) for name in columns[1:])) for x, law, sched in points]
+
+
+def _law_options(opts: dict, D, d):
+    """[options] (D values, d values, var) of a sweep's rank-d Gaussian laws, each rank at most each D.
+
+    ``D`` and ``d`` are the defaults of options D and d; the one given as a string is
+    the swept axis, the default of the space-separated list options.dims.
+    """
+    Ds = _option_list(opts, "dims", D, _AMBIENT) if isinstance(D, str) else [_option(opts, "D", D, _AMBIENT)]
+    ds = _option_list(opts, "dims", d, _RANK) if isinstance(d, str) else [_option(opts, "d", d, _RANK)]
+    _check_rank(max(ds), min(Ds), f"config key options.{'dims' if isinstance(d, str) else 'd'}")
+    return Ds, ds, _option(opts, "var", 0.25, _VAR)
+
+
 def _preset_d_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
-    opts = cfg.options
-    D = _option(opts, "D", 32, _AMBIENT)
-    dims = _option_list(opts, "dims", "1 2 4 8", _RANK)
-    _check_rank(max(dims), D, "config key options.dims")
-    var = _option(opts, "var", 0.25, _VAR)
-    rows = []
-    for d in dims:
-        law = _rank_d_law(D, d, var, cfg.seed)
-        kl_total = metrics.kl_experiment(law, ReverseRunConfig(schedule=sched, seed=cfg.seed)).value
-        kl_disc = metrics.kl_experiment(
-            law, ReverseRunConfig(schedule=sched, seed=cfg.seed, init="data_pT")
-        ).value
-        disc_sum = metrics.discretization_error_meter(
-            GaussianOracle(law), sched, 0, None, mode="exact"
-        ).value
-        rows.append((d, kl_total, kl_disc, disc_sum))
-    slope, intercept, r2 = _linear_fit([r[0] for r in rows], [r[2] for r in rows])
-    footer = [("fit_slope", slope), ("fit_intercept", intercept), ("fit_r2", r2)]
-    plot = {
-        "series": [("terminal", dims, [r[2] for r in rows]), ("budget", dims, [r[3] for r in rows])],
-        "title": "discretization error vs intrinsic dimension",
-        "xlabel": "intrinsic dimension",
-        "ylabel": "exact value",
-    }
-    return ["d", "kl_total", "kl_discretization", "discretization_budget"], rows, footer, plot
+    (D,), dims, var = _law_options(cfg.options, 32, "1 2 4 8")
+    columns = ["d", "kl_total", "kl_discretization", "discretization_budget"]
+    rows = _sweep_rows(columns, ((d, _rank_d_law(D, d, var, cfg.seed), sched) for d in dims), cfg.seed)
+    fit = _linear_fit(dims, [r[2] for r in rows])
+    return columns, rows, list(zip(("fit_slope", "fit_intercept", "fit_r2"), fit))
 
 
 def _preset_D_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
-    opts = cfg.options
-    dims = _option_list(opts, "dims", "4 16 64 256", _AMBIENT)
-    d = _option(opts, "d", 2, _RANK)
-    _check_rank(d, min(dims), "config key options.d")
-    var = _option(opts, "var", 0.25, _VAR)
-    rows = []
-    for D in dims:
-        law = _rank_d_law(D, d, var, cfg.seed)
-        kl_total = metrics.kl_experiment(law, ReverseRunConfig(schedule=sched, seed=cfg.seed)).value
-        kl_disc = metrics.kl_experiment(
-            law, ReverseRunConfig(schedule=sched, seed=cfg.seed, init="data_pT")
-        ).value
-        kl_init = metrics.gaussian_kl(
-            metrics.marginal_law(law, sched.horizon), GaussianLaw.isotropic(D)
-        )
-        rows.append((D, kl_total, kl_disc, kl_init))
+    dims, (d,), var = _law_options(cfg.options, "4 16 64 256", 2)
+    columns = ["D", "kl_total", "kl_discretization", "kl_init"]
+    rows = _sweep_rows(columns, ((D, _rank_d_law(D, d, var, cfg.seed), sched) for D in dims), cfg.seed)
     totals = [r[1] for r in rows]
     inits = [r[3] for r in rows]
     footer = [
@@ -424,71 +429,37 @@ def _preset_D_sweep(cfg: ExperimentConfig):
         ("init_kl_spread", max(inits) - min(inits)),
         ("spread_bound", 1e-6 + max(inits) - min(inits)),
     ]
-    plot = {
-        "series": [("terminal KL", dims, totals)],
-        "title": "terminal KL vs ambient dimension",
-        "xlabel": "ambient dimension",
-        "ylabel": "KL",
-        "log_x": True,
-    }
-    return ["D", "kl_total", "kl_discretization", "kl_init"], rows, footer, plot
+    return columns, rows, footer
 
 
 def _preset_K_sweep(cfg: ExperimentConfig):
-    opts = cfg.options
     resolve_schedule(cfg.schedule)  # the given grid is read as any other, so L and K are not ignored
     for key in ("horizon", "delta"):
         if key not in cfg.schedule:
             raise ValueError(f"K-sweep requires explicit schedule.{key}")
     kappa0, horizon, delta = (_schedule_field(cfg.schedule, key) for key in ("kappa", "horizon", "delta"))
-    doublings = _option(opts, "doublings", 3, _DOUBLINGS)
-    D = _option(opts, "D", 8, _AMBIENT)
-    d = _option(opts, "d", 2, _RANK)
-    _check_rank(d, D, "config key options.d")
-    var = _option(opts, "var", 0.25, _VAR)
+    doublings = _option(cfg.options, "doublings", 3, _DOUBLINGS)
+    (D,), (d,), var = _law_options(cfg.options, 8, 2)
     law = _rank_d_law(D, d, var, cfg.seed)
-    oracle = GaussianOracle(law)
-    rows = []
     # finest grid first, so one past the step cap fails before any work; one grid lives at a time
-    for i in reversed(range(doublings + 1)):
-        kappa = kappa0 / 2**i
-        sched = resolve_schedule({"kappa": kappa, "horizon": horizon, "delta": delta})
-        budget = metrics.discretization_error_meter(oracle, sched, 0, None, mode="exact").value
-        kl_disc = metrics.kl_experiment(
-            law, ReverseRunConfig(schedule=sched, seed=cfg.seed, init="data_pT")
-        ).value
-        rows.append((kappa, sched.n_uniform, sched.n_steps, budget, kl_disc))
-    rows.reverse()
+    fields = ({"kappa": kappa0 / 2**i, "horizon": horizon, "delta": delta} for i in reversed(range(doublings + 1)))
+    grids = ((f["kappa"], law, resolve_schedule(f)) for f in fields)
+    columns = ["kappa", "L", "K", "discretization_budget", "kl_discretization"]
+    rows = _sweep_rows(columns, grids, cfg.seed)[::-1]
     footer = []
     for i in range(1, len(rows)):
         footer.append((f"budget_factor_{i}", rows[i - 1][3] / rows[i][3]))
         footer.append((f"kl_factor_{i}", rows[i - 1][4] / rows[i][4]))
-    plot = {
-        "series": [
-            ("budget", [r[2] for r in rows], [r[3] for r in rows]),
-            ("terminal KL", [r[2] for r in rows], [r[4] for r in rows]),
-        ],
-        "title": "discretization error vs step count",
-        "xlabel": "K",
-        "ylabel": "exact value",
-        "log_x": True,
-        "log_y": True,
-    }
-    return ["kappa", "L", "K", "discretization_budget", "kl_discretization"], rows, footer, plot
+    return columns, rows, footer
 
 
 def _preset_eps_sweep(cfg: ExperimentConfig):
     sched = resolve_schedule(cfg.schedule)
     opts = cfg.options
-    D = _option(opts, "D", 4, _AMBIENT)
-    d = _option(opts, "d", 1, _RANK)
-    _check_rank(d, D, "config key options.d")
-    var = _option(opts, "var", 0.25, _VAR)
+    (D,), (d,), var = _law_options(opts, 4, 1)
     eps_values = _option_list(opts, "eps", "0.01 0.02 0.04 0.08", _EPS)
     if len(set(eps_values)) < 2:
-        raise ValueError(
-            f"config key options.eps must list at least two distinct values, got {opts['eps']!r}"
-        )
+        raise ValueError(f"config key options.eps must list at least two distinct values, got {opts['eps']!r}")
     direction = np.zeros(D)
     if "constant" in cfg.perturbation:
         vals = _option_list(cfg.perturbation, "constant", "", _VALUE, section="perturbation")
@@ -502,21 +473,13 @@ def _preset_eps_sweep(cfg: ExperimentConfig):
         direction[0] = 1.0
     law = _rank_d_law(D, d, var, cfg.seed)
     rows = []
+    # one budget report gives three columns, so this sweep keeps its own loop
     for eps in eps_values:
         bias = ScorePerturbation(epsilon=eps, constant=direction)
         rep = metrics.score_error_budget(law, bias, sched)
         rows.append((eps, rep.value, rep.extras["kl_excess"], rep.extras["kl_excess_per_budget"]))
     slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[2] for r in rows]), 1)[0])
-    footer = [("loglog_slope", slope)]
-    plot = {
-        "series": [("KL excess", [r[0] for r in rows], [r[2] for r in rows])],
-        "title": "KL excess vs score bias magnitude",
-        "xlabel": "bias scale",
-        "ylabel": "KL excess",
-        "log_x": True,
-        "log_y": True,
-    }
-    return ["eps", "budget", "kl_excess", "kl_excess_per_budget"], rows, footer, plot
+    return ["eps", "budget", "kl_excess", "kl_excess_per_budget"], rows, [("loglog_slope", slope)]
 
 
 def _tweedie_max_rel_err(oracle, rng, cases=40):
@@ -596,35 +559,57 @@ def _preset_lemma_suite(cfg: ExperimentConfig):
     n = _option(cfg.options, "n", 20000, _SAMPLES)
     rows, ok = lemma_suite(cfg.seed, n, workers=cfg.workers)
     table = [(c, case, v, se, z, int(p)) for c, case, v, se, z, p in rows]
-    footer = [("all_passed", int(ok))]
-    return ["check", "case", "value", "stderr", "z", "passed"], table, footer, None
+    return ["check", "case", "value", "stderr", "z", "passed"], table, [("all_passed", int(ok))]
 
 
-# Each preset's builder and the [options] keys it reads; other keys are rejected.
+# Each preset's builder, the [options] keys and config sections it reads (any
+# other input exits 1) and its plot: the x column, (label, y column) series
+# and the rest of ``_svg.line_plot``'s keywords.
 PRESETS = {
-    "d-sweep": (_preset_d_sweep, ("D", "dims", "var")),
-    "D-sweep": (_preset_D_sweep, ("dims", "d", "var")),
-    "K-sweep": (_preset_K_sweep, ("doublings", "D", "d", "var")),
-    "eps-sweep": (_preset_eps_sweep, ("D", "d", "var", "eps")),
-    "lemma-suite": (_preset_lemma_suite, ("n",)),
+    "d-sweep": (
+        _preset_d_sweep, ("D", "dims", "var"), ("schedule",),
+        {"title": "discretization error vs intrinsic dimension", "xlabel": "intrinsic dimension",
+         "ylabel": "exact value", "x": "d",
+         "series": (("terminal", "kl_discretization"), ("budget", "discretization_budget"))},
+    ),
+    "D-sweep": (
+        _preset_D_sweep, ("dims", "d", "var"), ("schedule",),
+        {"title": "terminal KL vs ambient dimension", "xlabel": "ambient dimension", "ylabel": "KL",
+         "x": "D", "series": (("terminal KL", "kl_total"),), "log_x": True},
+    ),
+    "K-sweep": (
+        _preset_K_sweep, ("doublings", "D", "d", "var"), ("schedule",),
+        {"title": "discretization error vs step count", "xlabel": "K", "ylabel": "exact value",
+         "x": "K", "series": (("budget", "discretization_budget"), ("terminal KL", "kl_discretization")),
+         "log_x": True, "log_y": True},
+    ),
+    "eps-sweep": (
+        _preset_eps_sweep, ("D", "d", "var", "eps"), ("schedule", "perturbation"),
+        {"title": "KL excess vs score bias magnitude", "xlabel": "bias scale", "ylabel": "KL excess",
+         "x": "eps", "series": (("KL excess", "kl_excess"),), "log_x": True, "log_y": True},
+    ),
+    "lemma-suite": (_preset_lemma_suite, ("n",), (), None),
 }
 
 
 def run_experiment(config: ExperimentConfig):
     """Execute a named preset; writes CSV, JSON, meta and SVG files.
 
-    Returns (base path, footer summary).  Unknown presets and malformed
+    Returns (base path, footer summary).  Unknown presets, an [options] key
+    or a non-empty config section the preset does not read, and malformed
     specs fail before any computation starts.
     """
     if config.name not in PRESETS:
         raise ValueError(f"unknown preset {config.name!r}; choose from {tuple(PRESETS)}")
-    build, allowed = PRESETS[config.name]
+    build, options, sections, plot = PRESETS[config.name]
     for key in config.options:
-        if key not in allowed:
-            raise ValueError(f"unknown [options] key {key!r} for {config.name}; expected {allowed}")
-    columns, rows, footer, plot = build(config)
-    meta = config.echo()
-    base = _write_outputs(config.out_dir, config.name, columns, rows, meta, footer, plot)
+        if key not in options:
+            raise ValueError(f"unknown [options] key {key!r} for {config.name}; expected {options}")
+    unread = [f"{s}.{k}" for s in ("schedule", "perturbation") if s not in sections for k in getattr(config, s)]
+    if unread:
+        raise ValueError(f"{config.name} does not read {', '.join(unread)}")
+    columns, rows, footer = build(config)
+    base = _write_outputs(config.out_dir, config.name, columns, rows, config.echo(), footer, plot)
     return base, dict(footer)
 
 

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from revdiff.harness import (
     COMMANDS,
+    PRESETS,
     ExperimentConfig,
+    _linear_fit,
     build_measure,
     cli,
     lemma_suite,
@@ -23,7 +25,9 @@ from revdiff.harness import (
     resolve_schedule,
     run_experiment,
 )
-from revdiff import _svg
+from revdiff import _svg, metrics
+from revdiff.measures import GaussianLaw, GaussianOracle
+from revdiff.sampler import ReverseRunConfig, ScorePerturbation
 from revdiff.schedule import MAX_STEPS, build_schedule, schedule_from_text, schedule_to_text, validate_schedule
 
 
@@ -761,6 +765,140 @@ def test_eps_sweep_reads_perturbation_section(tmp_path):
     assert len(payload["rows"]) == 2
 
 
+# Each Gaussian preset at small options, rebuilt from direct metrics calls at
+# small_sweep_config's seed and schedule: (options, rows, footer, plot series,
+# plot keywords).
+SEED, SCHEDULE = 3, {"kappa": 0.2, "horizon": 3.0, "delta": 1e-3}
+
+
+def gaussian_law(D, d):
+    return build_measure(f"gaussian:D={D},rank={d},var=0.25", SEED).law
+
+
+def exact_kl(law, sched, init="standard_normal"):
+    return metrics.kl_experiment(law, ReverseRunConfig(schedule=sched, seed=SEED, init=init)).value
+
+
+def exact_budget(law, sched):
+    return metrics.discretization_error_meter(GaussianOracle(law), sched, 0, None, mode="exact").value
+
+
+def expected_d_sweep():
+    sched, dims = resolve_schedule(SCHEDULE), [1, 2, 4]
+    laws = [gaussian_law(8, d) for d in dims]
+    rows = [(d, exact_kl(law, sched), exact_kl(law, sched, "data_pT"), exact_budget(law, sched)) for d, law in zip(dims, laws)]
+    footer = dict(zip(("fit_slope", "fit_intercept", "fit_r2"), _linear_fit(dims, [r[2] for r in rows])))
+    series = [("terminal", dims, [r[2] for r in rows]), ("budget", dims, [r[3] for r in rows])]
+    style = {"title": "discretization error vs intrinsic dimension", "xlabel": "intrinsic dimension", "ylabel": "exact value"}
+    return {"D": "8", "dims": "1 2 4"}, rows, footer, series, style
+
+
+def expected_D_sweep():
+    sched, dims = resolve_schedule(SCHEDULE), [4, 8]
+    rows = []
+    for D in dims:
+        law = gaussian_law(D, 1)
+        init = metrics.gaussian_kl(metrics.marginal_law(law, sched.horizon), GaussianLaw.isotropic(D))
+        rows.append((D, exact_kl(law, sched), exact_kl(law, sched, "data_pT"), init))
+    totals, inits = [r[1] for r in rows], [r[3] for r in rows]
+    footer = {
+        "kl_spread": max(totals) - min(totals),
+        "init_kl_spread": max(inits) - min(inits),
+        "spread_bound": 1e-6 + max(inits) - min(inits),
+    }
+    style = {"title": "terminal KL vs ambient dimension", "xlabel": "ambient dimension", "ylabel": "KL", "log_x": True}
+    return {"dims": "4 8", "d": "1"}, rows, footer, [("terminal KL", dims, totals)], style
+
+
+def expected_K_sweep():
+    law, rows = gaussian_law(4, 1), []
+    for kappa in (0.2, 0.1):
+        sched = resolve_schedule({**SCHEDULE, "kappa": kappa})
+        rows.append((kappa, sched.n_uniform, sched.n_steps, exact_budget(law, sched), exact_kl(law, sched, "data_pT")))
+    footer = {"budget_factor_1": rows[0][3] / rows[1][3], "kl_factor_1": rows[0][4] / rows[1][4]}
+    Ks = [r[2] for r in rows]
+    series = [("budget", Ks, [r[3] for r in rows]), ("terminal KL", Ks, [r[4] for r in rows])]
+    style = {"title": "discretization error vs step count", "xlabel": "K", "ylabel": "exact value", "log_x": True, "log_y": True}
+    return {"doublings": "1", "D": "4", "d": "1"}, rows, footer, series, style
+
+
+def expected_eps_sweep():
+    law, sched, eps = gaussian_law(3, 1), resolve_schedule(SCHEDULE), [0.01, 0.02, 0.04]
+    reps = [metrics.score_error_budget(law, ScorePerturbation(e, constant=np.array([1.0, 0.0, 0.0])), sched) for e in eps]
+    rows = [(e, r.value, r.extras["kl_excess"], r.extras["kl_excess_per_budget"]) for e, r in zip(eps, reps)]
+    footer = {"loglog_slope": float(np.polyfit(np.log(eps), np.log([r[2] for r in rows]), 1)[0])}
+    style = {"title": "KL excess vs score bias magnitude", "xlabel": "bias scale", "ylabel": "KL excess", "log_x": True, "log_y": True}
+    return {"D": "3", "d": "1", "eps": "0.01 0.02 0.04"}, rows, footer, [("KL excess", eps, [r[2] for r in rows])], style
+
+
+EXPECTED_PRESETS = {
+    "d-sweep": expected_d_sweep,
+    "D-sweep": expected_D_sweep,
+    "K-sweep": expected_K_sweep,
+    "eps-sweep": expected_eps_sweep,
+}
+
+
+@pytest.mark.parametrize("preset", EXPECTED_PRESETS)
+def test_gaussian_presets_wire_each_column_and_plot_series_to_its_metric(tmp_path, preset):
+    options, rows, footer, series, style = EXPECTED_PRESETS[preset]()
+    cfg = ExperimentConfig(name=preset, seed=SEED, out_dir=str(tmp_path), schedule=dict(SCHEDULE), options=options)
+    base, got = run_experiment(cfg)
+    assert json.loads(open(base + ".json").read())["rows"] == [list(row) for row in rows]
+    assert got == footer
+    _svg.line_plot(tmp_path / "expected.svg", series, **style)
+    assert open(base + ".svg", "rb").read() == (tmp_path / "expected.svg").read_bytes()
+
+
+# A small valid run of each preset, and a value for every key of each config
+# section a preset may read.
+_PRESET_OPTIONS = {
+    "d-sweep": "D = 4\ndims = 1 2\n",
+    "D-sweep": "dims = 4 8\nd = 1\n",
+    "K-sweep": "doublings = 1\nD = 4\nd = 1\n",
+    "eps-sweep": "D = 2\nd = 1\neps = 0.01 0.02\n",
+    "lemma-suite": "n = 200\n",
+}
+_SECTION_VALUES = {
+    "schedule": {"kappa": "0.2", "horizon": "3", "delta": "1e-3", "l": "10", "k": "40"},
+    "perturbation": {"constant": "1"},
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_presets_take_only_the_config_sections_and_flags_they_read(tmp_path, capsys, preset):
+    # Any key of a section the preset does not read, in a config file or as a
+    # schedule flag, exits 1 naming <section>.<key> and writes nothing.
+    reads = PRESETS[preset][2]
+    out = tmp_path / "out"
+    for section, values in _SECTION_VALUES.items():
+        if section in reads:
+            continue
+        for key, value in values.items():
+            ini = tmp_path / "f.ini"
+            ini.write_text(f"[{section}]\n{key} = {value}\n")
+            code, _, err = run_cli(capsys, "sweep", "--preset", preset, "--config", str(ini), "--out", str(out))
+            assert code == 1, (section, key)
+            assert f"{section}.{key}" in err and preset in err
+            if section == "schedule" and key in ("kappa", "horizon", "delta"):
+                code, _, err = run_cli(capsys, "sweep", "--preset", preset, f"--{key}", value, "--out", str(out))
+                assert code == 1, key
+                assert f"schedule.{key}" in err
+            assert not out.exists()
+    # every section it reads is taken, with its small options
+    schedule = _SECTION_VALUES["schedule"]
+    text = "[options]\n" + _PRESET_OPTIONS[preset]
+    if "schedule" in reads:
+        text += "[schedule]\n" + "".join(f"{k} = {schedule[k]}\n" for k in ("kappa", "horizon", "delta"))
+    if "perturbation" in reads:
+        text += "[perturbation]\nconstant = 1\n"
+    ini = tmp_path / "ok.ini"
+    ini.write_text(text)
+    code, _, err = run_cli(capsys, "sweep", "--preset", preset, "--config", str(ini), "--out", str(out))
+    assert code == 0, err
+    assert (out / f"{preset}.csv").exists()
+
+
 def write_sweep_ini(path, options):
     path.write_text("[experiment]\nSeed = 3\n\n[options]\n" + options)
     return str(path)
@@ -884,12 +1022,9 @@ def test_cli_preset_options_take_the_gaussian_spec_ranges(tmp_path, capsys, pres
 )
 def test_cli_preset_inputs_exit_1_naming_the_field(tmp_path, capsys, preset, entries, named):
     ini = write_sweep_ini(tmp_path / "f.ini", entries + "\n")
-    code, _, err = run_cli(
-        capsys,
-        "sweep", "--preset", preset, "--config", ini,
-        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
-        "--out", str(tmp_path),
-    )
+    # schedule flags go only to a preset that reads a schedule: any other rejects them
+    schedule = ["--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3"] if "schedule" in PRESETS[preset][2] else []
+    code, _, err = run_cli(capsys, "sweep", "--preset", preset, "--config", ini, *schedule, "--out", str(tmp_path))
     assert code == 1
     assert named in err
     assert not (tmp_path / f"{preset}.csv").exists()
