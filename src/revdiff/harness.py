@@ -1,6 +1,6 @@
 """Experiment presets, config handling and the command-line interface.
 
-Every run is a pure function of (config, seed, worker count): output files
+Every run is a pure function of (config, seed): output files
 carry no timestamps, floats are printed at full precision, and Monte Carlo
 work is split over deterministic derived streams.  Presets reproduce the
 scaling behaviors of the corrected scheme: linearity of the error in the
@@ -30,6 +30,7 @@ from .measures import (
     PointMassOracle,
     forward_sample,
     log_marginal_gradient,
+    _pool_size,
     make_manifold_cloud,
     map_streams,
     random_frame,
@@ -59,13 +60,12 @@ class ExperimentConfig:
     name: str
     seed: int = 0
     out_dir: str = "runs"
-    workers: int = 1
     schedule: dict = field(default_factory=dict)
     perturbation: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        out = {"name": self.name, "seed": self.seed, "workers": self.workers}
+        out = {"name": self.name, "seed": self.seed}
         for section in ("schedule", "perturbation", "options"):
             for key, val in sorted(getattr(self, section).items()):
                 out[f"{section}.{key}"] = val
@@ -75,7 +75,7 @@ class ExperimentConfig:
 # Keys each config section accepts (case-insensitive); [options] keys are
 # checked per preset by run_experiment.
 _CONFIG_KEYS = {
-    "experiment": ("seed", "workers"),
+    "experiment": ("seed",),
     "schedule": ("kappa", "l", "k", "horizon", "delta"),
     "perturbation": ("constant",),
     "options": None,
@@ -85,11 +85,11 @@ _CONFIG_KEYS = {
 def load_config(path: str) -> ExperimentConfig:
     """Read the sectioned key-value config format.
 
-    Sections: [experiment] (seed, workers), [schedule] (kappa, L, K,
-    horizon, delta), [perturbation] (constant), [options].  Any other
-    section or key is rejected with a ValueError naming it; the preset and
-    the output directory come from the command line, so the returned
-    config's name is empty.
+    Sections: [experiment] (seed), [schedule] (kappa, L, K, horizon,
+    delta), [perturbation] (constant), [options].  Any other section or key,
+    and a key repeated in another case outside [options], is rejected with a
+    ValueError naming it; the preset and the output directory come from the
+    command line, so the returned config's name is empty.
     Schedule fields are never defaulted: kappa, and either (L, K) or
     (horizon, delta), must be given explicitly whenever a schedule is needed.
     """
@@ -106,14 +106,15 @@ def load_config(path: str) -> ExperimentConfig:
         if name not in _CONFIG_KEYS:
             keys = ", ".join(f"{name}.{k}" for k in parser[name]) or "no keys"
             raise ValueError(f"unknown config section [{name}] ({keys}); expected {tuple(_CONFIG_KEYS)}")
-        allowed = _CONFIG_KEYS[name]
-        for key in parser[name]:
-            if allowed is not None and key.lower() not in allowed:
+        allowed, seen = _CONFIG_KEYS[name], {}
+        for key in parser[name] if allowed is not None else ():
+            if key.lower() not in allowed:
                 raise ValueError(f"unknown config key {name}.{key}; expected one of {allowed}")
+            if seen.setdefault(key.lower(), key) != key:
+                raise ValueError(f"config key {name}.{key} repeats {name}.{seen[key.lower()]} in another case")
     lower = {name: {k.lower(): v for k, v in parser[name].items()} for name in parser.sections()}
-    exp = lower.get("experiment", {})
-    seed, workers = (_checked(exp.get(k, p[1]), p, f"config key experiment.{k}") for k, p in _RUN_FIELDS.items())
-    cfg = ExperimentConfig(name="", seed=seed, workers=workers)
+    seed = _checked(lower.get("experiment", {}).get("seed", 0), _SEED, "config key experiment.seed")
+    cfg = ExperimentConfig(name="", seed=seed)
     for section in ("schedule", "perturbation"):
         getattr(cfg, section).update(lower.get(section, {}))
     if "options" in parser:
@@ -164,6 +165,8 @@ def _parse_kv_spec(spec: str) -> dict:
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"malformed measure parameter {item!r}")
+            if key.strip() in out:
+                raise ValueError(f"measure parameter {out['kind']}.{key.strip()} is given twice")
             out[key.strip()] = value.strip()
     return out
 
@@ -218,8 +221,8 @@ def _checked(raw, param, name: str):
     return value
 
 
-# [experiment] seed and workers, which the --seed and --workers flags override
-_RUN_FIELDS = {"seed": (int, 0, *_NONNEGATIVE), "workers": (int, 1, *_AT_LEAST_1)}
+# [experiment] seed, which the --seed flag overrides
+_SEED = (int, 0, *_NONNEGATIVE)
 
 # [schedule] keys (lower-cased as a config file stores them): the name to
 # report and the rule; L, K and the step cap are build_schedule's
@@ -478,7 +481,7 @@ def _preset_eps_sweep(cfg: ExperimentConfig):
         bias = ScorePerturbation(epsilon=eps, constant=direction)
         rep = metrics.score_error_budget(law, bias, sched)
         rows.append((eps, rep.value, rep.extras["kl_excess"], rep.extras["kl_excess_per_budget"]))
-    slope = float(np.polyfit(np.log([r[0] for r in rows]), np.log([r[2] for r in rows]), 1)[0])
+    slope = _linear_fit(np.log([r[0] for r in rows]), np.log([r[2] for r in rows]))[0]
     return ["eps", "budget", "kl_excess", "kl_excess_per_budget"], rows, [("loglog_slope", slope)]
 
 
@@ -557,7 +560,7 @@ def lemma_suite(seed: int, n: int = 20000, workers: int = 1):
 
 def _preset_lemma_suite(cfg: ExperimentConfig):
     n = _option(cfg.options, "n", 20000, _SAMPLES)
-    rows, ok = lemma_suite(cfg.seed, n, workers=cfg.workers)
+    rows, ok = lemma_suite(cfg.seed, n, workers=_pool_size())
     table = [(c, case, v, se, z, int(p)) for c, case, v, se, z, p in rows]
     return ["check", "case", "value", "stderr", "z", "passed"], table, [("all_passed", int(ok))]
 
@@ -644,10 +647,9 @@ def _given(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
-def _run_flag(args, key: str):
-    """``--seed`` or ``--workers`` checked by ``_RUN_FIELDS``, or its default when not given."""
-    param = _RUN_FIELDS[key]
-    return _checked(getattr(args, key), param, f"--{key}") if key in args else param[1]
+def _seed(args, default: int = 0) -> int:
+    """``--seed`` checked like ``[experiment] seed``, or ``default`` when not given."""
+    return _checked(args.seed, _SEED, "--seed") if "seed" in args else default
 
 
 def _schedule(args) -> int:
@@ -675,11 +677,11 @@ def _schedule(args) -> int:
 
 def _sample(args) -> int:
     """Run the reverse sampler and write its terminal batch."""
-    seed, workers = _run_flag(args, "seed"), _run_flag(args, "workers")
+    seed = _seed(args)
     sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
     oracle = build_measure(args.measure, seed)
     batch = _rows(args.batch, 1, oracle.dim, "--batch")
-    cfg = ReverseRunConfig(sched, args.scheme, batch=batch, seed=seed, init=args.init, n_workers=workers)
+    cfg = ReverseRunConfig(sched, args.scheme, batch=batch, seed=seed, init=args.init, n_workers=_pool_size())
     start = time.perf_counter()
     result = run_reverse(cfg, oracle)
     # timing goes to stderr only: output files stay byte-reproducible
@@ -693,7 +695,7 @@ def _sample(args) -> int:
 
 def _kl(args) -> int:
     """Exact terminal KL of a reverse run on a Gaussian measure."""
-    seed = _run_flag(args, "seed")
+    seed = _seed(args)
     sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
     oracle = build_measure(args.measure, seed)
     if not hasattr(oracle, "law"):
@@ -705,7 +707,7 @@ def _kl(args) -> int:
 
 def _meter(args) -> int:
     """The discretization error functional, by Monte Carlo or exactly."""
-    seed = _run_flag(args, "seed")
+    seed = _seed(args)
     if args.mode == "exact" and args.n is not None:
         raise ValueError("--n is read only by --mode mc; --mode exact draws no samples")
     sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
@@ -727,8 +729,7 @@ def _meter(args) -> int:
 
 def _check(args) -> int:
     """Run the lemma suite."""
-    seed, workers = _run_flag(args, "seed"), _run_flag(args, "workers")
-    rows, ok = lemma_suite(seed, _checked(args.n, _SAMPLES, "--n"), workers=workers)
+    rows, ok = lemma_suite(_seed(args), _checked(args.n, _SAMPLES, "--n"), workers=_pool_size())
     for check, case, value, stderr, z, passed in rows:
         state = "pass" if passed else "FAIL"
         print(f"[{state}] {check:<22} {case:<34} value={value:+.6e} stderr={stderr:.3e} z={z:+.2f}")
@@ -738,10 +739,8 @@ def _check(args) -> int:
 
 def _sweep(args) -> int:
     """Run a sweep preset to files."""
-    # the flags override the config file's [experiment] seed and workers
-    explicit = {key: _run_flag(args, key) for key in _RUN_FIELDS if key in args}
     cfg = load_config(args.config) if "config" in args else ExperimentConfig(name="")
-    cfg = replace(cfg, name=args.preset, out_dir=args.out, **explicit)
+    cfg = replace(cfg, name=args.preset, out_dir=args.out, seed=_seed(args, cfg.seed))
     cfg.schedule.update(_given(args, ("kappa", "horizon", "delta")))
     base, footer = run_experiment(cfg)
     sys.stdout.write(_record.header(sorted(footer.items())))
@@ -753,35 +752,42 @@ def _sweep(args) -> int:
 # run flag exits 1 naming it, before or after the subcommand.
 COMMANDS = {
     "schedule": (_schedule, ()),
-    "sample": (_sample, ("seed", "workers", "out")),
+    "sample": (_sample, ("seed", "out")),
     "kl": (_kl, ("seed",)),
     "meter": (_meter, ("seed", "out")),
-    "check": (_check, ("seed", "workers")),
-    "sweep": (_sweep, ("seed", "workers", "out", "config")),
+    "check": (_check, ("seed",)),
+    "sweep": (_sweep, ("seed", "out", "config")),
 }
 
-# The run flags' help; a handler checks --seed and --workers by _RUN_FIELDS.
+# The run flags' help; a handler checks --seed by _SEED.
 _RUN_FLAG_HELP = {
     "seed": "master seed, >= 0 (default 0)",
     "out": "output directory (default runs)",
-    "workers": "threads for the sampler's blocks and the lemma-suite cases (default 1); a block is "
-    "max(1, 2**15 // (1024 * D)) consecutive 1024-sample chunks, and a batch of one block runs on "
-    "the calling thread, whatever this is; the point-cloud kernel shares its tiles over all cores",
     "config": "sectioned key-value config file",
 }
+
+
+def _subcommand_first(argv: list) -> list:
+    """``argv`` with the flags given before the subcommand moved to just after it.
+
+    The subcommand's parser then reads, or rejects by name, every run flag.
+    A flag before the subcommand carries a value, as ``--flag value`` or
+    ``--flag=value``; argv without a subcommand is returned as it is.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] not in ("-h", "--help"):
+        i += 1 if "=" in argv[i] else 2
+    return [*argv[i : i + 1], *argv[:i], *argv[i + 1 :]] if i < len(argv) else argv
 
 
 def cli(argv=None) -> int:
     """Entry point; returns 0 on success, 1 on validation failure, 2 on runtime failure."""
     parser = _Parser(prog="revdiff", description="reverse-diffusion simulation and verification")
-    # A run flag is set only when given, so a subparser never clobbers one
-    # given before it; each subparser adds only the run flags its command reads.
-    for flag, text in _RUN_FLAG_HELP.items():
-        parser.add_argument(f"--{flag}", default=argparse.SUPPRESS, help=text)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     p = {}
     for name, (handler, reads) in COMMANDS.items():
         p[name] = sub.add_parser(name, help=handler.__doc__)
+        # each subparser adds only the run flags its command reads, set only when given
         for flag in reads:
             p[name].add_argument(f"--{flag}", default=argparse.SUPPRESS, help=_RUN_FLAG_HELP[flag])
     _add_schedule_flags(p["schedule"], required=False)
@@ -803,16 +809,12 @@ def cli(argv=None) -> int:
         p["sweep"].add_argument(f"--{key}", type=float, default=None)
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_subcommand_first(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler, reads = COMMANDS[args.command]
     try:
-        for flag in _RUN_FLAG_HELP:
-            if flag in args and flag not in reads:
-                raise ValueError(f"{args.command} does not read --{flag}")
         vars(args).setdefault("out", "runs")
-        return handler(args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

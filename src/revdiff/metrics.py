@@ -540,6 +540,11 @@ def increment_quadrature(oracle: PointCloudOracle, t: float, t2: float, order: i
 # ---------------------------------------------------------------------------
 
 
+def _mean_stderr(v) -> tuple[float, float]:
+    """The sample mean of ``v`` and its standard error."""
+    return float(v.mean()), float(v.std(ddof=1)) / math.sqrt(len(v))
+
+
 def _joint_forward(oracle, ts, rng, n):
     """Sample X_0 and X_t at each requested time along one forward path."""
     x0 = oracle.sample0(rng, n)
@@ -580,10 +585,7 @@ def martingale_checks(oracle, t1, t2, t3, n, rng) -> MetricReport:
     inc32 = ((m3 - m2) ** 2).sum(axis=-1)
     inc21 = ((m2 - m1) ** 2).sum(axis=-1)
     resid = inc31 - inc32 - inc21
-    components = tuple(
-        (i, t, float(v.mean()), float(v.std(ddof=1)) / math.sqrt(n))
-        for i, (t, v) in enumerate(((t3, inc31), (t3, inc32), (t2, inc21)))
-    )
+    components = tuple((i, t, *_mean_stderr(v)) for i, (t, v) in enumerate(((t3, inc31), (t3, inc32), (t2, inc21))))
     proj = x3 @ (np.ones(oracle.dim) / math.sqrt(oracle.dim))
     order = np.argsort(proj)
     bins = np.array_split(order, 8)
@@ -593,10 +595,11 @@ def martingale_checks(oracle, t1, t2, t3, n, rng) -> MetricReport:
             continue
         gap = m2[idx].mean(axis=0) - m3[idx].mean(axis=0)
         tower = max(tower, float(np.linalg.norm(gap)))
+    value, stderr = _mean_stderr(resid)
     return MetricReport(
         name="martingale_orthogonality",
-        value=float(resid.mean()),
-        stderr=float(resid.std(ddof=1)) / math.sqrt(n),
+        value=value,
+        stderr=stderr,
         n_samples=n,
         components=components,
         extras={"tower_residual": tower},
@@ -625,14 +628,12 @@ def monotonicity_check(oracle, t1, t2, t3, n, rng) -> MetricReport:
     e1 = term(t1, x1)
     e2 = term(t2, x2)
     diff = e1 - e2
-    components = tuple(
-        (i, t, float(v.mean()), float(v.std(ddof=1)) / math.sqrt(n))
-        for i, (t, v) in enumerate(((t1, e1), (t2, e2)))
-    )
+    components = tuple((i, t, *_mean_stderr(v)) for i, (t, v) in enumerate(((t1, e1), (t2, e2))))
+    value, stderr = _mean_stderr(diff)
     return MetricReport(
         name="error_monotonicity",
-        value=float(diff.mean()),
-        stderr=float(diff.std(ddof=1)) / math.sqrt(n),
+        value=value,
+        stderr=stderr,
         n_samples=n,
         components=components,
     )
@@ -653,15 +654,11 @@ def concentration_curve(oracle, times, n, rng) -> MetricReport:
     for t, x in zip(times, xs):
         m = oracle.posterior_mean(t, x)
         vals.append(((x0 - m) ** 2).sum(axis=-1))
-    components = tuple(
-        (i, t, float(v.mean()), float(v.std(ddof=1)) / math.sqrt(n))
-        for i, (t, v) in enumerate(zip(times, vals))
-    )
+    components = tuple((i, t, *_mean_stderr(v)) for i, (t, v) in enumerate(zip(times, vals)))
     min_inc_z = math.inf
     for j in range(len(times) - 1):
-        inc = vals[j + 1] - vals[j]
-        se = float(inc.std(ddof=1)) / math.sqrt(n)
-        z = float(inc.mean()) / se if se > 0 else math.inf
+        mean, se = _mean_stderr(vals[j + 1] - vals[j])
+        z = mean / se if se > 0 else math.inf
         min_inc_z = min(min_inc_z, z)
     return MetricReport(
         name="concentration_curve",

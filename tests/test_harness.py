@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from revdiff import harness
 from revdiff.harness import (
     COMMANDS,
     PRESETS,
@@ -27,7 +28,7 @@ from revdiff.harness import (
 )
 from revdiff import _svg, metrics
 from revdiff.measures import GaussianLaw, GaussianOracle
-from revdiff.sampler import ReverseRunConfig, ScorePerturbation
+from revdiff.sampler import ReverseRunConfig, ScorePerturbation, run_reverse, save_batch
 from revdiff.schedule import MAX_STEPS, build_schedule, schedule_from_text, schedule_to_text, validate_schedule
 
 
@@ -90,6 +91,8 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("hilbert:D=16385,n=1", "hilbert.D"),
         ("circle:D=1,n=1", "circle.D"),
         ("torus:D=3,d=2", "torus.D"),
+        # a repeated key would let the last one win
+        ("gaussian:D=8,rank=2,D=4", "gaussian.D"),
     ],
 )
 def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named):
@@ -174,12 +177,12 @@ def test_resolve_schedule_reads_strings_as_it_reads_numbers():
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(
-        "[experiment]\nseed = 5\nworkers = 2\n\n"
+        "[experiment]\nseed = 5\n\n"
         "[schedule]\nkappa = 0.2\nhorizon = 3.0\ndelta = 1e-3\n\n"
         "[options]\nD = 8\ndims = 1 2\n"
     )
     cfg = load_config(path)
-    assert cfg.seed == 5 and cfg.workers == 2
+    assert cfg.seed == 5
     assert cfg.schedule["kappa"] == "0.2"
     assert cfg.options["dims"] == "1 2"
 
@@ -451,7 +454,6 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
         "schedule.horizon = 10\n"
         "schedule.kappa = 0.10000000000000001\n"
         "seed = 0\n"
-        "workers = 1\n"
     )
     assert (tmp_path / "d-sweep.csv").read_text().splitlines()[-3:] == ["# " + line for line in footer]
 
@@ -520,8 +522,9 @@ _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "p
         (["check", "--n", "many"], "--n"),
         (["--seed", "-1", "check", "--n", "2"], "--seed"),
         ([*_SAMPLE, "--seed", "x"], "--seed"),
-        ([*_SAMPLE, "--workers", "0"], "--workers"),
-        (["--workers", "1.5", *_SAMPLE], "--workers"),
+        # the worker count is the pool's, not a flag
+        ([*_SAMPLE, "--workers", "2"], "--workers"),
+        (["--workers", "2", *_SAMPLE], "--workers"),
         (["sample", "--kappa", "x", "--L", "10", "--K", "40", "--measure", "point-mass:D=2"], "--kappa"),
         (["meter", "--kappa", "0.2", "--L", "1.5", "--K", "40", "--measure", "point-mass:D=2"], "--L"),
         (["sample", "--kappa", "nan", "--L", "10", "--K", "40", "--measure", "point-mass:D=2"], "schedule.kappa"),
@@ -575,6 +578,7 @@ def test_cli_commands_take_only_the_run_flags_they_read(tmp_path, capsys, monkey
     # either place.
     ini = tmp_path / "run.ini"
     ini.write_text("[options]\ndims = 1 2\n")
+    # no command reads --workers: the worker count is the pool's
     values = {"seed": "3", "out": "o", "workers": "2", "config": str(ini)}
     cwd = tmp_path / "cwd"
     cwd.mkdir()
@@ -728,7 +732,7 @@ def test_cli_K_sweep_past_the_step_cap_exits_1_before_any_work(tmp_path, capsys)
 
 
 def test_lemma_suite_preset_writes_the_suite_table(tmp_path):
-    cfg = ExperimentConfig(name="lemma-suite", seed=4, out_dir=str(tmp_path), workers=2, options={"n": "500"})
+    cfg = ExperimentConfig(name="lemma-suite", seed=4, out_dir=str(tmp_path), options={"n": "500"})
     base, footer = run_experiment(cfg)
     rows, ok = lemma_suite(4, 500)
     payload = json.loads(open(base + ".json").read())
@@ -948,8 +952,12 @@ def test_cli_config_rejects_unknown_option_key(tmp_path, capsys):
         ("seed = 1\n", "no section headers"),
         ("[experiment]\nseed = -1\n", "experiment.seed"),
         ("[experiment]\nseed = 1.5\n", "experiment.seed"),
+        # the worker count is the pool's, not a config key
         ("[experiment]\nworkers = 0\n", "experiment.workers"),
         ("[experiment]\nworkers = two\n", "experiment.workers"),
+        # outside [options] keys ignore case, so a key repeated in another case would let the last one win
+        ("[experiment]\nseed = 1\nSeed = 2\n", "experiment.Seed repeats experiment.seed"),
+        ("[schedule]\nL = 90\nl = 50\n", "schedule.l repeats schedule.L"),
     ],
 )
 def test_cli_config_rejects_unknown_or_malformed_entries(tmp_path, capsys, text, named):
@@ -1044,26 +1052,62 @@ def test_cli_config_schedule_values_name_the_field(tmp_path, capsys, key, value)
         assert not (tmp_path / f"{preset}.csv").exists()
 
 
-def test_cli_seed_and_workers_flags_override_config(tmp_path, capsys):
+def test_cli_seed_flag_overrides_config_and_workers_is_rejected(tmp_path, capsys):
     ini = write_sweep_ini(tmp_path / "f.ini", "dims = 1 2\n")
-    code, _, err = run_cli(
-        capsys,
-        "sweep", "--preset", "d-sweep", "--config", ini, "--seed", "7", "--workers", "2",
-        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
-        "--out", str(tmp_path / "cli"),
-    )
+    schedule = ["--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3"]
+    argv = ["sweep", "--preset", "d-sweep", "--config", ini, *schedule]
+    code, _, err = run_cli(capsys, *argv, "--seed", "7", "--out", str(tmp_path / "cli"))
     assert code == 0, err
     meta = (tmp_path / "cli" / "d-sweep.meta").read_text().splitlines()
-    assert "seed = 7" in meta and "workers = 2" in meta
-    # without the flags the file's seed holds
-    code, _, err = run_cli(
-        capsys,
-        "sweep", "--preset", "d-sweep", "--config", ini,
-        "--kappa", "0.2", "--horizon", "3.0", "--delta", "1e-3",
-        "--out", str(tmp_path / "file"),
-    )
+    assert "seed = 7" in meta and not any("workers" in line for line in meta)
+    # without the flag the file's seed holds
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "file"))
     assert code == 0, err
     assert "seed = 3" in (tmp_path / "file" / "d-sweep.meta").read_text().splitlines()
+    # the worker count is the pool's: --workers and [experiment] workers exit 1 naming themselves
+    (tmp_path / "w.ini").write_text("[experiment]\nworkers = 2\n")
+    for given, named in [
+        (["--workers", "2", *argv], "--workers"),
+        ([*argv, "--workers", "2"], "--workers"),
+        (["sweep", "--preset", "d-sweep", "--config", str(tmp_path / "w.ini"), *schedule], "experiment.workers"),
+    ]:
+        code, _, err = run_cli(capsys, *given, "--out", str(tmp_path / "w"))
+        assert code == 1 and named in err, given
+        assert not (tmp_path / "w").exists()
+    for help_argv in (["--help"], *([name, "--help"] for name in COMMANDS)):
+        code, out, _ = run_cli(capsys, *help_argv)
+        assert code == 0 and "--workers" not in out
+
+
+def _check_lines(rows, ok):
+    lines = [
+        f"[{'pass' if passed else 'FAIL'}] {check:<22} {case:<34} value={value:+.6e} stderr={stderr:.3e} z={z:+.2f}"
+        for check, case, value, stderr, z, passed in rows
+    ]
+    return "\n".join([*lines, f"lemma suite: {'all passed' if ok else 'FAILURES PRESENT'}"]) + "\n"
+
+
+@pytest.mark.parametrize("pool", [None, 3])
+def test_cli_pooled_runs_equal_one_worker_api_runs(tmp_path, capsys, monkeypatch, pool):
+    # The CLI runs the sampler's blocks and the lemma-suite cases on every
+    # pool thread; its outputs must equal the API's at one worker.  pool = 3
+    # forces the pooled path on a machine with fewer cores.
+    if pool is not None:
+        monkeypatch.setattr(harness, "_pool_size", lambda: pool)
+    grid = ["--kappa", "0.2", "--L", "10", "--K", "40"]
+    # the CI's torus is one block of two 1024-sample chunks; the point mass
+    # at D = 16 is five chunks in blocks of 2, 2 and 1
+    for spec, batch in [("torus:D=4,d=2,n=1024", 2048), ("point-mass:D=16", 5000)]:
+        out = tmp_path / spec.partition(":")[0]
+        code, _, err = run_cli(capsys, "sample", *grid, "--measure", spec, "--batch", str(batch), "--out", str(out))
+        assert code == 0, err
+        cfg = ReverseRunConfig(build_schedule(0.2, 10, 40), batch=batch, seed=0, n_workers=1)
+        save_batch(str(tmp_path / "api.txt"), run_reverse(cfg, build_measure(spec, 0)), extra_meta={"measure": spec})
+        assert (out / "sample.txt").read_bytes() == (tmp_path / "api.txt").read_bytes(), spec
+    code, out, _ = run_cli(capsys, "check", "--n", "500", "--seed", "3")
+    rows, ok = lemma_suite(3, 500, workers=1)
+    assert code == (0 if ok else 1)
+    assert out == _check_lines(rows, ok)
 
 
 def test_python_m_revdiff_runs_without_runtime_warning():
