@@ -65,6 +65,10 @@ _THREAD = threading.local()
 # os.cpu_count() reads sysfs (about 7 us); every cloud query and dense step asks
 _CPUS = os.cpu_count() or 1
 
+# the fewest values a draw handed to a pool thread ahead of its use holds:
+# below it, waking the thread costs more than the draw
+_DRAW_AHEAD_MIN = 2**12
+
 
 def _pool_size() -> int:
     return _CPUS
@@ -85,6 +89,56 @@ def _pool():
     return _POOL
 
 
+def _start_pooled(call, items, helpers: int):
+    """Hand ``items`` to up to ``helpers`` threads of the shared pool, which ``call`` each in turn.
+
+    Returns the job ``_finish_pooled`` completes.  Once a call raises, no new
+    item is taken.  A helper cancelled before it starts stays queued until a
+    pool thread takes it, holding ``call`` and the results but no item.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    pending = iter(enumerate(items))
+    lock = threading.Lock()
+
+    def drain():
+        nonlocal pending
+        while True:
+            with lock:
+                job = next(pending, None)
+                if job is None:
+                    pending = iter(())  # a spent enumerate still holds its last item
+                    return
+            try:
+                results[job[0]] = call(job[1])
+            except BaseException:
+                with lock:
+                    pending = iter(())
+                raise
+
+    helpers = [_pool().submit(drain) for _ in range(min(helpers, len(items)))]
+    return drain, helpers, results
+
+
+def _finish_pooled(job) -> list:
+    """Call, in this thread, the items of a ``_start_pooled`` job that no pool thread has taken, then wait for the rest.
+
+    Returns the results in item order; a call's exception reaches the caller
+    once the calls in flight have finished.
+    """
+    drain, helpers, results = job
+    _THREAD.inline = True
+    try:
+        drain()
+    finally:
+        _THREAD.inline = False
+        # a helper that has not started by now would find nothing left to do
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    return results
+
+
 def _map_pooled(call, items, workers: int) -> list:
     """``[call(item) for item in items]`` with at most ``workers`` items at once.
 
@@ -97,36 +151,7 @@ def _map_pooled(call, items, workers: int) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1 or getattr(_THREAD, "inline", False):
         return [call(item) for item in items]
-    pool = _pool()
-    results = [None] * len(items)
-    pending = iter(enumerate(items))
-    lock = threading.Lock()
-
-    def drain():
-        nonlocal pending
-        while True:
-            with lock:
-                job = next(pending, None)
-            if job is None:
-                return
-            try:
-                results[job[0]] = call(job[1])
-            except BaseException:
-                with lock:
-                    pending = iter(())
-                raise
-
-    helpers = [pool.submit(drain) for _ in range(min(workers, len(items)) - 1)]
-    _THREAD.inline = True
-    try:
-        drain()
-    finally:
-        _THREAD.inline = False
-        # a helper that has not started by now would find nothing left to do
-        for helper in helpers:
-            if not helper.cancel():
-                helper.result()
-    return results
+    return _finish_pooled(_start_pooled(call, items, workers - 1))
 
 
 def _map_ahead(fn, items):

@@ -27,6 +27,7 @@ from .measures import (
     GaussianOracle,
     PointCloudOracle,
     ScoreOracle,
+    _DRAW_AHEAD_MIN,
     _forward_kernel,
     _map_ahead,
     _map_pooled,
@@ -348,8 +349,10 @@ def propagate_affine_reverse(data: GaussianLaw, config: ReverseRunConfig) -> Gau
     symmetric and the same for every thread or worker count.
     """
     src = config.score_source
-    if isinstance(src, ScorePerturbation) and src.linear is not None:
-        return _law_from_dense(*_propagate_dense(data, config))
+    if isinstance(src, ScorePerturbation):
+        src.check_dim(data.dim)
+        if src.linear is not None:
+            return _law_from_dense(*_propagate_dense(data, config))
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     spread = var - resid_var
     tol = 1e-9 * max(float(var.max(initial=1.0)), resid_var)
@@ -375,8 +378,10 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
     """
     src = config.score_source
     c, s2 = noise_scales(config.schedule.early_stop)
-    if isinstance(src, ScorePerturbation) and src.linear is not None:
-        return MetricReport(name="kl_experiment", value=_dense_kl(data, config, c, s2), seed=config.seed)
+    if isinstance(src, ScorePerturbation):
+        src.check_dim(data.dim)
+        if src.linear is not None:
+            return MetricReport(name="kl_experiment", value=_dense_kl(data, config, c, s2), seed=config.seed)
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     tgt_var = c * c * ch.var0 + s2
     value = sum(map(_kl_scalar, var.tolist(), tgt_var.tolist(), (mean - c * ch.mean0).tolist()))
@@ -433,10 +438,11 @@ def discretization_error_meter(
     oracle and evaluates the channel closed form (n and rng are ignored).
 
     Each mc step draws X_0, then the forward and the bridge normals.  When
-    they hold 2**12 to 2**17 values each (n * D), step k + 1's are drawn on
-    the pool while this thread computes step k; the draws never overlap, so
-    ``rng`` is consumed in step order and the report is byte-identical at
-    any thread count.  ``rng`` is never advanced after the meter returns or raises.
+    they hold ``_DRAW_AHEAD_MIN`` (2**12) to 2**17 values each (n * D), step
+    k + 1's are drawn on the pool while this thread computes step k; the
+    draws never overlap, so ``rng`` is consumed in step order and the report
+    is byte-identical at any thread count.  ``rng`` is never advanced after
+    the meter returns or raises.
     """
     if quadrature not in ("right", "midpoint"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -470,9 +476,8 @@ def discretization_error_meter(
         x0 = oracle.sample0(rng, n)
         return x0, rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)
 
-    # below 2**12 a hand-off costs more than the draw; above 2**17 the three
-    # arrays drawn ahead would lift the peak past six n x D draws
-    ahead = 2**12 <= n * oracle.dim <= 2**17
+    # above 2**17 the three arrays drawn ahead would lift the peak past six n x D draws
+    ahead = _DRAW_AHEAD_MIN <= n * oracle.dim <= 2**17
     draws = _map_ahead(draw, range(len(w))) if ahead else (draw(k) for k in range(len(w)))
     total = 0.0
     var_sum = 0.0
@@ -690,6 +695,7 @@ def score_error_budget(
     """
     if not isinstance(bias, ScorePerturbation):
         raise ValueError("bias must be an affine ScorePerturbation")
+    bias.check_dim(data.dim)
     b_const = bias.epsilon * (bias.constant if bias.constant is not None else np.zeros(data.dim))
     sq = float(b_const @ b_const)
     if bias.linear is not None:

@@ -26,7 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _record
-from .measures import ScoreOracle, _map_pooled, forward_sample, spawn_rng
+from .measures import (
+    _DRAW_AHEAD_MIN,
+    _THREAD,
+    ScoreOracle,
+    _finish_pooled,
+    _map_pooled,
+    _pool_size,
+    _start_pooled,
+    forward_sample,
+    spawn_rng,
+)
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var, validate_schedule
 
 __all__ = [
@@ -84,13 +94,13 @@ def step_table(schedule: TimeSchedule, scheme: str = "corrected") -> StepTable:
 
 
 def _affine_step(y, s, alpha, beta, eta, draw) -> np.ndarray:
-    """alpha y + beta s + eta z in y, bit-identical to that expression; ``draw(s)`` writes z over s once s is added."""
+    """alpha y + beta s + eta z in y, bit-identical to that expression; ``draw(s)`` returns z once s is added, in s or another array."""
     y *= alpha
     s *= beta
     y += s
-    draw(s)
-    s *= eta
-    y += s
+    z = draw(s)
+    z *= eta
+    y += z
     return y
 
 
@@ -196,6 +206,13 @@ class ScorePerturbation:
                 raise ValueError("linear bias must be a square matrix")
             object.__setattr__(self, "linear", lin)
 
+    def check_dim(self, dim: int) -> None:
+        """Raise ValueError unless ``constant`` has shape (D,) and ``linear`` shape (D, D), for D = ``dim``."""
+        for name, shape in (("constant", (dim,)), ("linear", (dim, dim))):
+            value = getattr(self, name)
+            if value is not None and value.shape != shape:
+                raise ValueError(f"ScorePerturbation.{name} must have shape {shape} for D = {dim}, got {value.shape}")
+
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
@@ -222,6 +239,8 @@ class ReverseRunConfig:
     derived stream (seed, i), and each max(1, 2**15 // (chunk_size D))
     consecutive chunks step together as one block.  A block's size is fixed
     by ``chunk_size`` and D alone, so the worker count changes wall time only.
+    ``n_workers`` bounds how many blocks step at once; a block stepped in the
+    caller may still have its noise drawn on the shared pool.
     """
 
     schedule: TimeSchedule
@@ -256,8 +275,29 @@ class ReverseRunResult:
     config: ReverseRunConfig
 
 
+def _draw_into(job) -> None:
+    """Fill ``out`` with the normals of ``rng``, for ``job = (rng, out)``.
+
+    It returns nothing, so a pool helper cancelled before it started, which
+    stays queued with the job's results, holds no view of ``out``.
+    """
+    rng, out = job
+    rng.standard_normal(out=out)
+
+
 def _run_block(config, oracle, score_fn, steps, chunks, terminal):
-    """Step the chunks of the range ``chunks`` as one array, in place in their rows of ``terminal``."""
+    """Step the chunks of the range ``chunks`` as one array, in place in their rows of ``terminal``.
+
+    Each chunk draws its init and then each step's noise from its own stream.
+    A block stepped outside pooled work whose step draws at least
+    ``_DRAW_AHEAD_MIN`` values has step k + 1's noise drawn on the pool, into
+    step k's spent score array, while this thread finishes step k and queries
+    step k + 1; then it draws the chunks no pool thread has started and waits
+    for the rest.  The hand-off comes a whole step early because a pool
+    thread idle for some milliseconds takes about 0.15 ms to wake; the block
+    holds one array more than otherwise.  Any other block draws each step's noise over its own spent
+    score.  Either way a stream's draws come in step order, so the bits agree.
+    """
     size = config.chunk_size
     y = terminal[chunks.start * size : chunks.stop * size]  # the batch's last chunk may be short
     rows = [slice(j * size, (j + 1) * size) for j in range(len(chunks))]
@@ -267,14 +307,36 @@ def _run_block(config, oracle, score_fn, steps, chunks, terminal):
             y[r] = forward_sample(oracle, config.schedule.horizon, rng, len(y[r]))[1]
         else:
             rng.standard_normal(out=y[r])
-    draw = lambda z: [rng.standard_normal(out=z[r]) for r, rng in zip(rows, rngs)]
-    for k, (tau, alpha, beta, eta) in enumerate(steps):
-        _affine_step(y, score_fn(tau, y), alpha, beta, eta, draw)
-        if not np.isfinite(y).all():
-            raise FloatingPointError(
-                f"non-finite state after step k={k} (t={float(config.schedule.times[k + 1])!r}) in batch row "
-                f"{chunks.start * size + int(np.isfinite(y).all(axis=1).argmin())}; check the schedule and score source"
-            )
+    draws = lambda z: [(rng, z[r]) for r, rng in zip(rows, rngs)]  # each chunk's next normals, into its rows of z
+    helpers = _pool_size() - 1
+    start = lambda z: (z, _start_pooled(_draw_into, draws(z), helpers))
+    ahead = None  # (array, job) of the next step's noise while the pool draws it
+    if helpers and y.size >= _DRAW_AHEAD_MIN and not getattr(_THREAD, "inline", False):
+        ahead = start(np.empty_like(y))
+
+    def draw(s, k):
+        nonlocal ahead
+        if ahead is None:
+            for job in draws(s):
+                _draw_into(job)
+            return s
+        (z, job), ahead = ahead, None
+        _finish_pooled(job)
+        if k + 1 < len(steps):
+            ahead = start(s)
+        return z
+
+    try:
+        for k, (tau, alpha, beta, eta) in enumerate(steps):
+            _affine_step(y, score_fn(tau, y), alpha, beta, eta, lambda s: draw(s, k))
+            if not np.isfinite(y).all():
+                raise FloatingPointError(
+                    f"non-finite state after step k={k} (t={float(config.schedule.times[k + 1])!r}) in batch row "
+                    f"{chunks.start * size + int(np.isfinite(y).all(axis=1).argmin())}; check the schedule and score source"
+                )
+    finally:
+        if ahead is not None:
+            _finish_pooled(ahead[1])  # no draw outlives the block
 
 
 def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResult:
@@ -286,10 +348,18 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
     (batch, D) terminal, one score query a step, so the batch is never held
     twice.  With ``n_workers > 1`` blocks share the pool; a batch of one block
     runs in the caller, so a point-cloud oracle shares its tiles over the pool.
+    ``n_workers`` bounds how many blocks step at once, not the threads: a
+    block stepped in the caller draws its next step's noise on the pool while
+    it queries (see ``_run_block``).  A mis-sized ScorePerturbation is
+    rejected before any block starts.
     """
     if not isinstance(oracle, ScoreOracle):
         raise TypeError(f"run_reverse needs a ScoreOracle, got {type(oracle).__name__}")
-    score_fn = oracle.score if config.score_source == "exact" else config.score_source.perturb(oracle.score)
+    if config.score_source == "exact":
+        score_fn = oracle.score
+    else:
+        config.score_source.check_dim(oracle.dim)
+        score_fn = config.score_source.perturb(oracle.score)
     tab = step_table(config.schedule, config.scheme)
     # (tau, alpha, beta, eta) of each step, as Python floats
     steps = list(

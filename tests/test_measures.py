@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from revdiff import measures
 from revdiff.harness import build_measure
+from revdiff.sampler import ScorePerturbation
 from revdiff.measures import (
     T_MIN,
     GaussianLaw,
@@ -699,6 +700,47 @@ def test_product_checks_each_coordinate_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# query results are new arrays
+# ---------------------------------------------------------------------------
+
+
+def _state_arrays(obj):
+    """Every array an oracle or perturbation holds, through its laws, clouds and factors."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _state_arrays(item)]
+    if hasattr(obj, "__dict__"):
+        return [a for value in vars(obj).values() for a in _state_arrays(value)]
+    return []
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        PointMassOracle(np.array([0.6, -0.1, 0.0])),
+        GaussianOracle(GaussianLaw(mean=np.array([0.3, -0.2, 0.1]), factor=np.array([[0.5], [0.1], [-0.4]]), diag_floor=0.05)),
+        GaussianOracle(GaussianLaw(mean=np.zeros(3), factor=np.diag([1.0, 0.5, 0.25]))),
+        PointCloudOracle(PointCloudMeasure.uniform(np.arange(21.0).reshape(7, 3) / 10.0)),
+        ProductOracle([(PointMassOracle(np.array([0.2])), [1]), (build_measure("gaussian:D=2,rank=1", 4), [0, 2])]),
+    ],
+    ids=["point-mass", "gaussian", "gaussian-full-rank", "cloud", "product"],
+)
+def test_queries_return_arrays_that_share_no_memory_with_the_query_or_the_state(oracle):
+    # Callers may overwrite a score or posterior mean: the sampler draws the
+    # next step's noise into the spent score array.
+    bias = ScorePerturbation(epsilon=0.2, constant=np.array([1.0, 0.0, -1.0]), linear=0.5 * np.eye(3))
+    state = _state_arrays(oracle) + _state_arrays(bias)
+    assert state
+    for x in (np.array([0.3, -0.4, 0.5]), spawn_rng(5, 0).standard_normal((6, 3))):
+        queries = [oracle.score, oracle.posterior_mean, bias.perturb(oracle.score), ScorePerturbation(0.1).perturb(oracle.score)]
+        for query in queries:
+            out = query(0.5, x)
+            assert out.shape == x.shape and out.flags.writeable
+            assert not any(np.shares_memory(out, a) for a in [x, *state])
+
+
+# ---------------------------------------------------------------------------
 # tweedie consistency via finite differences
 # ---------------------------------------------------------------------------
 
@@ -988,6 +1030,25 @@ def test_map_pooled_takes_no_item_after_a_call_raises(where):
     assert failed.is_set()
     assert sum(started) <= 2 * 3
     assert len(started) < 60
+
+
+def test_start_pooled_hands_items_to_the_pool_and_finish_calls_the_rest():
+    # The caller does nothing until it finishes the job, so the first call is
+    # a pool thread's; the results come back in item order.
+    threads, taken = [], threading.Event()
+
+    def call(i):
+        threads.append(threading.get_ident())
+        taken.set()
+        return i * i
+
+    job = measures._start_pooled(call, range(50), 1)
+    assert taken.wait(timeout=30)
+    assert measures._finish_pooled(job) == [i * i for i in range(50)]
+    assert threads[0] != threading.get_ident()
+    threads.clear()
+    assert measures._finish_pooled(measures._start_pooled(call, range(5), 0)) == [i * i for i in range(5)]
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_map_ahead_runs_one_call_ahead_on_the_pool_in_order():

@@ -721,6 +721,23 @@ def test_budget_scalar_traces_match_explicit_trace():
     assert abs(score_error_budget(law, bias, sched).value - ref) <= 1e-12 * ref
 
 
+_MIS_SIZED = [("constant", np.ones(1)), ("constant", np.ones((1, 4))), ("constant", np.ones(3)), ("linear", np.eye(3))]
+
+
+@pytest.mark.parametrize("field, value", _MIS_SIZED)
+def test_kl_experiment_rejects_a_mis_sized_perturbation_naming_the_field(field, value):
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 4, 12), score_source=ScorePerturbation(0.1, **{field: value}))
+    for run in (kl_experiment, propagate_affine_reverse):
+        with pytest.raises(ValueError, match=rf"ScorePerturbation\.{field} must have shape .* for D = 4, got"):
+            run(rank_law(4, 1, seed=29), cfg)
+
+
+@pytest.mark.parametrize("field, value", _MIS_SIZED)
+def test_budget_rejects_a_mis_sized_perturbation_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=rf"ScorePerturbation\.{field} must have shape .* for D = 4, got"):
+        score_error_budget(rank_law(4, 1, seed=29), ScorePerturbation(0.1, **{field: value}), build_schedule(0.2, 4, 12))
+
+
 def test_budget_rejects_non_perturbation():
     sched = build_schedule(0.2, 4, 12)
     law = rank_law(2, 1, seed=28)

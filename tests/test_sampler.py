@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import typing
 from decimal import Decimal, localcontext
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import revdiff
+from revdiff import sampler
 from revdiff.harness import build_measure
 from revdiff.measures import (
     GaussianLaw,
@@ -129,7 +132,7 @@ def test_step_index_bounds():
 def test_corrected_step_drift_only_is_pure_scaling():
     sched = schedule_with_gap(0.3, 1.5)
     y = np.array([[0.5, -1.0]])
-    out = _affine_step(y.copy(), np.zeros_like(y), *coefficients(sched, 0), lambda z: z.fill(0.0))
+    out = _affine_step(y.copy(), np.zeros_like(y), *coefficients(sched, 0), lambda z: z.fill(0.0) or z)
     np.testing.assert_allclose(out, math.exp(0.3) * y, atol=1e-15)
 
 
@@ -428,6 +431,115 @@ def test_run_reverse_aborts_on_nonfinite_state():
     assert bad.any()
     with pytest.raises(FloatingPointError, match=rf"k=0 \(t=.*\) in batch row {size + int(bad.argmax())};"):
         run_reverse(cfg, _BlowUpOracle(float(sched.taus[0]), first.max()))
+
+
+# ---------------------------------------------------------------------------
+# a caller-stepped block's noise, drawn on the pool a step ahead
+# ---------------------------------------------------------------------------
+
+
+def _spy_on_draws_ahead(monkeypatch):
+    """Record the helper count of each hand-off of a step's draw to the pool, sized for three pool threads."""
+    starts, start = [], sampler._start_pooled
+
+    def spy(call, items, helpers):
+        starts.append(helpers)
+        return start(call, items, helpers)
+
+    monkeypatch.setattr(sampler, "_start_pooled", spy)
+    monkeypatch.setattr(sampler, "_pool_size", lambda: 3)
+    return starts
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec, batch, chunk_size, biased",
+    # D = 8 at 1024-sample chunks: one block of 4 chunks, the last of 17 rows,
+    # from data_pT with a bias; D = 4: one block of one 1500-sample chunk
+    [("gaussian:D=8,rank=2,var=0.25", 3 * 1024 + 17, 1024, True), ("gaussian:D=4,rank=1", 1500, 2048, False)],
+)
+def test_caller_stepped_block_draws_ahead_and_matches_the_per_chunk_reference(
+    monkeypatch, spec, batch, chunk_size, biased, workers
+):
+    oracle = build_measure(spec, 2)
+    extra = {}
+    if biased:
+        bias = ScorePerturbation(epsilon=0.3, constant=np.linspace(-1.0, 1.0, 8), linear=0.2 * np.eye(8))
+        extra = dict(init="data_pT", score_source=bias)
+    cfg = ReverseRunConfig(
+        schedule=build_schedule(0.2, 10, 40), batch=batch, seed=6, chunk_size=chunk_size, n_workers=workers, **extra
+    )
+    starts = _spy_on_draws_ahead(monkeypatch)
+    assert run_reverse(cfg, oracle).terminal.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
+    assert starts == [2] * cfg.schedule.n_steps  # every step's noise was handed to the pool
+
+
+def test_nonfinite_step_on_the_shared_path_names_its_row_and_leaves_no_draw_running(monkeypatch):
+    # As test_run_reverse_aborts_on_nonfinite_state: two one-chunk blocks
+    # stepped in the caller, the second blowing up at k = 0 while step 1's
+    # noise is handed to the pool.  Pool-thread draws take 20 ms more, so a
+    # draw left running after the raise would end after it.
+    sched, size = build_schedule(0.25, 2, 6), 2**14
+    cfg = ReverseRunConfig(schedule=sched, batch=2 * size, seed=3, chunk_size=size)
+    first, second = (spawn_rng(3, i).standard_normal((size, 2))[:, 0] for i in (0, 1))
+    bad = second > first.max()
+    ends = []
+
+    class SlowOnThePool:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.02)
+            try:
+                return self.rng.standard_normal(*args, **kwargs)
+            finally:
+                ends.append(time.perf_counter())
+
+    monkeypatch.setattr(sampler, "spawn_rng", lambda seed, i: SlowOnThePool(spawn_rng(seed, i)))
+    starts = _spy_on_draws_ahead(monkeypatch)
+    with pytest.raises(FloatingPointError, match=rf"k=0 \(t=.*\) in batch row {size + int(bad.argmax())};"):
+        run_reverse(cfg, _BlowUpOracle(float(sched.taus[0]), first.max()))
+    raised = time.perf_counter()
+    time.sleep(0.1)
+    assert len(starts) == sched.n_steps + 2  # the first block's steps, then the second's first two
+    assert len(ends) == (1 + sched.n_steps) + 3  # init and noise draws: a whole block, then init, k = 0 and 1
+    assert max(ends) < raised
+
+
+def test_one_block_caller_run_holds_the_batch_and_two_block_arrays(monkeypatch):
+    # point-mass:D=16, batch 2048: one 256 KiB block of two chunks, stepped in
+    # the caller.  Measured peak 3.06x of the batch: the batch, the next step's
+    # noise drawn into the spent score, and the step's score (one array at this
+    # size), with up to 0.11x more for the finite check's mask, the streams and
+    # the pool's bookkeeping.  A noise buffer of its own beside those reads 4.06x.
+    oracle = build_measure("point-mass:D=16")
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=2048, seed=1)
+    starts = _spy_on_draws_ahead(monkeypatch)
+    run_reverse(cfg, oracle)  # start the pool outside the traced run
+    assert starts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_reverse(cfg, oracle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2048 * 16 * 8
+
+
+@pytest.mark.parametrize(
+    "field, value", [("constant", np.ones(1)), ("constant", np.ones((1, 4))), ("constant", np.ones(3)), ("linear", np.eye(3))]
+)
+def test_run_reverse_rejects_a_mis_sized_perturbation_before_any_draw(monkeypatch, field, value):
+    drawn = []
+    monkeypatch.setattr(sampler, "spawn_rng", lambda *args: drawn.append(args))
+    bias = ScorePerturbation(epsilon=0.1, **{field: value})
+    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=5000, score_source=bias)
+    with pytest.raises(ValueError, match=rf"ScorePerturbation\.{field} must have shape .* for D = 4, got"):
+        run_reverse(cfg, build_measure("gaussian:D=4,rank=1"))
+    assert drawn == []
 
 
 def test_run_reverse_config_validation():
