@@ -14,6 +14,7 @@ whichever direction is numerically natural for them.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -154,29 +155,63 @@ def _map_pooled(call, items, workers: int) -> list:
     return _finish_pooled(_start_pooled(call, items, workers - 1))
 
 
-def _map_ahead(fn, items):
-    """Yield ``fn(item)`` in order, each call made on the pool while the caller works on the one before.
+def _map_ahead(fn, items, depth: int):
+    """Yield ``fn(item)`` in order, made by one pool thread up to ``depth`` calls ahead of the caller.
 
-    Calls run one at a time, so ``fn`` may draw from a shared generator; inside
-    pooled work they run inline.  After a call raises, or the caller closes the
-    generator, the call in flight is waited for and no new one is started.  No
-    reference to a handed-out result is kept, so the caller frees it at will.
+    The thread makes the calls one at a time, back to back and in item order,
+    so ``fn`` may draw from a shared generator; call i + depth may start once
+    the caller has taken result i.  After a call raises, or the caller closes
+    the generator, every call already allowed to start finishes, no later one
+    starts, and only then does the generator return: what ``fn`` has done by
+    then depends on where the caller stopped, not on timing.  Inside pooled
+    work the calls run inline.  No reference to a handed-out result is kept,
+    so the caller frees it at will.
     """
     items = list(items)
     if getattr(_THREAD, "inline", False):
         yield from map(fn, items)
         return
-    ahead, done = None, []
+    cond = threading.Condition()
+    done = collections.deque()  # results made and not yet taken, in order
+    allowed, closed, failed = depth, False, None
+
+    def produce():
+        nonlocal failed
+        for i, item in enumerate(items):
+            with cond:
+                while i >= allowed:
+                    if closed:
+                        return
+                    cond.wait()
+            try:
+                result = fn(item)
+            except BaseException as exc:
+                with cond:
+                    failed = exc
+                    cond.notify()
+                return
+            with cond:
+                done.append(result)
+                cond.notify()
+            del result  # the caller may free it once taken, even while this thread waits
+
+    producer = _pool().submit(produce)
     try:
-        for i in range(len(items) + 1):
-            if ahead is not None:
-                done.append(ahead.result())
-            ahead = _pool().submit(fn, items[i]) if i < len(items) else None
-            if done:
-                yield done.pop()
+        for _ in items:
+            with cond:
+                while not done and failed is None:
+                    cond.wait()
+                if not done:
+                    raise failed
+                allowed += 1
+                cond.notify()
+            yield done.popleft()
     finally:
-        if ahead is not None:
-            ahead.exception()  # waits for it
+        with cond:
+            closed = True
+            cond.notify()
+        producer.result()  # waits for the calls already allowed
+        done.clear()
 
 
 def map_streams(fn, items, seed: int, workers: int = 1, first: int = 0) -> list:
@@ -585,21 +620,26 @@ class GaussianOracle(ScoreOracle):
         self.dim = law.dim
         self._basis, self._var = law.spectrum()
         self._basis_t = np.ascontiguousarray(self._basis.T)
+        # None for a zero mean (every gaussian: spec law), whose add or subtract each query skips
+        self._mean = law.mean if law.mean.any() else None
 
     def sample0(self, rng, n):
         law = self.law
         x = np.dot(rng.standard_normal((n, law.factor.shape[1])), law.factor.T)
-        x += law.mean
+        if self._mean is not None:
+            x += self._mean
         if law.diag_floor > 0:
             x += math.sqrt(law.diag_floor) * rng.standard_normal((n, self.dim))
         return x
 
     def _split(self, t, x):
-        """(c, sigma2, nu, den, v, z) for a query: v = x - c mean as rows, z = v U."""
+        """(c, sigma2, nu, den, v, z) for a query: v = x - c mean as rows (a view of x for a zero mean), z = v U."""
         c, s2 = noise_scales(_check_time(t))
         nu = c * c * self.law.diag_floor + s2
         den = (c * c) * self._var + nu
-        v = x.reshape(-1, self.dim) - c * self.law.mean
+        v = x.reshape(-1, self.dim)
+        if self._mean is not None:
+            v = v - c * self._mean
         return c, s2, nu, den, v, np.dot(v, self._basis)
 
     def score(self, t, x):
@@ -624,7 +664,8 @@ class GaussianOracle(ScoreOracle):
         x = self._check_point(x)
         c, s2, nu, den, v, z = self._split(t, x)
         out = np.dot(z * (c * s2 * self._var / (nu * den)), self._basis_t)
-        out += self.law.mean
+        if self._mean is not None:
+            out += self._mean
         if self.law.diag_floor > 0:
             out += (c * self.law.diag_floor / nu) * v
         return out.reshape(x.shape)

@@ -438,11 +438,13 @@ def discretization_error_meter(
     oracle and evaluates the channel closed form (n and rng are ignored).
 
     Each mc step draws X_0, then the forward and the bridge normals.  When
-    they hold ``_DRAW_AHEAD_MIN`` (2**12) to 2**17 values each (n * D), step
-    k + 1's are drawn on the pool while this thread computes step k; the
+    they hold ``_DRAW_AHEAD_MIN`` (2**12) to 2**17 values each (n * D), one
+    pool thread draws the steps ahead while this thread computes step k:
+    through step k + 2 when n * D <= 2**16, through step k + 1 above.  The
     draws never overlap, so ``rng`` is consumed in step order and the report
     is byte-identical at any thread count.  ``rng`` is never advanced after
-    the meter returns or raises.
+    the meter returns or raises; if step k raises, it has drawn exactly the
+    steps through k + 2 (or k + 1) whatever the timing.
     """
     if quadrature not in ("right", "midpoint"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -476,9 +478,11 @@ def discretization_error_meter(
         x0 = oracle.sample0(rng, n)
         return x0, rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)
 
-    # above 2**17 the three arrays drawn ahead would lift the peak past six n x D draws
+    # the steps drawn ahead hold at most 3 * 2**17 values: above 2**17 they
+    # would lift the peak past six n x D draws, and two steps ahead need n * D <= 2**16
     ahead = _DRAW_AHEAD_MIN <= n * oracle.dim <= 2**17
-    draws = _map_ahead(draw, range(len(w))) if ahead else (draw(k) for k in range(len(w)))
+    steps = range(len(w))
+    draws = _map_ahead(draw, steps, min(2, 2**17 // (n * oracle.dim))) if ahead else (draw(k) for k in steps)
     total = 0.0
     var_sum = 0.0
     try:
@@ -501,7 +505,7 @@ def discretization_error_meter(
             var_sum += err * err
             components.append((k, float(times[k]), val, err))
     finally:
-        draws.close()  # waits for a draw in flight, so rng is not advanced after a raise
+        draws.close()  # finishes the draws already allowed, so rng is not advanced after a raise
     return MetricReport(
         name="discretization_error_meter",
         value=total,

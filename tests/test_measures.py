@@ -1051,54 +1051,73 @@ def test_start_pooled_hands_items_to_the_pool_and_finish_calls_the_rest():
     assert set(threads) == {threading.get_ident()}
 
 
-def test_map_ahead_runs_one_call_ahead_on_the_pool_in_order():
-    # When the caller gets result i, call i + 1 has been handed to a pool
-    # thread and call i + 2 has not: one call in flight, in item order.
-    called = [threading.Event() for _ in range(8)]
-    threads = []
+@pytest.mark.parametrize("depth", [1, 2])
+def test_map_ahead_runs_up_to_depth_calls_ahead_on_one_pool_thread(depth):
+    # Once the caller has taken result i, calls through i + depth have
+    # started and call i + depth + 1 has not; the calls never overlap.
+    started = [threading.Event() for _ in range(6 + depth + 1)]
+    lock, running, overlapped, threads = threading.Lock(), [], [], []
 
     def fn(i):
+        with lock:
+            overlapped.append(bool(running))
+            running.append(i)
         threads.append(threading.get_ident())
-        called[i].set()
+        started[i].set()
+        time.sleep(0.002)
+        with lock:
+            running.remove(i)
         return i * i
 
+    def started_through(last):
+        assert started[last].wait(timeout=30)
+        time.sleep(0.01)  # time enough for a call past the allowed ones to start
+        assert not started[last + 1].is_set()
+
     got = []
-    for i, value in enumerate(measures._map_ahead(fn, range(6))):
+    gen = measures._map_ahead(fn, range(6), depth)
+    for i, value in enumerate(gen):
         got.append(value)
-        if i + 1 < 6:
-            assert called[i + 1].wait(timeout=30)
-        assert not called[i + 2].is_set()
+        if i + depth < 6:
+            started_through(i + depth)
     assert got == [i * i for i in range(6)]
-    assert threading.get_ident() not in threads
+    assert not any(overlapped)
+    assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
 
 def test_map_ahead_runs_inline_inside_pooled_work():
     def item(_, rng):
         threads = []
-        list(measures._map_ahead(lambda i: threads.append(threading.get_ident()), range(4)))
+        list(measures._map_ahead(lambda i: threads.append(threading.get_ident()), range(4), 2))
         return set(threads) == {threading.get_ident()}
 
     assert measures.map_streams(item, [0, 1], seed=0, workers=2) == [True, True]
 
 
-def test_map_ahead_stops_at_a_failed_call_and_waits_for_the_call_in_flight():
-    calls, finished = [], []
+@pytest.mark.parametrize("depth", [1, 2])
+def test_map_ahead_finishes_exactly_the_allowed_calls_after_a_close_or_a_failed_call(depth):
+    # Slow calls, so a close or a failure finds the allowed calls not yet
+    # made; every run must end with the same calls made, whatever the timing.
+    for _ in range(20):
+        calls, finished = [], []
 
-    def fn(i):
-        calls.append(i)
-        if i == 2:
-            raise RuntimeError("planted")
-        time.sleep(0.05)
-        finished.append(i)
-        return i
+        def fn(i):
+            calls.append(i)
+            time.sleep(0.003)
+            if i == 4:
+                raise RuntimeError("planted")
+            finished.append(i)
+            return i
 
-    gen = measures._map_ahead(fn, range(10))
-    with pytest.raises(RuntimeError, match="planted"):
-        list(gen)
-    assert calls == [0, 1, 2]  # no call after the failure
+        gen = measures._map_ahead(fn, range(10), depth)
+        assert [next(gen), next(gen)] == [0, 1]
+        gen.close()  # results 0 and 1 taken: calls through 1 + depth are allowed
+        assert finished == list(range(2 + depth))
+        time.sleep(0.01)
+        assert calls == list(range(2 + depth))
 
-    gen = measures._map_ahead(fn, [0, 1, 3, 4])
-    assert next(gen) == 0  # 1 is in flight
-    gen.close()
-    assert finished == [0, 1, 0, 1]  # close waited for it
-    assert calls == [0, 1, 2, 0, 1]
+        calls, finished = [], []
+        with pytest.raises(RuntimeError, match="planted"):
+            list(measures._map_ahead(fn, range(10), depth))
+        time.sleep(0.01)
+        assert calls == [0, 1, 2, 3, 4] and finished == [0, 1, 2, 3]

@@ -529,6 +529,46 @@ def test_one_block_caller_run_holds_the_batch_and_two_block_arrays(monkeypatch):
     assert peak < 3.25 * 2048 * 16 * 8
 
 
+def test_caller_stepped_block_never_draws_a_stream_on_two_threads_and_draws_it_in_step_order(monkeypatch):
+    # The control at batch 5000: one block of five 1024-sample chunks, stepped
+    # in the caller with one pool helper.  A draw on a pool thread sleeps 3 ms
+    # first, so the helper is still on step k's first chunk when step k + 1's
+    # draw could be handed out: a hand-off made before step k's draw has
+    # finished puts that chunk's stream on two threads at once.
+    oracle = build_measure("gaussian:D=4,rank=1")
+    cfg = ReverseRunConfig(schedule=build_schedule(0.25, 4, 12), batch=5000, seed=4, chunk_size=1024)
+    streams = {}  # each chunk stream's generator states, after its init and after each step's draw
+    for i in range(5):
+        rng, shape = spawn_rng(cfg.seed, i), (min(1024, 5000 - 1024 * i), 4)
+        rng.standard_normal(shape)
+        states = [rng.bit_generator.state["state"]["state"]]
+        for _ in range(cfg.schedule.n_steps):
+            rng.standard_normal(shape)
+            states.append(rng.bit_generator.state["state"]["state"])
+        streams[states[0]] = states
+    lock, calls = threading.Lock(), []  # (stream, draw index, thread, start, end)
+    draw_into = sampler._draw_into
+
+    def record(job):
+        start = time.perf_counter()
+        state = job[0].bit_generator.state["state"]["state"]
+        stream = next(s for s, states in streams.items() if state in states)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.003)
+        draw_into(job)
+        with lock:
+            calls.append((stream, streams[stream].index(state), threading.get_ident(), start, time.perf_counter()))
+
+    monkeypatch.setattr(sampler, "_draw_into", record)
+    monkeypatch.setattr(sampler, "_pool_size", lambda: 2)
+    assert run_reverse(cfg, oracle).terminal.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
+    assert len({thread for *_, thread, _, _ in calls}) > 1  # the pool drew some
+    for stream in streams:
+        mine = sorted((start, end, index) for s, index, _, start, end in calls if s == stream)
+        assert [index for *_, index in mine] == list(range(cfg.schedule.n_steps))
+        assert all(end <= start for (_, end, _), (start, _, _) in zip(mine, mine[1:]))
+
+
 @pytest.mark.parametrize(
     "field, value", [("constant", np.ones(1)), ("constant", np.ones((1, 4))), ("constant", np.ones(3)), ("linear", np.eye(3))]
 )
