@@ -718,11 +718,13 @@ def _meter(args) -> int:
         oracle, sched, n, spawn_rng(seed, 2), mode=args.mode, quadrature="midpoint" if args.midpoint else "right"
     )
     print(f"wall_time_s = {time.perf_counter() - start:.3f}", file=sys.stderr)
+    report = replace(report, seed=seed)
     sys.stdout.write(report.to_keyvalues())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "meter_components.csv")
     with open(path, "w") as fh:
         fh.write(report.components_csv())
+        fh.write(_record.header([("seed", seed)], table=True))
     print(path)
     return 0
 

@@ -477,7 +477,7 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
         "value = 0.28012673493560891\n"
         "stderr = 0\n"
         "n_samples = 0\n"
-        "seed = \n"
+        "seed = 0\n"
         "quadrature = 0\n"
         f"{components}\n"
     )
@@ -503,12 +503,15 @@ def test_cli_meter_mc_times_on_stderr_and_pins_its_output(tmp_path, capsys):
         "value = 0.28253414763960255\n"
         "stderr = 0.0018120192360197062\n"
         "n_samples = 2500\n"
-        "seed = \n"
+        "seed = 0\n"
         "quadrature = 0\n"
         f"{components}\n"
     )
-    digest = hashlib.sha256(components.read_bytes()).hexdigest()
-    assert digest == "771277811dc8fb208f8f7f157b144e22d3466749dc9b68c0dc292f76af83f7ec"
+    text = components.read_bytes()
+    rows, footer = text[: text.rindex(b"#")], text[text.rindex(b"#") :]
+    assert footer == b"# seed = 0\n"
+    assert hashlib.sha256(rows).hexdigest() == "771277811dc8fb208f8f7f157b144e22d3466749dc9b68c0dc292f76af83f7ec"
+    assert hashlib.sha256(text).hexdigest() == "a8d5ec249bb0d46b9a145ae8424ca7cb171498488ce2541bfc48193be81651b2"
 
 
 _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--batch", "4"]

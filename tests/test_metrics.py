@@ -204,29 +204,34 @@ def _dense_inverse_form(data, config):
 
 def test_eigenbasis_dense_path_matches_inverse_form():
     sched = build_schedule(0.2, 10, 40)
-    # 16 and 64 are one row block; 200 is blocks of 163 rows and a ragged one of 37
+    # the pooled loop: 16 and 64 are one row block; 200 is blocks of 163 rows
+    # and a ragged one of 37.  A symmetric B takes the eigenbasis loop at 64
+    # and 200 (rank 3 <= D / 8) and the pooled one at 16.
     for D in (16, 64, 200):
         rng = np.random.default_rng(D)
         law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
-        bias = ScorePerturbation(
-            epsilon=0.05, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)) / math.sqrt(D)
-        )
-        for scheme in ("corrected", "exponential_integrator"):
-            for init in ("standard_normal", "data_pT"):
-                cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
-                basis, mean, cov = metrics._propagate_dense(law, cfg)
-                ref_mean, ref_cov = _dense_inverse_form(law, cfg)
-                scale = np.abs(ref_cov).max()
-                assert np.abs(basis @ mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
-                assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
+        constant, general = rng.standard_normal(D), rng.standard_normal((D, D)) / math.sqrt(D)
+        with_zero = rng.standard_normal(D)
+        with_zero[D // 2] = 0.0
+        for linear in (general, np.eye(D), np.diag(with_zero), (general + general.T) / 2, np.zeros((D, D))):
+            bias = ScorePerturbation(epsilon=0.05, constant=constant, linear=linear)
+            for scheme in ("corrected", "exponential_integrator"):
+                for init in ("standard_normal", "data_pT"):
+                    cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
+                    basis, mean, cov = metrics._propagate_dense(law, cfg)
+                    ref_mean, ref_cov = _dense_inverse_form(law, cfg)
+                    scale = np.abs(ref_cov).max()
+                    assert np.abs(basis @ mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
+                    assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
 
 
-def _dense_case(D, init="standard_normal"):
+def _dense_case(D, init="standard_normal", symmetric=False):
     rng = np.random.default_rng(D)
     law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
-    bias = ScorePerturbation(
-        epsilon=0.05, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)) / math.sqrt(D)
-    )
+    constant, linear = rng.standard_normal(D), rng.standard_normal((D, D)) / math.sqrt(D)
+    if symmetric:
+        linear = (linear + linear.T) / 2
+    bias = ScorePerturbation(epsilon=0.05, constant=constant, linear=linear)
     return law, ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), init=init, score_source=bias)
 
 
@@ -263,9 +268,48 @@ def test_dense_path_is_bit_identical_over_the_pool_and_inline():
 
 @pytest.mark.parametrize("D", [16, 200])
 @pytest.mark.parametrize("init", ["standard_normal", "data_pT"])
-def test_dense_covariance_is_exactly_symmetric(D, init):
-    _, _, cov = metrics._propagate_dense(*_dense_case(D, init))
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_dense_covariance_is_exactly_symmetric(D, init, symmetric):
+    _, _, cov = metrics._propagate_dense(*_dense_case(D, init, symmetric))
     assert np.array_equal(cov, cov.T)
+
+
+def test_dense_path_deals_row_blocks_to_the_pool_unless_b_is_symmetric_and_of_small_rank(monkeypatch):
+    dealt = []
+    map_pooled = metrics._map_pooled
+
+    def spy(call, items, workers):
+        dealt.append(len(items))
+        return map_pooled(call, items, workers)
+
+    monkeypatch.setattr(metrics, "_map_pooled", spy)
+    # a nonsymmetric B at rank 3 <= 200 / 8, and a symmetric B at rank 3 > 16 / 8: one deal a step
+    for D, symmetric in ((200, False), (16, True)):
+        dealt.clear()
+        metrics._propagate_dense(*_dense_case(D, symmetric=symmetric))
+        assert dealt == [2 if D == 200 else 1] * 40
+    dealt.clear()
+    for D in (64, 200):
+        law, cfg = _dense_case(D, symmetric=True)
+        runs = []
+        for pool in (1, 3):
+            monkeypatch.setattr(metrics, "_pool_size", lambda: pool)
+            runs.append(metrics._propagate_dense(law, cfg))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+    assert dealt == []
+    # the eigenbasis loop holds no more D x D arrays than the pooled one (the
+    # LAPACK workspace of its one eigh is not traced)
+    peaks = []
+    for symmetric in (True, False):
+        case = _dense_case(200, symmetric=symmetric)
+        tracemalloc.start()
+        try:
+            metrics._propagate_dense(*case)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_dense_eigenbasis_of_a_law_without_factor_is_the_identity():
