@@ -198,13 +198,16 @@ class ScorePerturbation:
     linear: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.constant is not None:
-            object.__setattr__(self, "constant", np.asarray(self.constant, dtype=float))
-        if self.linear is not None:
-            lin = np.asarray(self.linear, dtype=float)
-            if lin.ndim != 2 or lin.shape[0] != lin.shape[1]:
-                raise ValueError("linear bias must be a square matrix")
-            object.__setattr__(self, "linear", lin)
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"ScorePerturbation.epsilon must be finite, got {self.epsilon!r}")
+        for name in ("constant", "linear"):
+            if getattr(self, name) is not None:
+                value = np.asarray(getattr(self, name), dtype=float)
+                if not np.isfinite(value).all():
+                    raise ValueError(f"ScorePerturbation.{name} must be finite")
+                object.__setattr__(self, name, value)
+        if self.linear is not None and (self.linear.ndim != 2 or self.linear.shape[0] != self.linear.shape[1]):
+            raise ValueError("ScorePerturbation.linear must be a square matrix")
 
     def check_dim(self, dim: int) -> None:
         """Raise ValueError unless ``constant`` has shape (D,) and ``linear`` shape (D, D), for D = ``dim``."""
@@ -255,6 +258,9 @@ class ReverseRunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        # numpy's seeding rejects -1, 1.5 and "3" only later, without naming the field
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"ReverseRunConfig.seed must be an integer >= 0, got {self.seed!r}")
         for name, low in (("batch", 1), ("chunk_size", 1), ("n_workers", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")

@@ -239,7 +239,7 @@ def test_cloud_kernel_is_the_per_tile_passes_byte_for_byte(monkeypatch):
     far_rows = [chunk + 7, 3 * chunk + 1, 4 * chunk - 1]
     x[far_rows] = c * (0.5 * (pts[0:6:2] + pts[1:6:2]) + 1e-4 * (pts[1:6:2] - pts[0:6:2]))
 
-    _, y_op, q_op = oracle._operands(t, x)
+    y_op, q_op, _ = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)
     q_one = np.hstack([oracle._q, np.ones((len(oracle._q), 1))])
     ref, redone = [], []
     for start in range(0, len(x), chunk):
@@ -304,8 +304,9 @@ def test_cloud_shift_is_never_below_a_row_max_logit(dim, n, offset, log_t, noise
     c, s2 = math.exp(-t), -math.expm1(-2 * t)
     x = c * pts[rng.integers(n, size=8)] + noise * math.sqrt(s2) * rng.standard_normal((8, dim))
     oracle = PointCloudOracle(cloud)
-    y, y_op, _ = oracle._operands(t, x)
-    b = -y_op[:, dim + 1]
+    y_op = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)[0]
+    y = x - c * oracle._mu
+    b = y_op[:, dim + 1]
     assert np.isfinite(b).all()  # these terms are far below the overflow guard
     ld = np.longdouble
     q, y = oracle._q.astype(ld), y.astype(ld)
@@ -340,11 +341,11 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
         if cloud is spread:
             # the bound less each row's max kernel logit, which is the direct
             # form's plus ||y||^2 / (2 s2)
-            y, y_op, _ = oracle._operands(t, x)
-            y = y.astype(np.longdouble)
+            y_op = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)[0]
+            y = (x - c * oracle._mu).astype(np.longdouble)
             diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
             top = (np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2).max(axis=1)
-            overshoot = -y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
+            overshoot = y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
             assert (overshoot[0::2] < 50).all() and (overshoot[1::2] > 1e4).all()
         mean = oracle.posterior_mean(t, _tall(x, oracle))
         assert np.isfinite(mean).all()
@@ -355,15 +356,16 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
 def test_cloud_queries_too_large_for_the_shift_stay_finite_and_quiet():
     # Near queries on a cloud spread to 1e8 at small t give logit terms near
     # 1e23, whose rounding alone is millions of nats: shifted by b, some
-    # would overflow exp.  Each such row gets the bound +inf, a shifted
-    # normaliser of 0, and so runs with its row max.
+    # would overflow exp.  Each such row goes straight to the row-max
+    # fallback, with every operand of the tile pass finite.
     rng = np.random.default_rng(18)
     cloud = PointCloudMeasure.uniform(1e8 * rng.standard_normal((64, 2)))
     oracle = PointCloudOracle(cloud)
     for t in (T_MIN, 1e-4):
         c, s2 = math.exp(-t), -math.expm1(-2 * t)
         x = c * cloud.points[rng.integers(64, size=16)] + math.sqrt(s2) * rng.standard_normal((16, 2))
-        assert (oracle._operands(t, x)[1][:, -1] == -np.inf).all()
+        y_op, q_op, over = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)
+        assert over.all() and np.isfinite(y_op).all() and np.isfinite(q_op).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean = oracle.posterior_mean(t, x)
@@ -372,18 +374,87 @@ def test_cloud_queries_too_large_for_the_shift_stay_finite_and_quiet():
 
 
 def test_cloud_rows_whose_logits_overflow_leave_the_other_rows_alone():
-    # On a cloud spread to 1e150 at t = 1e-8 some rows' logits overflow to
-    # inf and their shifted normaliser is NaN; each row must still get the
-    # answer it gets alone, NaN for those rows and finite for the rest.
+    # On a cloud spread to 1e149 (inside the radius the oracle takes) at
+    # t = 1e-8, queries spread to 1e151 make some rows' logits overflow to
+    # inf and their normaliser NaN; each row must still get the answer it
+    # gets alone, NaN for those rows and finite for the rest.
     rng = np.random.default_rng(1)
-    oracle = PointCloudOracle(PointCloudMeasure.uniform(1e150 * rng.standard_normal((16, 2))))
-    x = 1e150 * rng.standard_normal((5, 2))
+    oracle = PointCloudOracle(PointCloudMeasure.uniform(1e149 * rng.standard_normal((16, 2))))
+    x = 1e151 * rng.standard_normal((5, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = oracle.posterior_mean(T_MIN, x)
         alone = np.array([oracle.posterior_mean(T_MIN, row) for row in x])
     assert np.isfinite(mean).all(axis=1).sum() == 3
     np.testing.assert_allclose(mean, alone, rtol=1e-12, equal_nan=True)
+
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.2, 3.0])
+@pytest.mark.parametrize("sep", [1e8, 1e9, 1e20])
+def test_cloud_rows_past_the_cap_keep_the_tile_pass_finite_and_quiet(sep, t):
+    # A row past the term-scale cap once carried the bound +inf into the
+    # tile GEMM, where BLAS's padded lanes multiplied it by 0 and numpy
+    # warned "invalid value encountered in matmul".  Such a row now goes
+    # straight to the row-max fallback with every operand finite.  Past
+    # sep = 1e8 (or at t = 1e-3) some rows are past the cap.
+    cloud = two_point_cloud(sep, dim=2)
+    oracle = PointCloudOracle(cloud)
+    c, s2 = math.exp(-t), -math.expm1(-2 * t)
+    rng = np.random.default_rng(20)
+    near = c * cloud.points[rng.integers(2, size=40)] + math.sqrt(s2) * rng.standard_normal((40, 2))
+    x = np.concatenate([near, sep * rng.standard_normal((40, 2))])
+    y_op, q_op, over = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)
+    assert over.any() == (sep > 1e8 or t == 1e-3)
+    assert np.isfinite(y_op).all() and np.isfinite(q_op).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, lm = oracle.posterior_mean(t, x), oracle.log_marginal(t, x)
+    assert np.isfinite(lm).all()
+    ref_mean, _ = _direct_form(cloud, t, x, np.longdouble)
+    assert np.abs(mean - ref_mean).max() <= 2e-12 * (1 + sep)
+
+
+def test_cloud_too_large_for_the_kernel_is_refused():
+    # The kernel needs the term scale c^2 max_j ||q_j||^2 / s2 finite at
+    # t = T_MIN (c = 1 - 1e-8, s2 = 2e-8).  Two points sep apart sit sep / 2
+    # from their centroid: the limit is sep = 2 sqrt(DBL_MAX s2) / c = 3.7923e150.
+    inside = PointCloudOracle(two_point_cloud(3.79e150, dim=2))
+    x = inside.cloud.points * math.exp(-0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(inside.posterior_mean(0.2, x)).all() and np.isfinite(inside.log_marginal(0.2, x)).all()
+        # past the limit, and past a finite squared radius (sep = 2.7e154)
+        for sep in (3.80e150, 1e160):
+            with pytest.raises(ValueError, match="cloud too large for the kernel"):
+                PointCloudOracle(two_point_cloud(sep, dim=2))
+
+
+@pytest.mark.parametrize("spec", ["two-point:D=2", "circle:D=2,n=512", "torus:D=4,d=2", "circle:D=64"])
+def test_cloud_log_marginal_matches_the_direct_log_sum_exp(spec):
+    # log_marginal against np.logaddexp.reduce over the components
+    # log w_j - ||x - c p_j||^2 / (2 s2) - (D / 2) log(2 pi s2), in float64,
+    # within 1e-13 of max(1, |ref|).  Queries at |x| in {0.3, 1, 30, 1e4}
+    # in random directions and near the noised points: rows that keep their
+    # bound and rows that take the row-max fallback, in the same tiles.
+    oracle = build_measure(spec, seed=0)
+    pts, log_w = oracle.cloud.points, np.log(oracle.cloud.weights)
+    rng = np.random.default_rng(21)
+    kept = redone = 0
+    for t in (1e-3, 0.02, 0.3, 3.0):
+        c, s2 = math.exp(-t), -math.expm1(-2 * t)
+        for radius in (0.3, 1.0, 30.0, 1e4):
+            u = rng.standard_normal((16, oracle.dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            near = c * pts[rng.integers(len(pts), size=16)] + radius * math.sqrt(s2) * u
+            x = np.concatenate([radius * u, near])
+            ref = np.array([np.logaddexp.reduce(log_w - 0.5 * ((row - c * pts) ** 2).sum(axis=1) / s2) for row in x])
+            ref -= 0.5 * oracle.dim * math.log(2 * math.pi * s2)
+            got = oracle.log_marginal(t, x)
+            assert (np.abs(got - ref) <= 1e-13 * np.maximum(1, np.abs(ref))).all()
+            far = oracle._shifted_sums(t, x, oracle._q_one[:, oracle.dim :], measures._LOG_MARGINAL_CAP)[1]
+            kept, redone = kept + len(x) - len(far), redone + len(far)
+    assert kept > 0 and redone > 0
 
 
 def _cloud_with_zero_weights(seed):
@@ -938,6 +1009,24 @@ def test_cloud_oracle_keeps_one_centred_copy():
         cloud = PointCloudMeasure.uniform(spawn_rng(D, 0).standard_normal((n, D)))
         assert traced_peak(lambda: PointCloudOracle(cloud)) <= 2 * n * (D + 1) * 8
 
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"mean": [math.nan, 0.0], "factor": [[1.0], [0.0]]}, "mean"),
+        ({"mean": [0.0, 0.0], "factor": [[math.inf], [0.0]]}, "factor"),
+        ({"mean": [0.0, 0.0], "factor": [[1.0], [math.nan]]}, "factor"),
+        ({"mean": [0.0, 0.0], "factor": [[1.0], [0.0]], "diag_floor": math.nan}, "diag_floor"),
+        ({"mean": [0.0, 0.0], "factor": [[1.0], [0.0]], "diag_floor": math.inf}, "diag_floor"),
+        ({"mean": [0.0, 0.0], "factor": [[1.0], [0.0]], "diag_floor": -1.0}, "diag_floor"),
+    ],
+)
+def test_gaussian_law_rejects_a_bad_field_naming_it(fields, named):
+    # spectrum() drops an inf factor column, which left the zero-factor law,
+    # and a NaN diag_floor gave a NaN KL
+    with pytest.raises(ValueError, match=rf"GaussianLaw\.{named} must be"):
+        GaussianLaw(**fields)
 
 def test_gaussian_spec_law_is_the_full_rotation_law():
     law = build_measure("gaussian:D=512,rank=3,var=0.25", seed=4).law

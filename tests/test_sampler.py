@@ -608,6 +608,31 @@ def test_run_reverse_config_validation():
         ReverseRunConfig(schedule=bad)
 
 
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_run_reverse_config_rejects_a_bad_seed_naming_it(seed):
+    # numpy's seeding would reject these later without naming the field
+    with pytest.raises(ValueError, match=r"ReverseRunConfig\.seed must be an integer >= 0"):
+        ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), seed=seed)
+    assert ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"epsilon": math.nan}, "epsilon"),
+        ({"epsilon": math.inf}, "epsilon"),
+        ({"epsilon": 0.1, "constant": [0.0, math.inf]}, "constant"),
+        ({"epsilon": 0.1, "constant": [math.nan, 0.0]}, "constant"),
+        ({"epsilon": 0.1, "linear": [[1.0, 0.0], [0.0, -math.inf]]}, "linear"),
+        ({"epsilon": 0.1, "linear": np.ones(3)}, "linear"),
+    ],
+)
+def test_score_perturbation_rejects_a_bad_field_naming_it(fields, named):
+    # a NaN epsilon or an inf constant used to reach kl_experiment, which returned NaN
+    with pytest.raises(ValueError, match=rf"ScorePerturbation\.{named} must be"):
+        ScorePerturbation(**fields)
+
 def test_point_mass_terminal_moments_match_exact_propagation():
     sched = build_schedule(0.2, 10, 30)
     y0 = np.array([0.8, -0.4, 0.2])
