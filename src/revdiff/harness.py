@@ -189,11 +189,6 @@ _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _FINITE = (lambda v: True, "finite")
 _AMBIENT = (int, 2, lambda v: 1 <= v <= _MAX_D, f"in [1, {_MAX_D}]")
-# A two-point law's points sit |sep| / 2 from their centroid, and the cloud
-# kernel refuses a cloud whose term scale c^2 (sep / 2)^2 / s2 at t = T_MIN
-# (c = 1 - 1e-8, s2 = 2e-8) is not finite: |sep| < 2 sqrt(DBL_MAX s2) / c,
-# about 3.79e150.  The bound below rounds that down.
-_SEP_MAX = 3.7e150
 # Parameters of each measure kind: key -> (type, default, check, the check in words)
 _MEASURE_PARAMS = {
     "gaussian": {
@@ -202,7 +197,7 @@ _MEASURE_PARAMS = {
         "floor": (float, 0.0, *_NONNEGATIVE),
     },
     "point-mass": {"value": (float, 1.0, *_FINITE)},
-    "two-point": {"sep": (float, 1.0, lambda v: abs(v) <= _SEP_MAX, f"in [-{_SEP_MAX:g}, {_SEP_MAX:g}]")},
+    "two-point": {"sep": (float, 1.0, *_FINITE)},
     "circle": {"n": (int, 2048, *_AT_LEAST_1)},
     "torus": {"n": (int, 2048, *_AT_LEAST_1), "d": (int, 2, *_AT_LEAST_1)},
     "hilbert": {
@@ -280,9 +275,10 @@ def build_measure(spec, seed: int = 0):
     Kinds: gaussian (D, rank, var, floor), point-mass (D, value), two-point
     (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n, order).  An
     unknown key, a value that does not convert, or one out of range (var > 0,
-    floor >= 0, |sep| <= 3.7e150, n >= 1, D in [1, 2**14], D >= 2 for a
-    circle or hilbert curve and D >= 2d for a torus, a cloud's n * D at most
-    2**24) raises a ValueError naming ``kind.key``.
+    floor >= 0, n >= 1, D in [1, 2**14], D >= 2 for a circle or hilbert
+    curve and D >= 2d for a torus, a cloud's n * D at most 2**24, |sep| within
+    what the cloud kernel takes, about 2.68e150) raises a ValueError naming
+    ``kind.key``.
     """
     if isinstance(spec, str):
         spec = _parse_kv_spec(spec)
@@ -302,7 +298,11 @@ def build_measure(spec, seed: int = 0):
         pts = np.zeros((2, D))
         pts[0, 0] = -p["sep"] / 2.0
         pts[1, 0] = p["sep"] / 2.0
-        return PointCloudOracle(PointCloudMeasure.uniform(pts))
+        cloud = PointCloudMeasure.uniform(pts)
+        try:
+            return PointCloudOracle(cloud)
+        except ValueError as exc:  # the oracle refused a radius |sep| / 2 about the centroid
+            raise ValueError(f"measure parameter two-point.sep = {p['sep']:g} is too large: {exc}") from None
     kwargs = {}
     if kind == "torus":
         kwargs["intrinsic_dim"] = p["d"]

@@ -433,16 +433,14 @@ class PointMassOracle(ScoreOracle):
 # by more than about 665 nats; such a row is recomputed with the row max.
 _FAR_NORM = 2.0**-960
 # A row keeps its bound only when (D + 6) times its largest term magnitude
-# stays below a cap: the GEMM then rounds its logits by at most the cap
-# times 2**-52 nats.  ``posterior_mean`` needs at most 2**9, so that no logit
-# rounds up far enough for exp to overflow (about 709); ``log_marginal``
-# keeps a row's rounding in its answer, so it takes at most 2**-42 (at the
-# first cap, near the cloud at t = T_MIN, it reached 1e-8 of log p near 5).
+# stays below a cap, so its logits round by at most cap * 2**-52 nats: 2**9,
+# so exp cannot overflow (about 709), or 2**-42 in ``log_marginal``'s log p.
 _SHIFT_SCALE_CAP = 2.0**61
 _LOG_MARGINAL_CAP = 2.0**10
-# The bound a row past the cap carries through the tile GEMM: finite, so no
-# product there is inf * 0, and so large that each of its weights is 0.
-_OVER_CAP_BOUND = 2.0**1023
+# The largest radius r about its centroid a cloud may have: a query within
+# c r of the centroid has logit terms summing in magnitude to about
+# 2 c^2 r^2 / s2 at most, which stays finite down to t = T_MIN.
+_RADIUS_MAX = math.sqrt(0.5 * np.finfo(float).max * noise_scales(T_MIN)[1]) / noise_scales(T_MIN)[0]
 
 
 class PointCloudOracle(ScoreOracle):
@@ -452,14 +450,13 @@ class PointCloudOracle(ScoreOracle):
     scikit-learn's ``euclidean_distances``) on points centred at their
     weighted centroid, so that the expansion does not cancel for clouds far
     from the origin.  Zero-weight points are left out of the kernel arrays
-    (``sample0`` still draws over the full cloud).  A cloud whose term scale
-    c^2 max_j ||q_j||^2 / s2 at t = ``T_MIN`` is not finite (a radius about
-    its centroid past about 1.9e150) is refused.
+    (``sample0`` still draws over the full cloud).  A cloud whose radius
+    about its centroid is past ``_RADIUS_MAX`` (about 1.34e150) is refused.
 
-    One pass serves both queries.  It makes three calls per tile that
-    release the GIL: the logit GEMM, an in-place ``exp`` and one GEMM against
-    [q | 1] (``posterior_mean``) or the ones column (``log_marginal``) into
-    one array per query.  The far-row test runs once per query.
+    Both queries make three calls per tile that release the GIL: the logit
+    GEMM, an in-place ``exp`` and one GEMM against [q | 1] (for
+    ``log_marginal`` the ones column) that writes the weighted sums and
+    normalisers into one array per query.  The far-row test runs once per query.
     Each row's logits are shifted not by their max but by a bound b on
     them that costs O(D) per row.  With y = x - c mu, the kernel's logit
     (c y.q_j - c^2 ||q_j||^2 / 2) / s2 + log w_j is at most
@@ -468,16 +465,16 @@ class PointCloudOracle(ScoreOracle):
     b = u (2 ||y|| - u) / (2 s2) + max_j log w_j, u = min(||y||, c max_j ||q_j||),
     which is at most ||y||^2 / (2 s2) + max_j log w_j.  (The looser bound
     overshoots a noisy query's max by about D / 2 nats, so past D = 1300 or
-    so every row would need the fallback below.)  The GEMM takes b as one
-    more column of the query operand against a row of -1, so no pass
+    so every row would need the fallback below.)  The GEMM takes -b as one
+    more column of the query operand against a row of ones, so no pass
     finds or subtracts a max, and every weight is at most 1 up to rounding.
     A row whose normaliser comes out below 2**-960 (b overshot its max by
     more than about 665 nats: a query far from every point of the noised
-    cloud) is redone with its row max, one GEMM per tile over its far rows,
-    on the pool like the tiles; so is a row past the term-scale cap.  ``log_marginal`` adds back the
-    shift less ||y||^2 / (2 s2): for a row that keeps its bound exactly
-    max_j log w_j - (||y|| - u)^2 / (2 s2), for a far row the log density of
-    its leading component, from its distance.
+    cloud) is redone with its row max, one GEMM per tile over its far rows;
+    so is a row whose terms pass 2**61 / (D + 6) (2**10 / (D + 6) in
+    ``log_marginal``): its operand row is zero in the tiles.  ``log_marginal``
+    adds the shift less ||y||^2 / (2 s2): max_j log w_j - (||y|| - u)^2 / (2 s2),
+    or for a far row the log density of its leading component, from its distance.
 
     A tile has 2**16 // n_points rows, so its logit buffer is 512 KiB
     whatever the cloud size (32 rows for 2048 points): with the tile's
@@ -514,29 +511,27 @@ class PointCloudOracle(ScoreOracle):
             for i in range(0, len(w), rows):
                 self._half_q2[i : i + rows] = (self._q[i : i + rows] ** 2).sum(axis=1)
         self._half_q2 *= 0.5
-        c, s2 = noise_scales(T_MIN)
-        q2_max = 2.0 * float(self._half_q2.max())
-        if not math.isfinite(c * c * q2_max / s2):
-            radius = f"squared radius {q2_max:.4g} about its centroid"
-            raise ValueError(f"cloud too large for the kernel: its {radius} times c^2 / s2 at t = {T_MIN} overflows")
+        self._q_max = math.sqrt(2.0 * self._half_q2.max())
+        if not self._q_max <= _RADIUS_MAX:
+            radius = f"cloud radius {self._q_max:.4g} about its centroid"
+            raise ValueError(f"{radius} is past the kernel's limit {_RADIUS_MAX:.4g}")
         self._log_w = np.log(w)
         self._log_w_range = (float(self._log_w.min()), float(self._log_w.max()))
-        self._q_max = math.sqrt(q2_max)
 
     def sample0(self, rng, n):
         idx = rng.choice(len(self.cloud.points), size=n, p=self.cloud.weights)
         return self.cloud.points[idx]
 
     def _operands(self, t, x, cap):
-        """``(y_op, q_op, over)`` for the logit GEMM of query ``x``.
+        """``(y_op, q_op, over)`` for the logit GEMM of query ``x``; ``over``
+        marks the rows past the term-scale ``cap``.
 
         With y = x - c mu per row, ``y_op[:, : D + 1] @ q_op[: D + 1]`` gives
         the logits [y c/s2 | 1] @ [q | bias]^T, which omit -||y||^2 / (2 s2),
-        constant in a row; the last column of ``y_op``, b, meets the row of
-        -1 in ``q_op``, so ``y_op @ q_op`` gives those logits less b.
-        ``over`` marks the rows past the term-scale ``cap``.  Every row-wise
-        step is taken once for the whole query, so a tile makes only its
-        passes over the logits.
+        constant in a row; the last column of ``y_op``, -b, meets the row of
+        ones in ``q_op``, so ``y_op @ q_op`` gives those logits less b.  Every
+        row-wise step is taken once for the whole query, so a tile makes only
+        its passes over the logits.
         """
         c, s2 = noise_scales(t)
         dim = self.dim
@@ -544,41 +539,37 @@ class PointCloudOracle(ScoreOracle):
         q_op[:dim] = self._q.T
         np.multiply(self._half_q2, -(c * c / s2), out=q_op[dim])
         q_op[dim] += self._log_w
-        q_op[dim + 1] = -1.0
+        q_op[dim + 1] = 1.0
         y = x.reshape(-1, dim) - c * self._mu
         y2 = np.einsum("ij,ij->i", y, y)  # inf, without a warning, past |y| = 1e154
         low, high = self._log_w_range
-        # a row is over the cap where its term scale
-        # 0.5 / s2 (||y||^2 + (c max ||q||)^2) - low reaches it; ||y||^2
-        # clipped at the limit keeps every bound finite
+        # over: where the row's term scale
+        # 0.5 / s2 (||y||^2 + (c max ||q||)^2) - low reaches the cap; ||y||^2
+        # clipped at the limit keeps those rows' bound finite
         limit = max(0.0, 2.0 * s2 * (cap / (dim + 6) + low) - (c * self._q_max) ** 2)
         y_norm = np.sqrt(np.minimum(y2, limit))
         y_op = np.empty((len(y), dim + 2))
         np.multiply(y, c / s2, out=y_op[:, :dim])
         y_op[:, dim] = 1.0
         u = np.minimum(y_norm, c * self._q_max)
-        np.multiply(u * (2.0 * y_norm - u), 0.5 / s2, out=y_op[:, dim + 1])
-        y_op[:, dim + 1] += high
-        over = ~(y2 < limit)
-        y_op[over, dim + 1] = _OVER_CAP_BOUND
-        return y_op, q_op, over
+        np.multiply(u * (u - 2.0 * y_norm), 0.5 / s2, out=y_op[:, dim + 1])
+        y_op[:, dim + 1] -= high
+        return y_op, q_op, ~(y2 < limit)
 
     def _shifted_sums(self, t, x, rhs, cap):
-        """``(sums, far, top)``: per row of query ``x``, exp(logits - shift) @ ``rhs``.
+        """``(sums, far, top)``: per row of query ``x``, exp(logits - shift) @ ``rhs``,
+        the shift being b or, for a ``far`` row, the logit of its point ``top``.
+        ``rhs`` ends with the ones column, whose sums the far-row test reads.
 
-        ``rhs`` ends with the ones column, so ``sums`` ends with the shifted
-        normalisers.  The shift is the bound b or, for a ``far`` row, its max
-        logit, that of point ``top``.  A tile's logits are freed before the
-        next tile allocates its own: with two 512 KiB buffers live per thread,
-        glibc malloc gave heap back to the OS and faulted it in again on every
-        tile (about 90x the page faults of a sampler run).
+        A tile's logits are freed before the next tile allocates its own: with
+        two 512 KiB buffers live per thread, glibc malloc gave heap back to the
+        OS and faulted it in again on every tile (about 90x the page faults).
         """
         y_op, q_op, over = self._operands(t, x, cap)
         sums = np.empty((len(y_op), rhs.shape[1]))
         chunk = self.chunk
 
-        def run(i):
-            rows = slice(i * chunk, (i + 1) * chunk)
+        def run(rows):
             lw = y_op[rows] @ q_op
             # np.dot, not @: numpy's @ keeps the GIL for a product this narrow
             np.dot(np.exp(lw, out=lw), rhs, out=sums[rows])
@@ -590,18 +581,14 @@ class PointCloudOracle(ScoreOracle):
             sums[rows] = np.dot(np.exp(lw, out=lw), rhs)
             return top
 
-        if over.all():  # every row is redone below
-            far = np.arange(len(sums))
-        else:
-            _map_pooled(run, range(-(-len(sums) // chunk)), _pool_size())
-            far = np.flatnonzero(over | ~(sums[:, -1] >= _FAR_NORM))  # not <: a row whose logits overflow has a NaN normaliser
-        top = far  # empty when no row is far
-        if len(far):
-            tiles = np.split(far, np.flatnonzero(np.diff(far // chunk)) + 1)  # one GEMM per tile
-            top = np.concatenate(_map_pooled(redo, tiles, _pool_size()))
-        # a pool helper cancelled before it started stays queued, holding run
-        # and redo: the operands go now, not when a pool thread takes it
-        del y_op, q_op
+        held = y_op[over, :-1]  # a row past the cap has logits 0 in the tiles: no term there can overflow
+        y_op[over] = 0.0
+        _map_pooled(run, [slice(i, i + chunk) for i in range(0, len(sums), chunk)], _pool_size())
+        y_op[over, :-1] = held
+        far = np.flatnonzero(over | ~(sums[:, -1] >= _FAR_NORM))  # not <: overflowing logits give a NaN normaliser
+        tiles = np.split(far, np.flatnonzero(np.diff(far // chunk)) + 1) if len(far) else []  # one GEMM per tile
+        top = np.concatenate([far[:0], *_map_pooled(redo, tiles, _pool_size())])
+        del y_op, q_op  # now: a pool helper cancelled before it started stays queued, holding run and redo
         return sums, far, top
 
     def posterior_mean(self, t, x):
@@ -620,8 +607,7 @@ class PointCloudOracle(ScoreOracle):
         sums, far, top = self._shifted_sums(t, x, self._q_one[:, self.dim :], _LOG_MARGINAL_CAP)
         y = x.reshape(-1, self.dim) - c * self._mu
         # the shift less ||y||^2 / (2 s2), as the class docstring gives it
-        lead = np.maximum(np.sqrt(np.einsum("ij,ij->i", y, y)) - c * self._q_max, 0.0) ** 2 * (-0.5 / s2)
-        lead += self._log_w_range[1]
+        lead = self._log_w_range[1] - 0.5 / s2 * np.maximum(np.linalg.norm(y, axis=1) - c * self._q_max, 0.0) ** 2
         d = y[far] - c * self._q[top]
         lead[far] = self._log_w[top] - 0.5 * np.einsum("ij,ij->i", d, d) / s2
         out = np.log(sums[:, 0]) + lead - 0.5 * self.dim * math.log(2.0 * math.pi * s2)

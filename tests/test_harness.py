@@ -48,6 +48,8 @@ def test_build_measure_specs():
     assert g.dim == 6 and g.law.factor.shape == (6, 2)
     tp = build_measure("two-point:D=3,sep=0.8", seed=1)
     assert tp.dim == 3
+    for sep in ("2.6815e150", "-2.6815e150"):  # just inside what the cloud kernel takes
+        assert build_measure(f"two-point:D=2,sep={sep}", seed=1).cloud.points[1, 0] == float(sep) / 2
     pm = build_measure("point-mass:D=2,value=0.5", seed=1)
     assert pm.point[0] == 0.5
     circ = build_measure("circle:D=2,n=64", seed=1)
@@ -79,7 +81,8 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("gaussian:D=100000", "gaussian.D"),
         ("point-mass:D=2,value=inf", "point-mass.value"),
         ("two-point:D=2,sep=wide", "two-point.sep"),
-        ("two-point:D=2,sep=3.71e150", "two-point.sep"),
+        # the cloud kernel takes |sep| up to 2.6816e150
+        ("two-point:D=2,sep=2.6817e150", "two-point.sep"),
         ("two-point:D=2,sep=-1e160", "two-point.sep"),
         ("circle:D=2,n=0", "circle.n"),
         ("circle:D=2,n=100000000000", "circle.n"),
@@ -97,31 +100,17 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("gaussian:D=8,rank=2,D=4", "gaussian.D"),
     ],
 )
-def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named):
+@pytest.mark.parametrize("command", [("sample", "--batch", "4"), ("meter", "--n", "100")], ids=["sample", "meter"])
+def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, named, command):
     code, _, err = run_cli(
         capsys,
-        "sample", "--kappa", "0.2", "--L", "10", "--K", "40",
-        "--measure", spec, "--batch", "4", "--out", str(tmp_path),
+        command[0], "--kappa", "0.2", "--L", "10", "--K", "40",
+        "--measure", spec, *command[1:], "--out", str(tmp_path),
     )
     assert code == 1
     assert named in err
-    assert not (tmp_path / "sample.txt").exists()
-
-
-
-def test_two_point_sep_takes_what_the_cloud_kernel_takes(tmp_path, capsys):
-    # The cloud kernel refuses two points more than 3.79e150 apart (their
-    # term scale at t = T_MIN overflows); the spec takes |sep| <= 3.7e150.
-    # Past it meter exits 1 naming the field, where it once printed nan.
-    for sep in ("3.7e150", "-3.7e150"):
-        assert build_measure(f"two-point:D=2,sep={sep}", seed=0).cloud.points[1, 0] == float(sep) / 2
-    code, _, err = run_cli(
-        capsys,
-        "meter", "--kappa", "0.2", "--L", "10", "--K", "40",
-        "--measure", "two-point:D=2,sep=1e160", "--n", "100", "--out", str(tmp_path),
-    )
-    assert code == 1 and "two-point.sep" in err
     assert not any(tmp_path.iterdir())
+
 
 def test_manifold_D_at_the_cap_builds():
     # a manifold far from its 2 coordinates: the thin frame places it in O(D * k) memory

@@ -306,7 +306,7 @@ def test_cloud_shift_is_never_below_a_row_max_logit(dim, n, offset, log_t, noise
     oracle = PointCloudOracle(cloud)
     y_op = oracle._operands(t, x, measures._SHIFT_SCALE_CAP)[0]
     y = x - c * oracle._mu
-    b = y_op[:, dim + 1]
+    b = -y_op[:, dim + 1]
     assert np.isfinite(b).all()  # these terms are far below the overflow guard
     ld = np.longdouble
     q, y = oracle._q.astype(ld), y.astype(ld)
@@ -345,7 +345,7 @@ def test_cloud_tiles_mixing_near_and_far_rows_match_the_long_double_direct_form(
             y = (x - c * oracle._mu).astype(np.longdouble)
             diff = x[:, None, :].astype(np.longdouble) - c * cloud.points[None, :, :]
             top = (np.log(cloud.weights) - 0.5 * (diff * diff).sum(axis=-1) / s2).max(axis=1)
-            overshoot = y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
+            overshoot = -y_op[:, -1] - top - 0.5 * (y * y).sum(axis=1) / s2
             assert (overshoot[0::2] < 50).all() and (overshoot[1::2] > 1e4).all()
         mean = oracle.posterior_mean(t, _tall(x, oracle))
         assert np.isfinite(mean).all()
@@ -389,7 +389,6 @@ def test_cloud_rows_whose_logits_overflow_leave_the_other_rows_alone():
     np.testing.assert_allclose(mean, alone, rtol=1e-12, equal_nan=True)
 
 
-
 @pytest.mark.parametrize("t", [1e-3, 0.2, 3.0])
 @pytest.mark.parametrize("sep", [1e8, 1e9, 1e20])
 def test_cloud_rows_past_the_cap_keep_the_tile_pass_finite_and_quiet(sep, t):
@@ -416,18 +415,26 @@ def test_cloud_rows_past_the_cap_keep_the_tile_pass_finite_and_quiet(sep, t):
 
 
 def test_cloud_too_large_for_the_kernel_is_refused():
-    # The kernel needs the term scale c^2 max_j ||q_j||^2 / s2 finite at
-    # t = T_MIN (c = 1 - 1e-8, s2 = 2e-8).  Two points sep apart sit sep / 2
-    # from their centroid: the limit is sep = 2 sqrt(DBL_MAX s2) / c = 3.7923e150.
-    inside = PointCloudOracle(two_point_cloud(3.79e150, dim=2))
-    x = inside.cloud.points * math.exp(-0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isfinite(inside.posterior_mean(0.2, x)).all() and np.isfinite(inside.log_marginal(0.2, x)).all()
-        # past the limit, and past a finite squared radius (sep = 2.7e154)
-        for sep in (3.80e150, 1e160):
-            with pytest.raises(ValueError, match="cloud too large for the kernel"):
-                PointCloudOracle(two_point_cloud(sep, dim=2))
+    # A query within c r of the centroid of a cloud of radius r has logit
+    # terms summing in magnitude to about 2 c^2 r^2 / s2 at most, finite at
+    # t = T_MIN up to r = _RADIUS_MAX.  Two points sep apart sit sep / 2 from
+    # their centroid.  Just inside, a query at the points stays finite and
+    # quiet at T_MIN: rows past the cap stay out of the tile GEMM, and the
+    # fallback's logits, down to -1.5 c^2 r^2 / s2, do not overflow.
+    limit = 2 * measures._RADIUS_MAX
+    assert 2.68e150 < limit < 2.69e150
+    for sep in (2.5e150, limit * (1 - 1e-12)):
+        inside = PointCloudOracle(two_point_cloud(sep, dim=2))
+        for t in (T_MIN, 0.2):
+            x = inside.cloud.points * math.exp(-t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mean, lm = inside.posterior_mean(t, x), inside.log_marginal(t, x)
+            assert np.isfinite(mean).all() and np.isfinite(lm).all()
+    # just past the limit, and past a finite squared radius (sep = 2.7e154)
+    for sep in (limit * (1 + 1e-12), 1e160):
+        with pytest.raises(ValueError, match="about its centroid is past the kernel's limit"):
+            PointCloudOracle(two_point_cloud(sep, dim=2))
 
 
 @pytest.mark.parametrize("spec", ["two-point:D=2", "circle:D=2,n=512", "torus:D=4,d=2", "circle:D=64"])
@@ -1010,7 +1017,6 @@ def test_cloud_oracle_keeps_one_centred_copy():
         assert traced_peak(lambda: PointCloudOracle(cloud)) <= 2 * n * (D + 1) * 8
 
 
-
 @pytest.mark.parametrize(
     "fields, named",
     [
@@ -1027,6 +1033,7 @@ def test_gaussian_law_rejects_a_bad_field_naming_it(fields, named):
     # and a NaN diag_floor gave a NaN KL
     with pytest.raises(ValueError, match=rf"GaussianLaw\.{named} must be"):
         GaussianLaw(**fields)
+
 
 def test_gaussian_spec_law_is_the_full_rotation_law():
     law = build_measure("gaussian:D=512,rank=3,var=0.25", seed=4).law

@@ -608,7 +608,6 @@ def test_run_reverse_config_validation():
         ReverseRunConfig(schedule=bad)
 
 
-
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
 def test_run_reverse_config_rejects_a_bad_seed_naming_it(seed):
     # numpy's seeding would reject these later without naming the field
@@ -632,6 +631,7 @@ def test_score_perturbation_rejects_a_bad_field_naming_it(fields, named):
     # a NaN epsilon or an inf constant used to reach kl_experiment, which returned NaN
     with pytest.raises(ValueError, match=rf"ScorePerturbation\.{named} must be"):
         ScorePerturbation(**fields)
+
 
 def test_point_mass_terminal_moments_match_exact_propagation():
     sched = build_schedule(0.2, 10, 30)
