@@ -177,12 +177,12 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int) -> GaussianLaw:
 
 
 # Largest D a spec or preset may ask for (a Gaussian or a manifold cloud is
-# placed by a random frame, which draws a D x D normal matrix in row blocks:
-# O(D^2) time but only O(D * k) memory) and largest n * D of a cloud (the
-# cloud's points and its oracle's one centred copy are two n x D float64
-# arrays, 128 MiB each at the cap), of a sample batch and of an MC meter's
-# per-step draw (the meter holds about four n x D arrays at once: a draw,
-# its posterior mean and the oracle's query operands, so 512 MiB at the cap).
+# placed by a random frame, the QR of one D x k normal draw: O(D * k^2)
+# time, O(D * k) memory) and largest n * D of a cloud (the cloud's points
+# and its oracle's one centred copy are two n x D float64 arrays, 128 MiB
+# each at the cap), of a sample batch and of an MC meter's per-step draw
+# (the meter holds about four n x D arrays at once: a draw, its posterior
+# mean and the oracle's query operands, so 512 MiB at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")

@@ -448,9 +448,9 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     footer = [
-        "fit_intercept = 6.8184545861691959e-18",
+        "fit_intercept = 1.6821291321060738e-17",
         "fit_r2 = 1",
-        "fit_slope = 0.00066240619399489354",
+        "fit_slope = 0.00066240619399488888",
     ]
     assert code == 0
     assert out == "\n".join(footer + [str(tmp_path / "d-sweep.csv")]) + "\n"
@@ -468,7 +468,7 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
     assert code == 0
     assert out == (
         "name = kl_experiment\n"
-        "value = 0.0013248123879897981\n"
+        "value = 0.0013248123879897877\n"
         "stderr = 0\n"
         "n_samples = 0\n"
         "seed = 0\n"
@@ -480,7 +480,7 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
     components = tmp_path / "meter_components.csv"
     assert out == (
         "name = discretization_error_meter\n"
-        "value = 0.28012673493560891\n"
+        "value = 0.28012673493560886\n"
         "stderr = 0\n"
         "n_samples = 0\n"
         "seed = 0\n"
@@ -489,8 +489,8 @@ def test_artefact_records_are_pinned_byte_for_byte(tmp_path, capsys):
     )
     assert components.read_text().splitlines()[:3] == [
         "k,t,value,stderr",
-        "0,0,5.7034351900961367e-08,0",
-        "1,0.20000000000000001,1.2768843579080114e-07,0",
+        "0,0,5.703435190096134e-08,0",
+        "1,0.20000000000000001,1.2768843579080106e-07,0",
     ]
 
 
@@ -506,8 +506,8 @@ def test_cli_meter_mc_times_on_stderr_and_pins_its_output(tmp_path, capsys):
     assert re.fullmatch(r"wall_time_s = \d+\.\d{3}\n", err)
     assert out == (
         "name = discretization_error_meter\n"
-        "value = 0.28253414763960255\n"
-        "stderr = 0.0018120192360197062\n"
+        "value = 0.27998983788452408\n"
+        "stderr = 0.0017648778826605991\n"
         "n_samples = 2500\n"
         "seed = 0\n"
         "quadrature = 0\n"
@@ -516,8 +516,8 @@ def test_cli_meter_mc_times_on_stderr_and_pins_its_output(tmp_path, capsys):
     text = components.read_bytes()
     rows, footer = text[: text.rindex(b"#")], text[text.rindex(b"#") :]
     assert footer == b"# seed = 0\n"
-    assert hashlib.sha256(rows).hexdigest() == "771277811dc8fb208f8f7f157b144e22d3466749dc9b68c0dc292f76af83f7ec"
-    assert hashlib.sha256(text).hexdigest() == "a8d5ec249bb0d46b9a145ae8424ca7cb171498488ce2541bfc48193be81651b2"
+    assert hashlib.sha256(rows).hexdigest() == "825b36e6d93a0457e638416e7b59c3595b743f6a34f33a64789d27b0b30e56be"
+    assert hashlib.sha256(text).hexdigest() == "9a926ad53931adaed743ebe27058d5067db88c4253aec9966b086398a03059a9"
 
 
 _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=2", "--batch", "4"]

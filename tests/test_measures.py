@@ -972,21 +972,36 @@ def test_rotation_is_isometric():
 
 
 def _full_rotation(dim, rng):
-    """Full QR of one dim x dim draw: the construction random_frame replaces."""
+    """Sign-fixed full QR of one dim x dim draw: the random rotation a square frame must equal."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
 
 
-def test_random_frame_is_the_leading_columns_of_the_full_rotation():
-    # dim 1000 is drawn in several row blocks
-    for dim, k in ((1, 1), (5, 5), (64, 3), (300, 2), (1000, 4)):
-        rng, ref_rng = spawn_rng(1, dim), spawn_rng(1, dim)
-        frame, full = random_frame(dim, k, rng), _full_rotation(dim, ref_rng)
-        if k == dim:
-            assert frame.tobytes() == full.tobytes()
-        else:
-            assert np.linalg.norm(frame - full[:, :k]) <= 1e-15 * np.linalg.norm(full[:, :k])
-        assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
+def test_random_frame_is_the_sign_fixed_qr_of_one_dim_by_k_draw():
+    for dim, k in ((1, 1), (5, 0), (64, 3), (300, 2), (1000, 4)):
+        rng, ref_rng, flat_rng = spawn_rng(1, dim), spawn_rng(1, dim), spawn_rng(1, dim)
+        q, r = np.linalg.qr(ref_rng.standard_normal((dim, k)))
+        assert random_frame(dim, k, rng).tobytes() == (q * np.sign(np.diag(r))).tobytes()
+        flat_rng.standard_normal(dim * k)
+        # the generator ends where a draw of exactly dim * k normals leaves it
+        assert rng.bit_generator.state == flat_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 5, 64])
+def test_square_random_frame_is_the_full_rotation(dim):
+    rng, ref_rng = spawn_rng(2, dim), spawn_rng(2, dim)
+    assert random_frame(dim, dim, rng).tobytes() == _full_rotation(dim, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dim, k", [(1, 1), (5, 0), (7, 2), (4096, 2), (16384, 4)])
+def test_random_frame_is_orthonormal_with_positive_r_diagonal(dim, k):
+    frame = random_frame(dim, k, spawn_rng(3, dim))
+    assert frame.shape == (dim, k)
+    assert np.abs(frame.T @ frame - np.eye(k)).max(initial=0.0) <= 1e-14
+    # frame.T @ draw is the R of the draw's sign-fixed QR
+    r = frame.T @ spawn_rng(3, dim).standard_normal((dim, k))
+    assert np.all(np.diag(r) > 0)
 
 
 def traced_peak(fn):
@@ -1001,10 +1016,11 @@ def traced_peak(fn):
 
 
 def test_random_frame_memory_is_one_block_not_the_full_draw():
-    # A 4096 x 2 frame is 64 KiB and one 16-row block of the draw 512 KiB;
-    # measured peak 0.56 MiB.  Holding every block (the full 4096^2 draw) is
-    # 128 MiB, so the 1 MiB bound has 1.8x of margin either way.
-    assert traced_peak(lambda: random_frame(4096, 2, spawn_rng(0, 0))) < 2**20
+    # The 4096 x 2 draw, its Q and the sign-fixed frame are 64 KiB each;
+    # measured peak 3.04 of them.  The 256 KiB bound is half of one 16-row
+    # block of a 4096 x 4096 draw.
+    dim, k = 4096, 2
+    assert traced_peak(lambda: random_frame(dim, k, spawn_rng(0, 0))) <= 4 * dim * k * 8
 
 
 def test_cloud_oracle_keeps_one_centred_copy():
@@ -1035,68 +1051,12 @@ def test_gaussian_law_rejects_a_bad_field_naming_it(fields, named):
         GaussianLaw(**fields)
 
 
-def test_gaussian_spec_law_is_the_full_rotation_law():
-    law = build_measure("gaussian:D=512,rank=3,var=0.25", seed=4).law
-    ref = 0.5 * _full_rotation(512, spawn_rng(4, 104729))[:, :3]
-    assert np.linalg.norm(law.factor - ref) <= 1e-15 * np.linalg.norm(ref)
-
-
 def test_manifold_spec_build_holds_two_n_by_D_arrays():
     # n * D = 2**21: the points and the oracle's [q | 1] are two n x D
     # arrays; measured peak 2.17 of them.  A second oracle, or a third n x D
     # array in ``normalized``, took it past 3.
     n, D = 2048, 1024
     assert traced_peak(lambda: build_measure(f"circle:D={D},n={n}", seed=0)) <= 2.25 * n * D * 8
-
-
-def _padded_rotated_cloud(kind, D, n, rng, d=1):
-    """Points of the construction the thin frame replaced: the manifold's
-    coordinates zero-padded to (n, D), then a full D x D rotation."""
-    raw = np.zeros((n, D))
-    if kind == "circle":
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        raw[:, :2] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        diam = 2.0
-    elif kind == "torus":
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, d))
-        for i in range(d):
-            raw[:, 2 * i] = np.cos(theta[:, i])
-            raw[:, 2 * i + 1] = np.sin(theta[:, i])
-        diam = 2.0 * math.sqrt(d)
-    else:
-        verts = measures._hilbert_vertices(2)  # make_manifold_cloud's default order
-        raw[:, :2] = measures._sample_polyline(verts, n, rng)
-        diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    scaled = (raw @ _full_rotation(D, rng).T) / diam
-    return scaled - scaled[0]
-
-
-@pytest.mark.parametrize(
-    "kind, D, d",
-    [("circle", 2, 1), ("circle", 7, 1), ("torus", 4, 2), ("torus", 64, 3), ("hilbert", 2, 1), ("hilbert", 3, 1)],
-)
-def test_manifold_cloud_matches_the_padded_full_rotation(kind, D, d):
-    rng, ref_rng = spawn_rng(18, D), spawn_rng(18, D)
-    pts = make_manifold_cloud(kind, D, 300, rng, intrinsic_dim=d).points
-    ref = _padded_rotated_cloud(kind, D, 300, ref_rng, d=d)
-    if D == 2 * d:
-        assert pts.tobytes() == ref.tobytes()
-    else:
-        assert np.abs(pts - ref).max() <= 1e-15 * np.abs(ref).max()
-    assert rng.standard_normal() == ref_rng.standard_normal()  # same stream position
-
-
-def test_manifold_clouds_unchanged_by_random_frame(monkeypatch):
-    def build():
-        return [
-            make_manifold_cloud(kind, D, 200, spawn_rng(15, D), intrinsic_dim=d).points
-            for kind, D, d in (("circle", 7, 1), ("torus", 6, 3), ("hilbert", 3, 1))
-        ]
-
-    new = build()
-    monkeypatch.setattr(measures, "random_frame", lambda dim, k, rng: _full_rotation(dim, rng)[:, :k])
-    for a, b in zip(new, build()):
-        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
