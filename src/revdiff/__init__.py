@@ -32,8 +32,8 @@ from .measures import (
     log_marginal_gradient,
     make_manifold_cloud,
     random_frame,
-    spawn_rng,
 )
+from ._pool import spawn_rng
 from .sampler import ReverseRunConfig, run_reverse, step_table
 from .metrics import (
     concentration_curve,

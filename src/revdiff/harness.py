@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _record, _svg, metrics
+from ._pool import _pool_size, map_streams, spawn_rng
 from .measures import (
     GaussianLaw,
     GaussianOracle,
@@ -30,11 +31,8 @@ from .measures import (
     PointMassOracle,
     forward_sample,
     log_marginal_gradient,
-    _pool_size,
     make_manifold_cloud,
-    map_streams,
     random_frame,
-    spawn_rng,
 )
 from .sampler import ReverseRunConfig, ScorePerturbation, run_reverse, save_batch
 from .schedule import (
@@ -185,6 +183,13 @@ def _rank_d_law(D: int, rank: int, var: float, seed: int) -> GaussianLaw:
 # mean and the oracle's query operands, so 512 MiB at the cap).
 _MAX_D = 2**14
 _SIZE_CAP = 2**24
+# Largest total variance (trace of the covariance) T of a Gaussian law.  For
+# each channel of variance v and multiplicity m, the exact meter
+# (metrics._posterior_var_drop) forms m * v * v and a product of two terms
+# below v; with m * v <= T both stay below T^2, and T^2 at half the float max
+# leaves room for the rounding of the law's spectrum (at T^2 = max, a rank-1
+# law's variance came out an ulp high and the meter overflowed).
+_VAR_MAX = math.sqrt(0.5 * np.finfo(float).max)
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _FINITE = (lambda v: True, "finite")
@@ -258,6 +263,11 @@ def _measure_params(spec: dict) -> tuple[str, dict]:
     out = {key: _checked(spec.get(key, p[1]), p, f"measure parameter {kind}.{key}") for key, p in params.items()}
     if kind == "gaussian":
         _check_rank(out["rank"], out["D"], "measure parameter gaussian.rank")
+        parts = {"var": out["rank"] * out["var"], "floor": out["D"] * out["floor"]}
+        if not sum(parts.values()) <= _VAR_MAX:
+            rule = f"keep the law's total variance rank * var + D * floor <= {_VAR_MAX!r}"
+            key = max(parts, key=parts.get)  # the larger part
+            raise ValueError(f"measure parameter gaussian.{key} must {rule}, got {sum(parts.values())!r}")
     if "n" in out:  # a manifold cloud, sampled in k = 2 coordinates (a torus: 2d)
         k = 2 * out.get("d", 1)
         if out["D"] < k:
@@ -275,7 +285,8 @@ def build_measure(spec, seed: int = 0):
     Kinds: gaussian (D, rank, var, floor), point-mass (D, value), two-point
     (D, sep), circle (D, n), torus (D, d, n), hilbert (D, n, order).  An
     unknown key, a value that does not convert, or one out of range (var > 0,
-    floor >= 0, n >= 1, D in [1, 2**14], D >= 2 for a circle or hilbert
+    floor >= 0, a total variance rank * var + D * floor at most about
+    9.48e153, n >= 1, D in [1, 2**14], D >= 2 for a circle or hilbert
     curve and D >= 2d for a torus, a cloud's n * D at most 2**24, |sep| within
     what the cloud kernel takes, about 2.68e150) raises a ValueError naming
     ``kind.key``.
@@ -413,7 +424,11 @@ def _law_options(opts: dict, D, d):
     Ds = _option_list(opts, "dims", D, _AMBIENT) if isinstance(D, str) else [_option(opts, "D", D, _AMBIENT)]
     ds = _option_list(opts, "dims", d, _RANK) if isinstance(d, str) else [_option(opts, "d", d, _RANK)]
     _check_rank(max(ds), min(Ds), f"config key options.{'dims' if isinstance(d, str) else 'd'}")
-    return Ds, ds, _option(opts, "var", 0.25, _VAR)
+    var = _option(opts, "var", 0.25, _VAR)
+    if not max(ds) * var <= _VAR_MAX:  # a rank-d law's total variance, as a spec's
+        rule = f"keep each law's total variance d * var <= {_VAR_MAX!r}"
+        raise ValueError(f"config key options.var must {rule}, got {max(ds) * var!r}")
+    return Ds, ds, var
 
 
 def _preset_d_sweep(cfg: ExperimentConfig):

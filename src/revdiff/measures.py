@@ -14,14 +14,12 @@ whichever direction is numerically natural for them.
 
 from __future__ import annotations
 
-import collections
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import _map_pooled, _pool_size, spawn_rng  # spawn_rng is public here too
 from .schedule import noise_scales
 
 __all__ = [
@@ -37,191 +35,12 @@ __all__ = [
     "log_marginal_gradient",
     "make_manifold_cloud",
     "spawn_rng",
-    "map_streams",
     "random_frame",
 ]
 
 # Queries below this time are rejected: sigma2 -> 0 makes the posterior-mean /
 # score conversion ill conditioned.  Early-stopped schedules never get here.
 T_MIN = 1e-8
-
-
-def spawn_rng(master_seed: int, stream: int) -> np.random.Generator:
-    """Derive an independent generator for one worker or chunk.
-
-    Stream-splitting contract used across the package: stream ``i`` of master
-    seed ``s`` is ``default_rng(SeedSequence(s, spawn_key=(i,)))``.  Values
-    drawn from distinct streams are independent and reproducible regardless
-    of how many workers consume them.
-    """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(stream,)))
-
-
-_POOL = None
-_POOL_LOCK = threading.Lock()
-# .inline is true in the pool's threads, and in a caller while it runs its own share
-_THREAD = threading.local()
-
-
-# os.cpu_count() reads sysfs (about 7 us); every cloud query and dense step asks
-_CPUS = os.cpu_count() or 1
-
-# the fewest values a draw handed to a pool thread ahead of its use holds:
-# below it, waking the thread costs more than the draw
-_DRAW_AHEAD_MIN = 2**12
-
-
-def _pool_size() -> int:
-    return _CPUS
-
-
-def _mark_inline():
-    _THREAD.inline = True
-
-
-def _pool():
-    """The process-wide pool of ``os.cpu_count()`` threads, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            import concurrent.futures  # only pooled runs pay for the import
-
-            _POOL = concurrent.futures.ThreadPoolExecutor(_pool_size(), initializer=_mark_inline)
-    return _POOL
-
-
-def _start_pooled(call, items, helpers: int):
-    """Hand ``items`` to up to ``helpers`` threads of the shared pool, which ``call`` each in turn.
-
-    Returns the job ``_finish_pooled`` completes.  Once a call raises, no new
-    item is taken.  A helper cancelled before it starts stays queued until a
-    pool thread takes it, holding ``call`` and the results but no item.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    pending = iter(enumerate(items))
-    lock = threading.Lock()
-
-    def drain():
-        nonlocal pending
-        while True:
-            with lock:
-                job = next(pending, None)
-                if job is None:
-                    pending = iter(())  # a spent enumerate still holds its last item
-                    return
-            try:
-                results[job[0]] = call(job[1])
-            except BaseException:
-                with lock:
-                    pending = iter(())
-                raise
-
-    helpers = [_pool().submit(drain) for _ in range(min(helpers, len(items)))]
-    return drain, helpers, results
-
-
-def _finish_pooled(job) -> list:
-    """Call, in this thread, the items of a ``_start_pooled`` job that no pool thread has taken, then wait for the rest.
-
-    Returns the results in item order; a call's exception reaches the caller
-    once the calls in flight have finished.
-    """
-    drain, helpers, results = job
-    _THREAD.inline = True
-    try:
-        drain()
-    finally:
-        _THREAD.inline = False
-        # a helper that has not started by now would find nothing left to do
-        for helper in helpers:
-            if not helper.cancel():
-                helper.result()
-    return results
-
-
-def _map_pooled(call, items, workers: int) -> list:
-    """``[call(item) for item in items]`` with at most ``workers`` items at once.
-
-    The work runs on the shared pool, with the caller draining items
-    alongside it.  A map made from inside pooled work runs inline, so nested
-    maps never oversubscribe the cores or wait on the pool they run in.  Once
-    a call raises, no new item is taken; the calls in flight finish and the
-    exception reaches the caller.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1 or getattr(_THREAD, "inline", False):
-        return [call(item) for item in items]
-    return _finish_pooled(_start_pooled(call, items, workers - 1))
-
-
-def _map_ahead(fn, items, depth: int):
-    """Yield ``fn(item)`` in order, made by one pool thread up to ``depth`` calls ahead of the caller.
-
-    The thread makes the calls one at a time, back to back and in item order,
-    so ``fn`` may draw from a shared generator; call i + depth may start once
-    the caller has taken result i.  After a call raises, or the caller closes
-    the generator, every call already allowed to start finishes, no later one
-    starts, and only then does the generator return: what ``fn`` has done by
-    then depends on where the caller stopped, not on timing.  Inside pooled
-    work the calls run inline.  No reference to a handed-out result is kept,
-    so the caller frees it at will.
-    """
-    items = list(items)
-    if getattr(_THREAD, "inline", False):
-        yield from map(fn, items)
-        return
-    cond = threading.Condition()
-    done = collections.deque()  # results made and not yet taken, in order
-    allowed, closed, failed = depth, False, None
-
-    def produce():
-        nonlocal failed
-        for i, item in enumerate(items):
-            with cond:
-                while i >= allowed:
-                    if closed:
-                        return
-                    cond.wait()
-            try:
-                result = fn(item)
-            except BaseException as exc:
-                with cond:
-                    failed = exc
-                    cond.notify()
-                return
-            with cond:
-                done.append(result)
-                cond.notify()
-            del result  # the caller may free it once taken, even while this thread waits
-
-    producer = _pool().submit(produce)
-    try:
-        for _ in items:
-            with cond:
-                while not done and failed is None:
-                    cond.wait()
-                if not done:
-                    raise failed
-                allowed += 1
-                cond.notify()
-            yield done.popleft()
-    finally:
-        with cond:
-            closed = True
-            cond.notify()
-        producer.result()  # waits for the calls already allowed
-        done.clear()
-
-
-def map_streams(fn, items, seed: int, workers: int = 1, first: int = 0) -> list:
-    """``[fn(item, spawn_rng(seed, first + i)) for i, item in enumerate(items)]``.
-
-    With ``workers > 1`` at most that many items run at once on the shared
-    thread pool; each draws only from its own derived stream, so the result
-    does not depend on the worker count.
-    """
-    return _map_pooled(lambda job: fn(job[1], spawn_rng(seed, job[0])), enumerate(items, start=first), workers)
 
 
 def _check_time(t: float) -> float:
@@ -472,7 +291,7 @@ class PointCloudOracle(ScoreOracle):
     more than about 665 nats: a query far from every point of the noised
     cloud) is redone with its row max, one GEMM per tile over its far rows;
     so is a row whose terms pass 2**61 / (D + 6) (2**10 / (D + 6) in
-    ``log_marginal``): its operand row is zero in the tiles.  ``log_marginal``
+    ``log_marginal``), which skips the tiles.  ``log_marginal``
     adds the shift less ||y||^2 / (2 s2): max_j log w_j - (||y|| - u)^2 / (2 s2),
     or for a far row the log density of its leading component, from its distance.
 
@@ -483,12 +302,12 @@ class PointCloudOracle(ScoreOracle):
     faster and added about 2.5 MB of peak RSS.
 
     A query of two or more tiles made outside pooled work hands its tiles,
-    whole, to the caller and the threads of the pool behind ``map_streams``
-    (up to ``os.cpu_count()`` at once), each taking the next tile as it
+    whole, to the caller and the threads of the shared pool (``_pool.py``,
+    up to ``os.cpu_count()`` at once), each taking the next tile as it
     finishes one; inside pooled work (sampler blocks, lemma-suite cases) the
-    tiles run inline.  Tile boundaries are fixed by the tile height and no
-    tile's arithmetic depends on its thread, so results are bit-identical
-    whatever the thread or worker count.
+    tiles run inline.  Tiles are cut from the query's rows under the cap by
+    the tile height alone, and no tile's arithmetic depends on its thread,
+    so results are bit-identical whatever the thread or worker count.
     """
 
     def __init__(self, cloud: PointCloudMeasure):
@@ -566,13 +385,14 @@ class PointCloudOracle(ScoreOracle):
         OS and faulted it in again on every tile (about 90x the page faults).
         """
         y_op, q_op, over = self._operands(t, x, cap)
-        sums = np.empty((len(y_op), rhs.shape[1]))
+        near = y_op if not over.any() else y_op[~over]  # the rows under the cap, which alone take the tiles
+        part = np.empty((len(near), rhs.shape[1]))
         chunk = self.chunk
 
         def run(rows):
-            lw = y_op[rows] @ q_op
+            lw = near[rows] @ q_op
             # np.dot, not @: numpy's @ keeps the GIL for a product this narrow
-            np.dot(np.exp(lw, out=lw), rhs, out=sums[rows])
+            np.dot(np.exp(lw, out=lw), rhs, out=part[rows])
 
         def redo(rows):
             lw = y_op[rows, :-1] @ q_op[:-1]
@@ -581,14 +401,16 @@ class PointCloudOracle(ScoreOracle):
             sums[rows] = np.dot(np.exp(lw, out=lw), rhs)
             return top
 
-        held = y_op[over, :-1]  # a row past the cap has logits 0 in the tiles: no term there can overflow
-        y_op[over] = 0.0
-        _map_pooled(run, [slice(i, i + chunk) for i in range(0, len(sums), chunk)], _pool_size())
-        y_op[over, :-1] = held
-        far = np.flatnonzero(over | ~(sums[:, -1] >= _FAR_NORM))  # not <: overflowing logits give a NaN normaliser
+        _map_pooled(run, [slice(i, i + chunk) for i in range(0, len(near), chunk)], _pool_size())
+        if near is y_op:
+            sums = part
+        else:  # a row past the cap has a zero normaliser, so the far-row test takes it
+            sums = np.zeros((len(y_op), rhs.shape[1]))
+            sums[~over] = part
+        far = np.flatnonzero(~(sums[:, -1] >= _FAR_NORM))  # not <: overflowing logits give a NaN normaliser
         tiles = np.split(far, np.flatnonzero(np.diff(far // chunk)) + 1) if len(far) else []  # one GEMM per tile
         top = np.concatenate([far[:0], *_map_pooled(redo, tiles, _pool_size())])
-        del y_op, q_op  # now: a pool helper cancelled before it started stays queued, holding run and redo
+        del y_op, q_op, near, part  # now: a pool helper cancelled before it started stays queued, holding run and redo
         return sums, far, top
 
     def posterior_mean(self, t, x):

@@ -22,18 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import _record
-from .measures import (
-    GaussianLaw,
-    GaussianOracle,
-    PointCloudOracle,
-    ScoreOracle,
-    _DRAW_AHEAD_MIN,
-    _forward_kernel,
-    _map_ahead,
-    _map_pooled,
-    _pool_size,
-    forward_bridge,
-)
+from ._pool import _DRAW_AHEAD_MIN, _map_ahead, _map_pooled, _pool_size
+from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _forward_kernel, forward_bridge
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var
 
@@ -504,14 +494,16 @@ def discretization_error_meter(
     reports per-step standard errors; mode "exact" requires a Gaussian
     oracle and evaluates the channel closed form (n and rng are ignored).
 
-    Each mc step draws X_0, then the forward and the bridge normals.  When
-    they hold ``_DRAW_AHEAD_MIN`` (2**12) to 2**17 values each (n * D), one
-    pool thread draws the steps ahead while this thread computes step k:
-    through step k + 2 when n * D <= 2**16, through step k + 1 above.  The
-    draws never overlap, so ``rng`` is consumed in step order and the report
-    is byte-identical at any thread count.  ``rng`` is never advanced after
-    the meter returns or raises; if step k raises, it has drawn exactly the
-    steps through k + 2 (or k + 1) whatever the timing.
+    Each mc step draws X_0, then the forward and the bridge normals, through
+    ``_map_ahead`` (``_pool.py``).  When they hold ``_DRAW_AHEAD_MIN`` (2**12)
+    to 2**17 values each (n * D), one pool thread draws the steps ahead while
+    this thread computes step k: through step k + 2 (depth 2) when
+    n * D <= 2**16, through step k + 1 (depth 1) above; at other sizes this
+    thread draws each step as it needs it (depth 0).  The draws never
+    overlap, so ``rng`` is consumed in step order and the report is
+    byte-identical at any thread count.  ``rng`` is never advanced after the
+    meter returns or raises; if step k raises, it has drawn exactly the
+    steps through k + depth whatever the timing.
     """
     if quadrature not in ("right", "midpoint"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -546,9 +538,8 @@ def discretization_error_meter(
 
     # the steps drawn ahead hold at most 3 * 2**17 values: above 2**17 they
     # would lift the peak past six n x D draws, and two steps ahead need n * D <= 2**16
-    ahead = _DRAW_AHEAD_MIN <= n * oracle.dim <= 2**17
-    steps = range(len(w))
-    draws = _map_ahead(draw, steps, min(2, 2**17 // (n * oracle.dim))) if ahead else (draw(k) for k in steps)
+    depth = min(2, 2**17 // (n * oracle.dim)) if n * oracle.dim >= _DRAW_AHEAD_MIN else 0
+    draws = _map_ahead(draw, range(len(w)), depth)
     total = 0.0
     var_sum = 0.0
     try:

@@ -20,23 +20,15 @@ discretization of those dynamics rather than an ad-hoc update.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _record
-from .measures import (
-    _DRAW_AHEAD_MIN,
-    _THREAD,
-    ScoreOracle,
-    _finish_pooled,
-    _map_pooled,
-    _pool_size,
-    _start_pooled,
-    forward_sample,
-    spawn_rng,
-)
+from ._pool import _DRAW_AHEAD_MIN, _map_ahead, _map_pooled, spawn_rng
+from .measures import ScoreOracle, forward_sample
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var, validate_schedule
 
 __all__ = [
@@ -242,8 +234,9 @@ class ReverseRunConfig:
     derived stream (seed, i), and each max(1, 2**15 // (chunk_size D))
     consecutive chunks step together as one block.  A block's size is fixed
     by ``chunk_size`` and D alone, so the worker count changes wall time only.
-    ``n_workers`` bounds how many blocks step at once; a block stepped in the
-    caller may still have its noise drawn on the shared pool.
+    ``n_workers`` bounds how many blocks step at once on the shared pool
+    (``_pool.py``); a block stepped in the caller still has its noise drawn
+    one step ahead on one pool thread (``_map_ahead`` at depth 1).
     """
 
     schedule: TimeSchedule
@@ -281,68 +274,60 @@ class ReverseRunResult:
     config: ReverseRunConfig
 
 
-def _draw_into(job) -> None:
-    """Fill ``out`` with the normals of ``rng``, for ``job = (rng, out)``.
-
-    It returns nothing, so a pool helper cancelled before it started, which
-    stays queued with the job's results, holds no view of ``out``.
-    """
-    rng, out = job
-    rng.standard_normal(out=out)
-
-
 def _run_block(config, oracle, score_fn, steps, chunks, terminal):
     """Step the chunks of the range ``chunks`` as one array, in place in their rows of ``terminal``.
 
-    Each chunk draws its init and then each step's noise from its own stream.
-    A block stepped outside pooled work whose step draws at least
-    ``_DRAW_AHEAD_MIN`` values has step k + 1's noise drawn on the pool, into
-    step k's spent score array, while this thread finishes step k and queries
-    step k + 1; then it draws the chunks no pool thread has started and waits
-    for the rest.  The hand-off comes a whole step early because a pool
-    thread idle for some milliseconds takes about 0.15 ms to wake; the block
-    holds one array more than otherwise.  Any other block draws each step's noise over its own spent
-    score.  Either way a stream's draws come in step order, so the bits agree.
+    Each chunk draws its init and then each step's noise from its own stream,
+    through ``_map_ahead`` (``_pool.py``): when a step draws at least
+    ``_DRAW_AHEAD_MIN`` values, one pool thread makes every chunk's draws of
+    step k + 1 while this thread finishes step k and queries step k + 1.  The
+    hand-off comes a whole step early because a pool thread idle for some
+    milliseconds takes about 0.15 ms to wake.  A step's noise goes into the
+    spent score array of the step before, or for step 0 into one more array,
+    so the block holds one array more than it would drawing each step's noise
+    over its own spent score, as it does below that size and inside pooled
+    work.  Either way a stream's draws come in step order, one thread at a
+    time, so the bits agree; and a block that raises at step k has drawn
+    its init and the noise of steps k and k + 1, whatever the timing.
     """
     size = config.chunk_size
     y = terminal[chunks.start * size : chunks.stop * size]  # the batch's last chunk may be short
     rows = [slice(j * size, (j + 1) * size) for j in range(len(chunks))]
     rngs = [spawn_rng(config.seed, i) for i in chunks]
-    for r, rng in zip(rows, rngs):
-        if config.init == "data_pT":
-            y[r] = forward_sample(oracle, config.schedule.horizon, rng, len(y[r]))[1]
-        else:
-            rng.standard_normal(out=y[r])
-    draws = lambda z: [(rng, z[r]) for r, rng in zip(rows, rngs)]  # each chunk's next normals, into its rows of z
-    helpers = _pool_size() - 1
-    start = lambda z: (z, _start_pooled(_draw_into, draws(z), helpers))
-    ahead = None  # (array, job) of the next step's noise while the pool draws it
-    if helpers and y.size >= _DRAW_AHEAD_MIN and not getattr(_THREAD, "inline", False):
-        ahead = start(np.empty_like(y))
+    # score arrays whose values y has taken, oldest first: step k + 1's noise
+    # goes into step k's, and only the drawing thread takes from it
+    spent = collections.deque()
 
-    def draw(s, k):
-        nonlocal ahead
-        if ahead is None:
-            for job in draws(s):
-                _draw_into(job)
-            return s
-        (z, job), ahead = ahead, None
-        _finish_pooled(job)
-        if k + 1 < len(steps):
-            ahead = start(s)
+    def draw(k):
+        """Each chunk's init (k = -1), or its noise for step k, into its rows."""
+        if k < 0:
+            for r, rng in zip(rows, rngs):
+                if config.init == "data_pT":
+                    y[r] = forward_sample(oracle, config.schedule.horizon, rng, len(y[r]))[1]
+                else:
+                    rng.standard_normal(out=y[r])
+            return None
+        z = spent.popleft() if spent else np.empty_like(y)
+        for r, rng in zip(rows, rngs):
+            rng.standard_normal(out=z[r])
         return z
 
+    def noise(s):
+        spent.append(s)
+        return next(draws)
+
+    draws = _map_ahead(draw, range(-1, len(steps)), 1 if y.size >= _DRAW_AHEAD_MIN else 0)
     try:
+        next(draws)
         for k, (tau, alpha, beta, eta) in enumerate(steps):
-            _affine_step(y, score_fn(tau, y), alpha, beta, eta, lambda s: draw(s, k))
+            _affine_step(y, score_fn(tau, y), alpha, beta, eta, noise)
             if not np.isfinite(y).all():
                 raise FloatingPointError(
                     f"non-finite state after step k={k} (t={float(config.schedule.times[k + 1])!r}) in batch row "
                     f"{chunks.start * size + int(np.isfinite(y).all(axis=1).argmin())}; check the schedule and score source"
                 )
     finally:
-        if ahead is not None:
-            _finish_pooled(ahead[1])  # no draw outlives the block
+        draws.close()  # finishes the draws already allowed, so none outlives the block
 
 
 def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResult:
@@ -355,9 +340,9 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
     twice.  With ``n_workers > 1`` blocks share the pool; a batch of one block
     runs in the caller, so a point-cloud oracle shares its tiles over the pool.
     ``n_workers`` bounds how many blocks step at once, not the threads: a
-    block stepped in the caller draws its next step's noise on the pool while
-    it queries (see ``_run_block``).  A mis-sized ScorePerturbation is
-    rejected before any block starts.
+    block stepped in the caller has one pool thread draw its next step's
+    noise while it queries (``_map_ahead`` at depth 1, see ``_run_block``).
+    A mis-sized ScorePerturbation is rejected before any block starts.
     """
     if not isinstance(oracle, ScoreOracle):
         raise TypeError(f"run_reverse needs a ScoreOracle, got {type(oracle).__name__}")

@@ -76,6 +76,11 @@ def test_build_measure_rejects_unknown_kind_and_bad_params():
         ("gaussian:D=8,var=-1", "gaussian.var"),
         ("gaussian:D=8,var=nan", "gaussian.var"),
         ("gaussian:D=8,floor=-0.1", "gaussian.floor"),
+        # the total variance rank * var + D * floor is at most about 9.48e153
+        ("gaussian:D=4,rank=1,var=1.4e154", "gaussian.var"),
+        ("gaussian:D=4,rank=4,var=3e153", "gaussian.var"),
+        ("gaussian:D=4,rank=1,floor=1e160", "gaussian.floor"),
+        ("gaussian:D=16384,rank=0,floor=1e150", "gaussian.floor"),
         ("gaussian:D=8,rotate=yes", "gaussian.rotate"),
         ("gaussian:D=0", "gaussian.D"),
         ("gaussian:D=100000", "gaussian.D"),
@@ -110,6 +115,47 @@ def test_cli_rejects_bad_measure_spec_naming_the_field(tmp_path, capsys, spec, n
     assert code == 1
     assert named in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, make, part",
+    [
+        # the law's whole total variance in one of its fields
+        ("meter", lambda v: f"gaussian:D=4,rank=1,var={v!r}", 1.0),
+        ("meter", lambda v: f"gaussian:D=4,rank=1,floor={v!r}", 4.0),
+        ("meter", lambda v: f"gaussian:D=16384,rank=2,floor={v!r}", 16384.0),
+        ("sweep", lambda v: f"var = {v!r}\n", 8.0),  # a d-sweep's largest law has rank 8
+    ],
+)
+def test_gaussian_total_variance_bound_keeps_the_exact_meter_finite_and_past_it_names_the_field(
+    tmp_path, capsys, command, make, part
+):
+    # At the bound the exact meter (a sweep's discretization_budget column)
+    # overflows nowhere, so no RuntimeWarning; one ulp past it the input
+    # exits 1 naming its field.  The meter overflowed at var = 1.4e154 and
+    # gave value = nan.
+    at = harness._VAR_MAX / part
+    named = "options.var" if command == "sweep" else ("gaussian.var" if "var=" in make(0.0) else "gaussian.floor")
+    for value, code in ((at, 0), (math.nextafter(at, math.inf), 1)):
+        out_dir = tmp_path / repr(value)
+        if command == "sweep":
+            ini = write_sweep_ini(tmp_path / "f.ini", make(value))
+            args = ["sweep", "--preset", "d-sweep", "--config", ini, "--kappa", "0.2", "--horizon", "3.0"]
+            args += ["--delta", "1e-3", "--out", str(out_dir)]
+        else:
+            args = ["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", make(value)]
+            args += ["--mode", "exact", "--out", str(out_dir)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, out, err = run_cli(capsys, *args)
+        assert got == code, err
+        if code:
+            assert named in err and not out_dir.exists()
+        elif command == "meter":
+            assert math.isfinite(float(re.search(r"^value = (.*)$", out, re.M).group(1)))
+        else:
+            rows = np.loadtxt(out_dir / "d-sweep.csv", delimiter=",", skiprows=1, comments="#")
+            assert np.isfinite(rows).all()
 
 
 def test_manifold_D_at_the_cap_builds():

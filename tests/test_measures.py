@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revdiff import measures
+from revdiff._pool import map_streams
 from revdiff.harness import build_measure
 from revdiff.sampler import ScorePerturbation
 from revdiff.measures import (
@@ -209,7 +208,7 @@ def test_cloud_kernel_bit_identical_threaded_and_inline(dim, monkeypatch):
     for t in (1e-3, 0.1, 3.0):
         monkeypatch.setattr(measures, "_pool_size", lambda: 3)
         threaded = queries(t)
-        inline = measures.map_streams(lambda _, rng: queries(t), [0, 1], 0, workers=2)
+        inline = map_streams(lambda _, rng: queries(t), [0, 1], 0, workers=2)
         monkeypatch.setattr(measures, "_pool_size", lambda: 1)
         single = queries(t)
         for got in (*inline, single):
@@ -462,6 +461,36 @@ def test_cloud_log_marginal_matches_the_direct_log_sum_exp(spec):
             far = oracle._shifted_sums(t, x, oracle._q_one[:, oracle.dim :], measures._LOG_MARGINAL_CAP)[1]
             kept, redone = kept + len(x) - len(far), redone + len(far)
     assert kept > 0 and redone > 0
+
+
+def test_cloud_query_with_every_row_past_the_cap_makes_no_tile_gemm(monkeypatch):
+    # At D = 64 every forward-sampled row is past log_marginal's 2**10 term
+    # scale cap, so the query goes straight to the row-max pass, one GEMM per
+    # tile of its rows; its tile pass has no rows.  posterior_mean's 2**61
+    # cap keeps the same rows in the tiles.  Both match the direct forms.
+    oracle = build_measure("circle:D=64,n=512", seed=0)
+    t = 0.3
+    c, s2 = math.exp(-t), -math.expm1(-2 * t)
+    x = forward_sample(oracle, t, spawn_rng(22, 0), 3 * oracle.chunk + 5)[1]
+    calls, map_pooled = [], measures._map_pooled
+
+    def spy(call, items, workers):
+        items = list(items)
+        calls.append((call.__name__, len(items)))
+        return map_pooled(call, items, workers)
+
+    monkeypatch.setattr(measures, "_map_pooled", spy)
+    got = oracle.log_marginal(t, x)
+    assert calls == [("run", 0), ("redo", 4)]
+    pts, log_w = oracle.cloud.points, np.log(oracle.cloud.weights)
+    ref = np.array([np.logaddexp.reduce(log_w - 0.5 * ((row - c * pts) ** 2).sum(axis=1) / s2) for row in x])
+    ref -= 0.5 * oracle.dim * math.log(2 * math.pi * s2)
+    assert (np.abs(got - ref) <= 1e-13 * np.maximum(1, np.abs(ref))).all()
+    calls.clear()
+    mean = oracle.posterior_mean(t, x)
+    assert calls == [("run", 4), ("redo", 0)]
+    ref_mean, _ = _direct_form(oracle.cloud, t, x, np.longdouble)
+    assert np.abs(mean - ref_mean).max() <= 2e-12
 
 
 def _cloud_with_zero_weights(seed):
@@ -1057,123 +1086,3 @@ def test_manifold_spec_build_holds_two_n_by_D_arrays():
     # array in ``normalized``, took it past 3.
     n, D = 2048, 1024
     assert traced_peak(lambda: build_measure(f"circle:D={D},n={n}", seed=0)) <= 2.25 * n * D * 8
-
-
-# ---------------------------------------------------------------------------
-# the shared pool
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("where", ["caller", "helper"])
-def test_map_pooled_takes_no_item_after_a_call_raises(where):
-    # The raise may come from the caller's share or a pool thread's.  A thread
-    # busy at that moment finishes its call; no thread starts a new one after
-    # the failing thread stops the map, so only a scheduling race can start
-    # one per thread.  The parent drained all 200 items first.
-    started, failed = [], threading.Event()
-    on_caller = where == "caller"
-
-    def call(i):
-        started.append(failed.is_set())
-        time.sleep(2e-3)
-        if i >= 5 and not failed.is_set() and (threading.current_thread() is threading.main_thread()) == on_caller:
-            failed.set()
-            raise RuntimeError("planted")
-        return i
-
-    with pytest.raises(RuntimeError, match="planted"):
-        measures._map_pooled(call, range(200), 3)
-    assert failed.is_set()
-    assert sum(started) <= 2 * 3
-    assert len(started) < 60
-
-
-def test_start_pooled_hands_items_to_the_pool_and_finish_calls_the_rest():
-    # The caller does nothing until it finishes the job, so the first call is
-    # a pool thread's; the results come back in item order.
-    threads, taken = [], threading.Event()
-
-    def call(i):
-        threads.append(threading.get_ident())
-        taken.set()
-        return i * i
-
-    job = measures._start_pooled(call, range(50), 1)
-    assert taken.wait(timeout=30)
-    assert measures._finish_pooled(job) == [i * i for i in range(50)]
-    assert threads[0] != threading.get_ident()
-    threads.clear()
-    assert measures._finish_pooled(measures._start_pooled(call, range(5), 0)) == [i * i for i in range(5)]
-    assert set(threads) == {threading.get_ident()}
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_map_ahead_runs_up_to_depth_calls_ahead_on_one_pool_thread(depth):
-    # Once the caller has taken result i, calls through i + depth have
-    # started and call i + depth + 1 has not; the calls never overlap.
-    started = [threading.Event() for _ in range(6 + depth + 1)]
-    lock, running, overlapped, threads = threading.Lock(), [], [], []
-
-    def fn(i):
-        with lock:
-            overlapped.append(bool(running))
-            running.append(i)
-        threads.append(threading.get_ident())
-        started[i].set()
-        time.sleep(0.002)
-        with lock:
-            running.remove(i)
-        return i * i
-
-    def started_through(last):
-        assert started[last].wait(timeout=30)
-        time.sleep(0.01)  # time enough for a call past the allowed ones to start
-        assert not started[last + 1].is_set()
-
-    got = []
-    gen = measures._map_ahead(fn, range(6), depth)
-    for i, value in enumerate(gen):
-        got.append(value)
-        if i + depth < 6:
-            started_through(i + depth)
-    assert got == [i * i for i in range(6)]
-    assert not any(overlapped)
-    assert len(set(threads)) == 1 and threading.get_ident() not in threads
-
-
-def test_map_ahead_runs_inline_inside_pooled_work():
-    def item(_, rng):
-        threads = []
-        list(measures._map_ahead(lambda i: threads.append(threading.get_ident()), range(4), 2))
-        return set(threads) == {threading.get_ident()}
-
-    assert measures.map_streams(item, [0, 1], seed=0, workers=2) == [True, True]
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_map_ahead_finishes_exactly_the_allowed_calls_after_a_close_or_a_failed_call(depth):
-    # Slow calls, so a close or a failure finds the allowed calls not yet
-    # made; every run must end with the same calls made, whatever the timing.
-    for _ in range(20):
-        calls, finished = [], []
-
-        def fn(i):
-            calls.append(i)
-            time.sleep(0.003)
-            if i == 4:
-                raise RuntimeError("planted")
-            finished.append(i)
-            return i
-
-        gen = measures._map_ahead(fn, range(10), depth)
-        assert [next(gen), next(gen)] == [0, 1]
-        gen.close()  # results 0 and 1 taken: calls through 1 + depth are allowed
-        assert finished == list(range(2 + depth))
-        time.sleep(0.01)
-        assert calls == list(range(2 + depth))
-
-        calls, finished = [], []
-        with pytest.raises(RuntimeError, match="planted"):
-            list(measures._map_ahead(fn, range(10), depth))
-        time.sleep(0.01)
-        assert calls == [0, 1, 2, 3, 4] and finished == [0, 1, 2, 3]

@@ -17,7 +17,6 @@ from revdiff.measures import (
     forward_bridge,
     forward_sample,
     make_manifold_cloud,
-    map_streams,
     random_frame,
     spawn_rng,
 )
@@ -33,7 +32,8 @@ from revdiff.metrics import (
     propagate_affine_reverse,
     score_error_budget,
 )
-from revdiff import measures, metrics
+from revdiff import _pool, metrics
+from revdiff._pool import map_streams
 from revdiff.harness import build_measure, resolve_schedule
 from revdiff.sampler import ReverseRunConfig, ScorePerturbation, step_table
 from revdiff.schedule import build_schedule, contraction, noise_var
@@ -238,7 +238,7 @@ def _dense_case(D, init="standard_normal", symmetric=False):
 def test_dense_path_is_bit_identical_over_the_pool_and_inline():
     law, cfg = _dense_case(200)
     # from the main thread the two row blocks are dealt to the pool ...
-    assert not getattr(measures._THREAD, "inline", False)
+    assert not getattr(_pool._THREAD, "inline", False)
     pooled = metrics._propagate_dense(law, cfg)
     # ... and inside a map_streams item they run inline
     for inline in map_streams(lambda _, rng: metrics._propagate_dense(law, cfg), [0, 1], seed=0, workers=2):

@@ -439,16 +439,21 @@ def test_run_reverse_aborts_on_nonfinite_state():
 
 
 def _spy_on_draws_ahead(monkeypatch):
-    """Record the helper count of each hand-off of a step's draw to the pool, sized for three pool threads."""
-    starts, start = [], sampler._start_pooled
+    """Record (item, made on a pool thread) of each call a block hands ``_map_ahead`` at depth 1:
+    its init as item -1, then step k's noise as item k."""
+    calls, map_ahead = [], sampler._map_ahead
 
-    def spy(call, items, helpers):
-        starts.append(helpers)
-        return start(call, items, helpers)
+    def spy(fn, items, depth):
+        assert depth == 1
 
-    monkeypatch.setattr(sampler, "_start_pooled", spy)
-    monkeypatch.setattr(sampler, "_pool_size", lambda: 3)
-    return starts
+        def record(k):
+            calls.append((k, threading.current_thread() is not threading.main_thread()))
+            return fn(k)
+
+        return map_ahead(record, items, depth)
+
+    monkeypatch.setattr(sampler, "_map_ahead", spy)
+    return calls
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -469,14 +474,15 @@ def test_caller_stepped_block_draws_ahead_and_matches_the_per_chunk_reference(
     cfg = ReverseRunConfig(
         schedule=build_schedule(0.2, 10, 40), batch=batch, seed=6, chunk_size=chunk_size, n_workers=workers, **extra
     )
-    starts = _spy_on_draws_ahead(monkeypatch)
+    calls = _spy_on_draws_ahead(monkeypatch)
     assert run_reverse(cfg, oracle).terminal.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
-    assert starts == [2] * cfg.schedule.n_steps  # every step's noise was handed to the pool
+    # the init and every step's noise were drawn on the pool
+    assert calls == [(k, True) for k in range(-1, cfg.schedule.n_steps)]
 
 
 def test_nonfinite_step_on_the_shared_path_names_its_row_and_leaves_no_draw_running(monkeypatch):
     # As test_run_reverse_aborts_on_nonfinite_state: two one-chunk blocks
-    # stepped in the caller, the second blowing up at k = 0 while step 1's
+    # stepped in the caller, the second blowing up at k = 0 once step 1's
     # noise is handed to the pool.  Pool-thread draws take 20 ms more, so a
     # draw left running after the raise would end after it.
     sched, size = build_schedule(0.25, 2, 6), 2**14
@@ -498,12 +504,13 @@ def test_nonfinite_step_on_the_shared_path_names_its_row_and_leaves_no_draw_runn
                 ends.append(time.perf_counter())
 
     monkeypatch.setattr(sampler, "spawn_rng", lambda seed, i: SlowOnThePool(spawn_rng(seed, i)))
-    starts = _spy_on_draws_ahead(monkeypatch)
+    calls = _spy_on_draws_ahead(monkeypatch)
     with pytest.raises(FloatingPointError, match=rf"k=0 \(t=.*\) in batch row {size + int(bad.argmax())};"):
         run_reverse(cfg, _BlowUpOracle(float(sched.taus[0]), first.max()))
     raised = time.perf_counter()
     time.sleep(0.1)
-    assert len(starts) == sched.n_steps + 2  # the first block's steps, then the second's first two
+    # the first block's init and steps, then the second's init and first two steps, all on the pool
+    assert calls == [(k, True) for k in [*range(-1, sched.n_steps), -1, 0, 1]]
     assert len(ends) == (1 + sched.n_steps) + 3  # init and noise draws: a whole block, then init, k = 0 and 1
     assert max(ends) < raised
 
@@ -516,9 +523,9 @@ def test_one_block_caller_run_holds_the_batch_and_two_block_arrays(monkeypatch):
     # the pool's bookkeeping.  A noise buffer of its own beside those reads 4.06x.
     oracle = build_measure("point-mass:D=16")
     cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=2048, seed=1)
-    starts = _spy_on_draws_ahead(monkeypatch)
+    calls = _spy_on_draws_ahead(monkeypatch)
     run_reverse(cfg, oracle)  # start the pool outside the traced run
-    assert starts
+    assert calls and all(pooled for _, pooled in calls)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -531,42 +538,74 @@ def test_one_block_caller_run_holds_the_batch_and_two_block_arrays(monkeypatch):
 
 def test_caller_stepped_block_never_draws_a_stream_on_two_threads_and_draws_it_in_step_order(monkeypatch):
     # The control at batch 5000: one block of five 1024-sample chunks, stepped
-    # in the caller with one pool helper.  A draw on a pool thread sleeps 3 ms
-    # first, so the helper is still on step k's first chunk when step k + 1's
-    # draw could be handed out: a hand-off made before step k's draw has
-    # finished puts that chunk's stream on two threads at once.
+    # in the caller.  A draw on a pool thread sleeps 3 ms first, so step k's
+    # draws are still running when the caller asks for step k + 1's: a second
+    # drawing thread, or a hand-off made before step k's draws have finished,
+    # would put a chunk's stream on two threads at once or out of step order.
     oracle = build_measure("gaussian:D=4,rank=1")
     cfg = ReverseRunConfig(schedule=build_schedule(0.25, 4, 12), batch=5000, seed=4, chunk_size=1024)
-    streams = {}  # each chunk stream's generator states, after its init and after each step's draw
+    streams = []  # each chunk stream's generator states: at the start, after its init and after each step's draw
     for i in range(5):
         rng, shape = spawn_rng(cfg.seed, i), (min(1024, 5000 - 1024 * i), 4)
-        rng.standard_normal(shape)
         states = [rng.bit_generator.state["state"]["state"]]
-        for _ in range(cfg.schedule.n_steps):
+        for _ in range(1 + cfg.schedule.n_steps):
             rng.standard_normal(shape)
             states.append(rng.bit_generator.state["state"]["state"])
-        streams[states[0]] = states
+        streams.append(states)
     lock, calls = threading.Lock(), []  # (stream, draw index, thread, start, end)
-    draw_into = sampler._draw_into
 
-    def record(job):
-        start = time.perf_counter()
-        state = job[0].bit_generator.state["state"]["state"]
-        stream = next(s for s, states in streams.items() if state in states)
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.003)
-        draw_into(job)
-        with lock:
-            calls.append((stream, streams[stream].index(state), threading.get_ident(), start, time.perf_counter()))
+    class Recorded:
+        def __init__(self, seed, stream):
+            self.stream, self.rng = stream, spawn_rng(seed, stream)
 
-    monkeypatch.setattr(sampler, "_draw_into", record)
-    monkeypatch.setattr(sampler, "_pool_size", lambda: 2)
+        def standard_normal(self, *args, **kwargs):
+            start = time.perf_counter()
+            index = streams[self.stream].index(self.rng.bit_generator.state["state"]["state"])
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.003)
+            out = self.rng.standard_normal(*args, **kwargs)
+            with lock:
+                calls.append((self.stream, index, threading.get_ident(), start, time.perf_counter()))
+            return out
+
+    monkeypatch.setattr(sampler, "spawn_rng", Recorded)
     assert run_reverse(cfg, oracle).terminal.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
-    assert len({thread for *_, thread, _, _ in calls}) > 1  # the pool drew some
-    for stream in streams:
-        mine = sorted((start, end, index) for s, index, _, start, end in calls if s == stream)
-        assert [index for *_, index in mine] == list(range(cfg.schedule.n_steps))
-        assert all(end <= start for (_, end, _), (start, _, _) in zip(mine, mine[1:]))
+    assert threading.get_ident() not in {thread for *_, thread, _, _ in calls}  # the pool drew every draw
+    for stream in range(5):
+        mine = sorted((start, end, index, thread) for s, index, thread, start, end in calls if s == stream)
+        assert [index for _, _, index, _ in mine] == list(range(1 + cfg.schedule.n_steps))
+        assert len({thread for *_, thread in mine}) == 1
+        assert all(end <= start for (_, end, _, _), (start, _, _, _) in zip(mine, mine[1:]))
+
+
+def test_caller_stepped_blocks_on_more_threads_than_cores_keep_their_bits():
+    # Four callers at once, each stepping a one-block batch with its own
+    # producer drawing ahead, under a 1 us switch interval: a hand-off that
+    # put a step's noise into an array its caller still reads, or lost one,
+    # would change the bits or hang.
+    oracle = build_measure("gaussian:D=4,rank=1")
+    cfgs = [
+        ReverseRunConfig(schedule=build_schedule(0.25, 4, 12), batch=5000, seed=seed, chunk_size=1024)
+        for seed in range(4)
+    ]
+    results = [None] * len(cfgs)
+
+    def call(i):
+        results[i] = run_reverse(cfgs[i], oracle).terminal
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cfgs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for cfg, got in zip(cfgs, results):
+        assert got.tobytes() == _per_chunk_reference(cfg, oracle).tobytes()
 
 
 @pytest.mark.parametrize(
