@@ -28,7 +28,7 @@ _POOL_LOCK = threading.Lock()
 # .inline is true in the pool's threads, and in a caller while it runs its own share
 _THREAD = threading.local()
 
-# os.cpu_count() reads sysfs (about 7 us); every cloud query and dense step asks
+# os.cpu_count() reads sysfs (about 7 us); every cloud query asks
 _CPUS = os.cpu_count() or 1
 
 # the fewest values a call made ahead of its use draws: below it, waking the

@@ -1,12 +1,13 @@
 """Exact KL for affine-Gaussian runs and Monte Carlo error functionals.
 
-When the data law is Gaussian and the score source is exact or affinely
-biased, every reverse step is an affine-Gaussian map, so the terminal law is
-Gaussian and everything about it is computable without sampling.  The key
-device is a channel decomposition: the data covariance's eigenbasis is
-preserved by every step map, so a D-dimensional run splits into independent
-scalar channels (one per covariance eigendirection, plus one isotropic group
-for the orthogonal complement).  Exact sweeps over D cost O(D * rank + rank * K).
+When the data law is Gaussian and the score is exact or carries a bias
+eps * (b + lam x), every reverse step is an affine-Gaussian map, so the
+terminal law is Gaussian and everything about it is computable without
+sampling.  The key device is a channel decomposition: the data covariance's
+eigenbasis is preserved by every step map, so a D-dimensional run splits into
+independent scalar channels (one per covariance eigendirection, plus one
+isotropic group for the orthogonal complement), and lam adds eps * lam to
+every channel's slope.  Exact sweeps over D cost O(D * rank + rank * K).
 
 Monte Carlo estimators cover measures without closed forms; every MC report
 carries a plug-in standard error, and acceptance bands downstream use three
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _record
-from ._pool import _DRAW_AHEAD_MIN, _map_ahead, _map_pooled, _pool_size
+from ._pool import _DRAW_AHEAD_MIN, _map_ahead
 from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _forward_kernel, forward_bridge
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var
@@ -182,18 +183,36 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
     return 0.5 * (trace + quad - dim + logdet_q - logdet_p)
 
 
+def _slope(bias: ScorePerturbation, dim: int) -> float:
+    """The channel slope eps * lam of a linear bias B = lam I, and 0.0 without one.
+
+    lam I commutes with every covariance, so it rides on the channel split;
+    any other B does not, and the exact paths reject it (``run_reverse``
+    still samples it).
+    """
+    bias.check_dim(dim)
+    if bias.linear is None:
+        return 0.0
+    lam = float(bias.linear[0, 0])
+    if not np.array_equal(bias.linear, lam * np.eye(dim)):
+        raise ValueError(
+            "ScorePerturbation.linear must be a multiple of the identity on the exact Gaussian paths; "
+            "run_reverse samples any other B"
+        )
+    return bias.epsilon * lam
+
+
 def _bias_vectors(config: ReverseRunConfig, ch: _Channels):
-    """Channel components of a constant score bias; rejects linear biases."""
+    """Channel components of a constant score bias, and the slope of a linear one."""
     src = config.score_source
     if src == "exact":
-        return np.zeros(len(ch.var0)), np.zeros(ch.dim)
+        return np.zeros(len(ch.var0)), np.zeros(ch.dim), 0.0
     if not isinstance(src, ScorePerturbation):
         raise ValueError("score source must be 'exact' or a ScorePerturbation")
-    if src.linear is not None:
-        raise ValueError("linear score bias breaks the channel split; use the dense path")
+    slope = _slope(src, ch.dim)
     b = src.epsilon * (src.constant if src.constant is not None else np.zeros(ch.dim))
     b_r = ch.basis.T @ b
-    return b_r, b - ch.basis @ b_r
+    return b_r, b - ch.basis @ b_r, slope
 
 
 def _propagate_channels(data: GaussianLaw, config: ReverseRunConfig):
@@ -209,13 +228,13 @@ def _propagate_channels(data: GaussianLaw, config: ReverseRunConfig):
     ch = _channels(data)
     sched = config.schedule
     tab = step_table(sched, config.scheme)
-    b_r, b_perp = _bias_vectors(config, ch)
+    b_r, b_perp, slope = _bias_vectors(config, ch)
 
     # rows: the r channels, then the isotropic complement; columns: steps k
     v0 = np.append(ch.var0, ch.resid_var)[:, None]
     c, s2 = tab.c[:-1], tab.s2[:-1]
     g = -1.0 / (c * c * v0 + s2)
-    f = tab.alpha + tab.beta * g
+    f = tab.alpha + tab.beta * (g + slope)
     # after[:, k] = f_{k+1} ... f_{K-1}, the factor that carries step k's output to the end
     tail = np.cumprod(f[:, ::-1], axis=1)[:, ::-1]
     after = np.concatenate([tail[:, 1:], np.ones((len(v0), 1))], axis=1)
@@ -232,184 +251,15 @@ def _propagate_channels(data: GaussianLaw, config: ReverseRunConfig):
     return ch, var[:-1], mean, float(var[-1]), resid_mean
 
 
-def _propagate_dense(data: GaussianLaw, config: ReverseRunConfig):
-    """Dense-covariance path for a linear score bias B, in the data eigenbasis U.
-
-    U is the thin spectrum's basis completed by one complete QR, so the
-    eigenvalues are exact (variance + floor on the factor's span, the floor
-    off it) and a law with no factor gets the identity.  In that basis the
-    exact score's slope is diagonal, so step k's map is
-    f = diag(alpha + beta g_k) + beta U^T B U and needs no inverse.
-
-    A symmetric B on a law of rank r <= D / 8 takes ``_dense_steps_eigen``:
-    O(D^2 r) per step on the calling thread, after one O(D^3) eigh.  Any
-    other B takes ``_dense_steps_pooled``: O(D^3) per step over the thread
-    pool.  At D = 256 and K = 40 the eigenbasis loop's lead shrinks from
-    2.4x at r = 2 to 1.4x at r = 32, hence the D / 8 rule.  Either
-    way the result does not depend on the thread or worker count, and cov is
-    exactly symmetric.  Returns (U, mean, cov) in U.
-    """
-    tab = step_table(config.schedule, config.scheme)
-    dim = data.dim
-    thin, fvar = data.spectrum()
-    basis = np.linalg.qr(thin, mode="complete")[0]
-    basis[:, : len(fvar)] = thin
-    lam = np.full(dim, data.diag_floor)
-    lam[: len(fvar)] += fvar
-    src = config.score_source
-    lin = basis.T @ (src.epsilon * src.linear) @ basis
-    const = np.zeros(dim) if src.constant is None else basis.T @ (src.epsilon * src.constant)
-    mean0 = basis.T @ data.mean
-    var, mean = np.ones(dim), np.zeros(dim)  # the initial cov is diag(var)
-    if config.init == "data_pT":
-        cT = float(tab.c[0])
-        var, mean = cT * cT * lam + float(tab.s2[0]), cT * mean0
-    if 8 * len(fvar) <= dim and np.array_equal(src.linear, src.linear.T):
-        mean, cov = _dense_steps_eigen(tab, lam, len(fvar), lin, const, mean0, mean, var)
-    else:
-        mean, cov = _dense_steps_pooled(tab, lam, lin, const, mean0, mean, np.diag(var))
-    return basis, mean, cov
-
-
-def _dense_steps_eigen(tab, lam, rank, lin, const, mean0, mean, var):
-    """The dense steps in the eigenbasis V of a symmetric ``lin``, O(D^2 rank) each.
-
-    ``lam`` and ``var`` are constant past index ``rank`` < D, and so is the
-    exact score's slope g_k = -1 / (c_k^2 lam + s2_k).  Step k's map in V is
-    therefore diag(dg) + W delta W^T, a diagonal plus rank ``rank``, with
-    dg = alpha + beta (g_k[-1] + eigenvalues of lin),
-    delta = beta diag(g_k[:rank] - g_k[-1]) and W = V[:rank]^T.  So f cov f^T
-    is cov scaled by dg dg^T plus one (D x 2 rank) (2 rank x 2 rank)
-    (2 rank x D) product built from cov W.  The steps run on the calling
-    thread; V cov V^T is formed once at the end and symmetrised as
-    (X + X^T) / 2.  Returns (mean, cov) in the input basis.
-    """
-    dim = len(lam)
-    diag = np.arange(dim) * (dim + 1)
-    lin_eig, eigv = np.linalg.eigh(lin)
-    w = np.ascontiguousarray(eigv[:rank].T)
-    # x @ eigv is x in V; the data drift -c g mean0 is -c g[-1] mean0 plus a part on W
-    mean, const, mean0_v, mean0 = mean @ eigv, const @ eigv, mean0 @ eigv, mean0[:rank]
-    cov = (w * (var[:rank] - var[-1])) @ w.T
-    cov.flat[diag] += var[-1]
-    buf = np.empty((dim, dim))
-    pair = np.empty((dim, 2 * rank))
-    pair[:, rank:] = w
-    for alpha, beta, eta2, c, s2 in zip(
-        tab.alpha.tolist(), tab.beta.tolist(), tab.eta2.tolist(), tab.c.tolist(), tab.s2.tolist()
-    ):
-        g = -1.0 / (c * c * lam + s2)
-        dg = alpha + beta * (g[-1] + lin_eig)
-        delta = np.diag(beta * (g[:rank] - g[-1]))
-        drift = const - c * (g[-1] * mean0_v + w @ ((g[:rank] - g[-1]) * mean0))
-        mean = dg * mean + w @ (delta @ (w.T @ mean)) + beta * drift
-        # pair = [diag(dg) cov W, W]: f cov f^T = diag(dg) cov diag(dg) + pair inner pair^T
-        cov_w = cov @ w
-        np.multiply(dg[:, None], cov_w, out=pair[:, :rank])
-        inner = np.zeros((2 * rank, 2 * rank))
-        inner[:rank, rank:] = inner[rank:, :rank] = delta
-        inner[rank:, rank:] = delta @ (w.T @ cov_w) @ delta
-        cov *= dg[:, None]
-        cov *= dg
-        np.matmul(pair @ inner, pair.T, out=buf)
-        cov += buf
-        cov.flat[diag] += eta2
-    np.matmul(eigv, cov, out=buf)
-    np.matmul(buf, eigv.T, out=cov)
-    np.add(cov, cov.T, out=buf)
-    buf *= 0.5
-    return eigv @ mean, buf
-
-
-def _dense_steps_pooled(tab, lam, lin, const, mean0, mean, cov):
-    """The dense steps with f formed in full, O(D^3) each, over the thread pool.
-
-    Each step's f cov f^T is formed on its upper block triangle only, in row
-    blocks of fixed height max(1, 2**15 // D), and the strict lower triangle
-    is mirrored from it, so every cov is exactly symmetric.  Outside pooled
-    work the blocks are dealt over the shared thread pool, inside it they run
-    inline; either way each block makes the same products, so the result
-    does not depend on the thread or worker count.  Returns (mean, cov).
-    """
-    dim = len(lam)
-    diag = np.arange(dim) * (dim + 1)
-    height = max(1, 2**15 // dim)
-    blocks = [slice(i, min(i + height, dim)) for i in range(0, dim, height)]
-    lower = {n: np.tri(n, n, -1, dtype=bool) for n in {b.stop - b.start for b in blocks}}
-    f, f_cov, out = np.empty((dim, dim)), np.empty((dim, dim)), np.empty((dim, dim))
-
-    def run(rows):
-        # out[rows, i:] = f[rows] cov f[i:]^T, then its transpose fills the
-        # rows' columns below the block and the block's own lower triangle
-        i, j = rows.start, rows.stop
-        np.matmul(f[rows], cov, out=f_cov[rows])
-        np.matmul(f_cov[rows], f[i:].T, out=out[rows, i:])
-        out[j:, rows] = out[rows, j:].T
-        square = out[rows, rows]
-        np.copyto(square, square.T, where=lower[j - i])
-
-    for alpha, beta, eta2, c, s2 in zip(
-        tab.alpha.tolist(), tab.beta.tolist(), tab.eta2.tolist(), tab.c.tolist(), tab.s2.tolist()
-    ):
-        g = -1.0 / (c * c * lam + s2)
-        np.multiply(lin, beta, out=f)
-        f.flat[diag] += alpha + beta * g
-        mean = f @ mean + beta * (const - c * g * mean0)
-        _map_pooled(run, blocks, _pool_size())
-        out.flat[diag] += eta2
-        cov, out = out, cov
-    return mean, cov
-
-
-def _dense_kl(data: GaussianLaw, config: ReverseRunConfig, c: float, s2: float) -> float:
-    """KL of the dense-path terminal law against N(c mean, c^2 Cov + s2 I).
-
-    In the data eigenbasis of ``_propagate_dense`` the reference covariance is
-    diagonal, so the KL takes one Cholesky of the propagated covariance and
-    no SVD; +inf when that covariance is singular.
-    """
-    basis, mean, cov = _propagate_dense(data, config)
-    tgt_var = c * c * (np.square(basis.T @ data.factor).sum(axis=1) + data.diag_floor) + s2
-    if tgt_var.min() <= EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"reference covariance is numerically singular: min eigenvalue "
-            f"{tgt_var.min():.6g} <= floor {EIGENVALUE_FLOOR:g}"
-        )
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return math.inf
-    with np.errstate(divide="ignore"):
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    dm = mean - c * (basis.T @ data.mean)
-    trace_quad = float((np.diag(cov) + dm * dm) @ (1.0 / tgt_var))
-    return 0.5 * (trace_quad - data.dim + float(np.log(tgt_var).sum()) - logdet)
-
-
-def _law_from_dense(basis: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> GaussianLaw:
-    """Law whose mean and covariance are given in the orthonormal ``basis``."""
-    w, v = np.linalg.eigh(cov)
-    floor = max(float(w.min()), 0.0)
-    fac = basis @ (v * np.sqrt(np.clip(w - floor, 0.0, None)))
-    return GaussianLaw(mean=basis @ mean, factor=fac, diag_floor=floor)
-
-
 def propagate_affine_reverse(data: GaussianLaw, config: ReverseRunConfig) -> GaussianLaw:
     """Exact terminal law of the configured reverse run on Gaussian data.
 
-    Composes the K affine step maps acting on the initialization law.  With
-    an exact or constant-bias score the channel split applies and the cost is
-    O(D * rank + K * rank); a linear score bias falls back to dense
-    covariance propagation in the data eigenbasis (``_propagate_dense``):
-    O(D^2 * rank) per step for a symmetric bias on a law of rank <= D / 8,
-    O(D^3) per step over the thread pool otherwise, with a result that is
-    exactly symmetric and the same for every thread or worker count.
+    Composes the K affine step maps acting on the initialization law, channel
+    by channel, in O(D * rank + K * rank).  The score may carry an affine
+    bias eps * (b + lam x): b splits over the channels and lam adds eps * lam
+    to every channel's slope.  A ScorePerturbation whose ``linear`` is not a
+    multiple of the identity raises ValueError; ``run_reverse`` samples it.
     """
-    src = config.score_source
-    if isinstance(src, ScorePerturbation):
-        src.check_dim(data.dim)
-        if src.linear is not None:
-            return _law_from_dense(*_propagate_dense(data, config))
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     spread = var - resid_var
     tol = 1e-9 * max(float(var.max(initial=1.0)), resid_var)
@@ -431,14 +281,10 @@ def kl_experiment(data: GaussianLaw, config: ReverseRunConfig) -> MetricReport:
 
     The reference is the marginal of X at the early-stopping time.  The KL
     is assembled channel by channel, so products of independent blocks add
-    exactly.  Reported stderr is 0 (nothing is estimated).
+    exactly.  The score sources are those of ``propagate_affine_reverse``.
+    Reported stderr is 0 (nothing is estimated).
     """
-    src = config.score_source
     c, s2 = noise_scales(config.schedule.early_stop)
-    if isinstance(src, ScorePerturbation):
-        src.check_dim(data.dim)
-        if src.linear is not None:
-            return MetricReport(name="kl_experiment", value=_dense_kl(data, config, c, s2), seed=config.seed)
     ch, var, mean, resid_var, resid_mean = _propagate_channels(data, config)
     tgt_var = c * c * ch.var0 + s2
     value = sum(map(_kl_scalar, var.tolist(), tgt_var.tolist(), (mean - c * ch.mean0).tolist()))
@@ -751,24 +597,23 @@ def score_error_budget(
     The budget sum_k gamma_k E||bias(tau_k, X_{tau_k})||^2 is evaluated in
     closed form under the exact marginals; the extras report the exact KL of
     the biased and unbiased runs and the ratio of the KL excess to the
-    budget.  Only affine biases are accepted (anything else breaks the exact
-    propagation; use Monte Carlo for that).
+    budget.  The bias is eps * (b + lam x), the sources
+    ``propagate_affine_reverse`` takes: any other is not exactly propagated,
+    so use Monte Carlo for it.
     """
     if not isinstance(bias, ScorePerturbation):
         raise ValueError("bias must be an affine ScorePerturbation")
-    bias.check_dim(data.dim)
+    slope = _slope(bias, data.dim)
     b_const = bias.epsilon * (bias.constant if bias.constant is not None else np.zeros(data.dim))
     sq = float(b_const @ b_const)
-    if bias.linear is not None:
-        # E||b + B X_tau||^2 = |b|^2 + 2c b.Bm + c^2 (tr(B^T B Cov) + |Bm|^2) + s2 tr(B^T B)
-        # for X_tau ~ N(c m, c^2 Cov + s2 I); tr(B^T B Cov) = |B F|_F^2 + floor |B|_F^2.
-        b_lin = bias.epsilon * bias.linear
+    if slope:
+        # E||b + a X_tau||^2 = |b|^2 + 2ac b.m + a^2 (c^2 (tr Cov + |m|^2) + s2 D) for
+        # X_tau ~ N(c m, c^2 Cov + s2 I) and slope a; tr Cov = |F|_F^2 + D floor.
         tab = step_table(schedule)
         c, s2 = tab.c[:-1], tab.s2[:-1]
-        bm = b_lin @ data.mean
-        tr_m = float((b_lin * b_lin).sum())
-        tr_m_cov = float(np.square(b_lin @ data.factor).sum()) + data.diag_floor * tr_m
-        sq = sq + 2.0 * c * float(b_const @ bm) + c * c * (tr_m_cov + float(bm @ bm)) + s2 * tr_m
+        tr_cov = float(np.square(data.factor).sum()) + data.dim * data.diag_floor
+        second = c * c * (tr_cov + float(data.mean @ data.mean)) + s2 * data.dim
+        sq = sq + 2.0 * slope * c * float(b_const @ data.mean) + slope * slope * second
     budget = float(np.sum(schedule.gammas * sq))
     kl_base = kl_experiment(data, ReverseRunConfig(schedule=schedule)).value
     kl_pert = kl_experiment(data, ReverseRunConfig(schedule=schedule, score_source=bias)).value

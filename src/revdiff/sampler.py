@@ -179,9 +179,11 @@ def fine_step_conditional_law(y, k, schedule, base_score_fn, substeps):
 class ScorePerturbation:
     """Additive affine bias field eps * (constant + linear @ x) on the score.
 
-    Keeping the bias affine preserves the Gaussian structure of exact-score
-    runs on Gaussian data, so the perturbed terminal law stays exactly
-    computable; ``epsilon`` maps directly onto the step-weighted score-error
+    ``run_reverse`` samples any square ``linear``.  The exact Gaussian paths
+    (``metrics.propagate_affine_reverse``, ``kl_experiment`` and
+    ``score_error_budget``) take a ``linear`` that is a multiple lam I of the
+    identity, which adds eps * lam to every channel's slope, and reject any
+    other.  ``epsilon`` maps directly onto the step-weighted score-error
     budget.
     """
 
@@ -251,12 +253,11 @@ class ReverseRunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        # numpy's seeding rejects -1, 1.5 and "3" only later, without naming the field
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"ReverseRunConfig.seed must be an integer >= 0, got {self.seed!r}")
-        for name, low in (("batch", 1), ("chunk_size", 1), ("n_workers", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        # numpy would reject a seed, batch or chunk size of 1.5 or "3" only later, without naming the field
+        for name, low in (("seed", 0), ("batch", 1), ("chunk_size", 1), ("n_workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"ReverseRunConfig.{name} must be an integer >= {low}, got {value!r}")
         if self.init not in ("standard_normal", "data_pT"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.score_source != "exact" and not isinstance(self.score_source, ScorePerturbation):
@@ -357,7 +358,9 @@ def run_reverse(config: ReverseRunConfig, oracle: ScoreOracle) -> ReverseRunResu
         zip(config.schedule.taus[:-1].tolist(), tab.alpha.tolist(), tab.beta.tolist(), np.sqrt(tab.eta2).tolist())
     )
     terminal = np.empty((config.batch, oracle.dim))
-    per = max(1, 2**15 // (config.chunk_size * oracle.dim))  # chunks per block: the dense path's 2**15-value budget
+    # chunks per block: at most 2**15 values, since larger blocks stepped slower; the
+    # bound depends on chunk_size and D alone, so no output depends on the worker count
+    per = max(1, 2**15 // (config.chunk_size * oracle.dim))
     chunks = range(-(-config.batch // config.chunk_size))
     blocks = [chunks[i : i + per] for i in range(0, len(chunks), per)]
     _map_pooled(lambda block: _run_block(config, oracle, score_fn, steps, block, terminal), blocks, config.n_workers)

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import time
 import tracemalloc
 
@@ -32,10 +30,10 @@ from revdiff.metrics import (
     propagate_affine_reverse,
     score_error_budget,
 )
-from revdiff import _pool, metrics
+from revdiff import metrics
 from revdiff._pool import map_streams
 from revdiff.harness import build_measure, resolve_schedule
-from revdiff.sampler import ReverseRunConfig, ScorePerturbation, step_table
+from revdiff.sampler import ReverseRunConfig, ScorePerturbation, run_reverse, step_table
 from revdiff.schedule import build_schedule, contraction, noise_var
 
 
@@ -117,26 +115,19 @@ def test_marginal_law_large_time_is_standard_normal():
 # ---------------------------------------------------------------------------
 
 
-def test_channel_and_dense_propagation_agree():
+def test_a_zero_slope_keeps_the_channel_law_bit_identical():
     sched = build_schedule(0.2, 5, 15)
     law = rank_law(5, 2, var=0.5, mean=np.array([0.2, 0.0, -0.1, 0.3, 0.0]), floor=0.1)
-    pert = ScorePerturbation(epsilon=0.05, constant=np.array([1.0, -0.5, 0.0, 0.2, 0.1]))
-    for src in ("exact", pert):
+    const = np.array([1.0, -0.5, 0.0, 0.2, 0.1])
+    for eps, linear in ((0.05, np.zeros((5, 5))), (0.0, np.eye(5)), (0.0, -0.7 * np.eye(5))):
         for init in ("standard_normal", "data_pT"):
-            cfg = ReverseRunConfig(schedule=sched, score_source=src, init=init)
-            fast = propagate_affine_reverse(law, cfg)
-            # dense path is forced by attaching a zero linear bias
-            eps = src.epsilon if isinstance(src, ScorePerturbation) else 1.0
-            const = src.constant if isinstance(src, ScorePerturbation) else None
-            dense_src = ScorePerturbation(
-                epsilon=eps,
-                constant=const if const is not None else np.zeros(5),
-                linear=np.zeros((5, 5)),
-            )
-            cfg_dense = ReverseRunConfig(schedule=sched, score_source=dense_src, init=init)
-            dense = propagate_affine_reverse(law, cfg_dense)
-            np.testing.assert_allclose(fast.mean, dense.mean, atol=1e-11)
-            np.testing.assert_allclose(fast.covariance(), dense.covariance(), atol=1e-11)
+            # with slope 0.0, g + 0.0 == g, so the law without ``linear`` is matched bit for bit
+            cfg = ReverseRunConfig(schedule=sched, score_source=ScorePerturbation(eps, constant=const), init=init)
+            with_linear = ScorePerturbation(eps, constant=const, linear=linear)
+            got = propagate_affine_reverse(law, ReverseRunConfig(schedule=sched, score_source=with_linear, init=init))
+            ref = propagate_affine_reverse(law, cfg)
+            for a, b in ((got.mean, ref.mean), (got.factor, ref.factor), (got.diag_floor, ref.diag_floor)):
+                assert np.array_equal(a, b)
 
 
 def _sequential_channels(data, config):
@@ -144,7 +135,7 @@ def _sequential_channels(data, config):
     ch = metrics._channels(data)
     sched = config.schedule
     tab = step_table(sched, config.scheme)
-    b_r, b_perp = metrics._bias_vectors(config, ch)
+    b_r, b_perp, slope = metrics._bias_vectors(config, ch)
     if config.init == "data_pT":
         cT, s2T = math.exp(-sched.horizon), -math.expm1(-2.0 * sched.horizon)
         var, mean = cT * cT * ch.var0 + s2T, cT * ch.mean0
@@ -155,11 +146,11 @@ def _sequential_channels(data, config):
     for k in range(sched.n_steps):
         alpha, beta, eta2, c, s2 = (float(a[k]) for a in (tab.alpha, tab.beta, tab.eta2, tab.c, tab.s2))
         g = -1.0 / (c * c * ch.var0 + s2)
-        f = alpha + beta * g
+        f = alpha + beta * (g + slope)
         mean = f * mean - beta * g * c * ch.mean0 + beta * b_r
         var = f * f * var + eta2
         g_perp = -1.0 / (c * c * ch.resid_var + s2)
-        f_perp = alpha + beta * g_perp
+        f_perp = alpha + beta * (g_perp + slope)
         resid_mean = f_perp * resid_mean - beta * g_perp * c * ch.resid_mean + beta * b_perp
         resid_var = f_perp * f_perp * resid_var + eta2
     return var, mean, resid_var, resid_mean
@@ -169,13 +160,14 @@ def test_unrolled_channels_match_sequential_recursion():
     mean = np.array([0.4, -0.3, 0.0, 0.2, 0.1, -0.5])
     laws = (rank_law(6, 2, var=0.5, mean=mean), rank_law(6, 2, var=2.0, mean=mean, floor=0.2))
     const = ScorePerturbation(epsilon=0.05, constant=np.array([1.0, -0.5, 0.3, 0.0, 0.2, 0.1]))
+    sloped = ScorePerturbation(epsilon=0.05, constant=const.constant, linear=-0.7 * np.eye(6))
     scheds = [resolve_schedule({"kappa": kappa, "horizon": 10.0, "delta": 1e-6}) for kappa in (0.2, 0.00625)]
     assert scheds[-1].n_steps == 3657
     for sched in scheds:
         for law in laws:
             for scheme in ("corrected", "exponential_integrator"):
                 for init in ("standard_normal", "data_pT"):
-                    for src in ("exact", const):
+                    for src in ("exact", const, sloped):
                         cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=src)
                         _, *got = metrics._propagate_channels(law, cfg)
                         for a, b in zip(got, _sequential_channels(law, cfg)):
@@ -183,7 +175,7 @@ def test_unrolled_channels_match_sequential_recursion():
 
 
 def _dense_inverse_form(data, config):
-    """Dense propagation with a covariance inverse per step: the reference for the eigenbasis form."""
+    """Dense propagation with a covariance inverse per step: the reference for the channel form."""
     sched, dim, src = config.schedule, data.dim, config.score_source
     tab = step_table(sched, config.scheme)
     cov0 = data.covariance()
@@ -202,140 +194,66 @@ def _dense_inverse_form(data, config):
     return mean, cov
 
 
-def test_eigenbasis_dense_path_matches_inverse_form():
+@pytest.mark.parametrize("D", [16, 64, 200])
+def test_channel_path_with_a_slope_matches_inverse_form(D):
     sched = build_schedule(0.2, 10, 40)
-    # the pooled loop: 16 and 64 are one row block; 200 is blocks of 163 rows
-    # and a ragged one of 37.  A symmetric B takes the eigenbasis loop at 64
-    # and 200 (rank 3 <= D / 8) and the pooled one at 16.
-    for D in (16, 64, 200):
-        rng = np.random.default_rng(D)
-        law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
-        constant, general = rng.standard_normal(D), rng.standard_normal((D, D)) / math.sqrt(D)
-        with_zero = rng.standard_normal(D)
-        with_zero[D // 2] = 0.0
-        for linear in (general, np.eye(D), np.diag(with_zero), (general + general.T) / 2, np.zeros((D, D))):
-            bias = ScorePerturbation(epsilon=0.05, constant=constant, linear=linear)
-            for scheme in ("corrected", "exponential_integrator"):
-                for init in ("standard_normal", "data_pT"):
-                    cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
-                    basis, mean, cov = metrics._propagate_dense(law, cfg)
-                    ref_mean, ref_cov = _dense_inverse_form(law, cfg)
-                    scale = np.abs(ref_cov).max()
-                    assert np.abs(basis @ mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
-                    assert np.abs(basis @ cov @ basis.T - ref_cov).max() <= 1e-13 * scale
-
-
-def _dense_case(D, init="standard_normal", symmetric=False):
     rng = np.random.default_rng(D)
     law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=0.05)
-    constant, linear = rng.standard_normal(D), rng.standard_normal((D, D)) / math.sqrt(D)
-    if symmetric:
-        linear = (linear + linear.T) / 2
-    bias = ScorePerturbation(epsilon=0.05, constant=constant, linear=linear)
-    return law, ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), init=init, score_source=bias)
+    constant = rng.standard_normal(D)
+    for lam in (0.0, 1.0, -0.7):
+        bias = ScorePerturbation(epsilon=0.05, constant=constant, linear=lam * np.eye(D))
+        for scheme in ("corrected", "exponential_integrator"):
+            for init in ("standard_normal", "data_pT"):
+                cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
+                terminal = propagate_affine_reverse(law, cfg)
+                ref_mean, ref_cov = _dense_inverse_form(law, cfg)
+                scale = np.abs(ref_cov).max()
+                assert np.abs(terminal.mean - ref_mean).max() <= 1e-13 * max(1.0, np.abs(ref_mean).max())
+                assert np.abs(terminal.covariance() - ref_cov).max() <= 1e-13 * scale
 
 
-def test_dense_path_is_bit_identical_over_the_pool_and_inline():
-    law, cfg = _dense_case(200)
-    # from the main thread the two row blocks are dealt to the pool ...
-    assert not getattr(_pool._THREAD, "inline", False)
-    pooled = metrics._propagate_dense(law, cfg)
-    # ... and inside a map_streams item they run inline
-    for inline in map_streams(lambda _, rng: metrics._propagate_dense(law, cfg), [0, 1], seed=0, workers=2):
-        for a, b in zip(pooled, inline):
-            assert np.array_equal(a, b)
-    # more callers than cores dealing their blocks to the one pool at once
-    results = [None] * 4
-
-    def call(i):
-        results[i] = metrics._propagate_dense(law, cfg)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for result in results:
-        for a, b in zip(pooled, result):
-            assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("D", [16, 200])
-@pytest.mark.parametrize("init", ["standard_normal", "data_pT"])
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_dense_covariance_is_exactly_symmetric(D, init, symmetric):
-    _, _, cov = metrics._propagate_dense(*_dense_case(D, init, symmetric))
-    assert np.array_equal(cov, cov.T)
-
-
-def test_dense_path_deals_row_blocks_to_the_pool_unless_b_is_symmetric_and_of_small_rank(monkeypatch):
-    dealt = []
-    map_pooled = metrics._map_pooled
-
-    def spy(call, items, workers):
-        dealt.append(len(items))
-        return map_pooled(call, items, workers)
-
-    monkeypatch.setattr(metrics, "_map_pooled", spy)
-    # a nonsymmetric B at rank 3 <= 200 / 8, and a symmetric B at rank 3 > 16 / 8: one deal a step
-    for D, symmetric in ((200, False), (16, True)):
-        dealt.clear()
-        metrics._propagate_dense(*_dense_case(D, symmetric=symmetric))
-        assert dealt == [2 if D == 200 else 1] * 40
-    dealt.clear()
-    for D in (64, 200):
-        law, cfg = _dense_case(D, symmetric=True)
-        runs = []
-        for pool in (1, 3):
-            monkeypatch.setattr(metrics, "_pool_size", lambda: pool)
-            runs.append(metrics._propagate_dense(law, cfg))
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
-    assert dealt == []
-    # the eigenbasis loop holds no more D x D arrays than the pooled one (the
-    # LAPACK workspace of its one eigh is not traced)
-    peaks = []
-    for symmetric in (True, False):
-        case = _dense_case(200, symmetric=symmetric)
-        tracemalloc.start()
-        try:
-            metrics._propagate_dense(*case)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
-
-
-def test_dense_eigenbasis_of_a_law_without_factor_is_the_identity():
-    law = GaussianLaw.isotropic(6, 0.5)
-    bias = ScorePerturbation(0.0, linear=np.eye(6))
-    cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), score_source=bias)
-    basis, _, _ = metrics._propagate_dense(law, cfg)
-    assert np.array_equal(basis, np.eye(6))
-
-
-def test_dense_kl_in_eigenbasis_matches_the_structured_law_route():
-    # the former route: terminal law as factor + floor, then gaussian_kl's SVD
+def test_kl_experiment_with_a_slope_matches_the_structured_law_route():
+    # the structured route: terminal law as factor + floor, then gaussian_kl's SVD
     sched = build_schedule(0.2, 10, 40)
     delta = sched.early_stop
     for D, floor in ((8, 0.0), (32, 0.05)):
         rng = np.random.default_rng(D)
         law = rank_law(D, 3, var=0.5, mean=0.3 * rng.standard_normal(D), floor=floor)
-        for linear in (np.eye(D), rng.standard_normal((D, D)) / math.sqrt(D)):
-            bias = ScorePerturbation(epsilon=0.05, constant=rng.standard_normal(D), linear=linear)
+        for lam in (1.0, -0.7, 3.0):
+            bias = ScorePerturbation(epsilon=0.05, constant=rng.standard_normal(D), linear=lam * np.eye(D))
             for scheme in ("corrected", "exponential_integrator"):
                 for init in ("standard_normal", "data_pT"):
                     cfg = ReverseRunConfig(schedule=sched, scheme=scheme, init=init, score_source=bias)
-                    terminal = metrics._law_from_dense(*metrics._propagate_dense(law, cfg))
-                    old = metrics.gaussian_kl(terminal, metrics.marginal_law(law, delta))
+                    old = metrics.gaussian_kl(propagate_affine_reverse(law, cfg), metrics.marginal_law(law, delta))
                     new = kl_experiment(law, cfg).value
                     assert abs(new - old) <= 1e-10 * abs(old)
+
+
+def test_kl_experiment_with_a_zero_identity_bias_is_the_exact_kl_bit_for_bit():
+    sched = build_schedule(0.2, 10, 40)
+    law = rank_law(256, 2, var=0.5, seed=3)
+    exact = kl_experiment(law, ReverseRunConfig(schedule=sched)).value
+    zero_bias = ScorePerturbation(0.0, linear=np.eye(256))
+    for seed in (1, 2):
+        assert kl_experiment(law, ReverseRunConfig(schedule=sched, seed=seed, score_source=zero_bias)).value == exact
+
+
+@pytest.mark.parametrize("kind", ["general", "symmetric", "diagonal_with_a_zero"])
+def test_exact_paths_reject_a_linear_bias_other_than_a_multiple_of_the_identity(kind):
+    sched = build_schedule(0.2, 4, 12)
+    law = rank_law(6, 2, seed=30)
+    general = np.random.default_rng(0).standard_normal((6, 6)) / math.sqrt(6)
+    linear = {"general": general, "symmetric": (general + general.T) / 2, "diagonal_with_a_zero": np.diag([1.0] * 5 + [0.0])}
+    bias = ScorePerturbation(0.05, constant=np.ones(6), linear=linear[kind])
+    cfg = ReverseRunConfig(schedule=sched, score_source=bias)
+    for run in (kl_experiment, propagate_affine_reverse):
+        with pytest.raises(ValueError, match=r"ScorePerturbation\.linear must be a multiple of the identity"):
+            run(law, cfg)
+    with pytest.raises(ValueError, match=r"ScorePerturbation\.linear must be a multiple of the identity"):
+        score_error_budget(law, bias, sched)
+    # the sampler still runs it, by Monte Carlo
+    out = run_reverse(ReverseRunConfig(schedule=sched, score_source=bias, batch=8, seed=1), GaussianOracle(law))
+    assert out.terminal.shape == (8, 6) and np.isfinite(out.terminal).all()
 
 
 def test_point_mass_exactness_from_true_initialization():
@@ -383,8 +301,6 @@ def test_ei_terminal_kl_grows_with_ambient_dimension():
 
 
 def test_propagation_mc_cross_check_rank2():
-    from revdiff.sampler import run_reverse
-
     sched = build_schedule(0.2, 10, 30)
     law = rank_law(8, 2, var=0.5, seed=7)
     cfg = ReverseRunConfig(schedule=sched, batch=50_000, seed=29)
@@ -760,13 +676,14 @@ def test_budget_kl_excess_slope_is_two():
     assert abs(slope - 2.0) <= 0.2
 
 
-def test_budget_linear_bias_uses_dense_path():
+def test_budget_linear_bias_rides_the_channel_path():
     sched = build_schedule(0.2, 4, 12)
     law = rank_law(3, 1, var=0.25, seed=27)
-    bias = ScorePerturbation(epsilon=0.05, linear=np.diag([1.0, 0.5, 0.0]))
+    bias = ScorePerturbation(epsilon=0.05, linear=0.5 * np.eye(3))
     rep = score_error_budget(law, bias, sched)
     assert rep.value > 0.0
     assert rep.extras["kl_perturbed"] >= 0.0
+    assert rep.extras["kl_perturbed"] == kl_experiment(law, ReverseRunConfig(schedule=sched, score_source=bias)).value
 
 
 def test_budget_scalar_traces_match_explicit_trace():
@@ -774,7 +691,7 @@ def test_budget_scalar_traces_match_explicit_trace():
     D = 12
     rng = np.random.default_rng(5)
     law = rank_law(D, 3, var=0.5, mean=0.2 * rng.standard_normal(D), floor=0.1)
-    bias = ScorePerturbation(epsilon=0.03, constant=rng.standard_normal(D), linear=rng.standard_normal((D, D)))
+    bias = ScorePerturbation(epsilon=0.03, constant=rng.standard_normal(D), linear=-1.3 * np.eye(D))
     b, lin, cov0 = bias.epsilon * bias.constant, bias.epsilon * bias.linear, law.covariance()
     ref = 0.0
     for k in range(sched.n_steps):

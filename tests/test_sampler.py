@@ -647,12 +647,17 @@ def test_run_reverse_config_validation():
         ReverseRunConfig(schedule=bad)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
-def test_run_reverse_config_rejects_a_bad_seed_naming_it(seed):
-    # numpy's seeding would reject these later without naming the field
-    with pytest.raises(ValueError, match=r"ReverseRunConfig\.seed must be an integer >= 0"):
-        ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), seed=seed)
-    assert ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), seed=np.int64(3)).seed == 3
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", v) for v in (-1, 1.5, "3", True, None)]
+    + [(f, v) for f in ("batch", "chunk_size", "n_workers") for v in (0, 2.5, "3", True, None, np.int64(-2))],
+)
+def test_run_reverse_config_rejects_a_bad_seed_naming_it(field, value):
+    # numpy would reject most of these only later, without naming the field; n_workers=2.5 ran silently
+    low = 0 if field == "seed" else 1
+    with pytest.raises(ValueError, match=rf"ReverseRunConfig\.{field} must be an integer >= {low}, got"):
+        ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), **{field: value})
+    assert getattr(ReverseRunConfig(schedule=build_schedule(0.25, 2, 6), **{field: np.int64(3)}), field) == 3
 
 
 @pytest.mark.parametrize(
