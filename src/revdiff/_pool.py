@@ -6,8 +6,8 @@
 * ``_map_ahead`` makes a sequence of calls on one pool thread a fixed number
   of calls ahead of the caller, so draws from a shared generator come in
   order and overlap the caller's work: the sampler's blocks draw each step's
-  noise one step ahead, the Monte Carlo meter its steps' draws one or two
-  steps ahead.
+  noise one step ahead, the forward-path walker of the Monte Carlo
+  functionals its points' normals one or two points ahead.
 
 Work running on the pool, or in a caller while it takes its share of a map,
 is marked inline: a map or draw-ahead made from it runs in that thread, so

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _record
 from ._pool import _DRAW_AHEAD_MIN, _map_ahead
-from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _forward_kernel, forward_bridge
+from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _forward_kernel
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var
 
@@ -317,6 +317,58 @@ def _posterior_var_drop(ch: _Channels, tab, tau_e, gap) -> np.ndarray:
     return (mult * v * v / (den_k * den_e)).sum(axis=0) * c_e2 * noise_var(gap)
 
 
+# A step's increment m_lo - m_hi, a difference of two means of mean square
+# norm a, carries rounding of about 8 eps sqrt(a): (8 eps)^2 a is the floor
+# under which its term is noise.  An estimate whose floor passes 2**-10 of it
+# is refused.
+_ROUNDING_FLOOR = (8.0 * float(np.finfo(float).eps)) ** 2
+_FLOOR_SHARE = 2.0**-10
+
+
+def _forward_path(oracle: ScoreOracle, times, n, rng, least: int = 2):
+    """A generator of X_0, then X_t at each of ``times``, along n forward paths.
+
+    X_0 is one ``oracle.sample0`` draw.  Each later point is the forward
+    kernel from the point before, through one n x D normal draw; a time
+    equal to the one before (0.0 before the first) yields a copy and draws
+    nothing.  ``n`` must be an int or numpy integer of at least ``least``
+    and ``times`` must ascend from 0: both raise a ValueError before the
+    walker is made, so a bad input draws nothing.
+
+    The normals are drawn in time order through ``_map_ahead``
+    (``_pool.py``).  When each holds ``_DRAW_AHEAD_MIN`` (2**12) to 2**17
+    values (n * D), one pool thread draws ahead while the caller uses point
+    j: through point j + 2 (depth 2) when n * D <= 2**16, through j + 1
+    (depth 1) above; at other sizes the walker draws each point as it is
+    taken (depth 0).  The draws never overlap, so ``rng`` is consumed in time
+    order and the points are the same bits at any thread count.  Closing the
+    walker finishes the draws already allowed and no more: a caller that
+    stops at point j leaves ``rng`` past X_0 and the points through j + depth
+    (fewer where times repeat or run out), whatever the timing.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"n must be an integer >= {least}, got {n!r}")
+    times = [float(t) for t in times]
+    gaps = [t - s for s, t in zip([0.0, *times], times)]
+    if not all(gap >= 0.0 for gap in gaps):
+        raise ValueError(f"forward path times must ascend from 0, got {times}")
+    depth = min(2, 2**17 // (n * oracle.dim)) if n * oracle.dim >= _DRAW_AHEAD_MIN else 0
+
+    def walk():
+        x = oracle.sample0(rng, n)
+        yield x
+        shape = x.shape
+        draws = _map_ahead(lambda _: rng.standard_normal(shape), range(sum(gap > 0.0 for gap in gaps)), depth)
+        try:
+            for gap in gaps:
+                x = _forward_kernel(x, gap, next(draws)) if gap else x.copy()
+                yield x
+        finally:
+            draws.close()  # finishes the draws already allowed, so rng is not advanced after the walker stops
+
+    return walk()
+
+
 def discretization_error_meter(
     oracle: ScoreOracle,
     schedule: TimeSchedule,
@@ -334,22 +386,29 @@ def discretization_error_meter(
     tau_e is the right endpoint (default) or the interval midpoint.  This is
     the exactly-computable discretization part of the reverse-run KL bound;
     it is the quantity with the O(1/K) budget, and for product data it adds
-    across factors.
+    across factors.  Mode "exact" requires a Gaussian oracle and evaluates
+    the channel closed form (n and rng are ignored).
 
-    mode "mc" samples jointly correlated pairs via the forward kernel and
-    reports per-step standard errors; mode "exact" requires a Gaussian
-    oracle and evaluates the channel closed form (n and rng are ignored).
+    Mode "mc" walks n forward paths (``_forward_path``) up through every
+    step's two endpoints in ascending time, querying the posterior mean once
+    per point: tau_K, ..., tau_0 on the right quadrature (K + 1 queries, a
+    step's upper point being the next step's lower one), mid_{K-1},
+    tau_{K-1}, ..., mid_0, tau_0 on the midpoint one (2K queries).  Each
+    step's pair keeps its joint law, so each step term keeps its
+    expectation; the sum is the weighted quadratic variation of the
+    posterior-mean martingale along one path.  A step's row carries its
+    sample mean and standard error; the total's stderr is that of the
+    per-path totals sum_k w_k ||dm_k||^2, exact whatever the correlation
+    between steps.  ``n`` must be an integer >= 100.
 
-    Each mc step draws X_0, then the forward and the bridge normals, through
-    ``_map_ahead`` (``_pool.py``).  When they hold ``_DRAW_AHEAD_MIN`` (2**12)
-    to 2**17 values each (n * D), one pool thread draws the steps ahead while
-    this thread computes step k: through step k + 2 (depth 2) when
-    n * D <= 2**16, through step k + 1 (depth 1) above; at other sizes this
-    thread draws each step as it needs it (depth 0).  The draws never
-    overlap, so ``rng`` is consumed in step order and the report is
-    byte-identical at any thread count.  ``rng`` is never advanced after the
-    meter returns or raises; if step k raises, it has drawn exactly the
-    steps through k + depth whatever the timing.
+    If the query at path point j raises, the meter raises a ValueError
+    naming the step and the time, with ``rng`` drawn through point j + depth
+    (``_forward_path``); ``rng`` is never advanced after the meter returns
+    or raises.  When the increments' summed rounding floor, w_k (8 eps)^2
+    times the larger mean ||m||^2 of a step's two queries, passes 2**-10 of
+    a positive estimate, the estimate is rounding noise: the meter raises a
+    ValueError naming the worst step.  A law whose increments are exactly 0
+    reports 0 with stderr 0.
     """
     if quadrature not in ("right", "midpoint"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -359,7 +418,6 @@ def discretization_error_meter(
     right = quadrature == "right"
     tau_e = taus[1:] if right else 0.5 * (taus[:-1] + taus[1:])
     w = gammas * contraction(2.0 * tau_e) / noise_var(tau_e) ** 2
-    components = []
     if mode == "exact":
         if not isinstance(oracle, GaussianOracle):
             raise ValueError("exact mode requires a GaussianOracle")
@@ -373,48 +431,57 @@ def discretization_error_meter(
         )
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 100:
-        raise ValueError("mc mode needs n >= 100 samples per step")
     if rng is None:
         raise ValueError("mc mode needs an rng")
+    lo, hi = tau_e.tolist(), taus[:-1].tolist()
+    points = taus[::-1] if right else np.stack([tau_e, taus[:-1]], axis=1)[::-1].ravel()
+    path = _forward_path(oracle, points, n, rng, least=100)
 
-    def draw(_):
-        x0 = oracle.sample0(rng, n)
-        return x0, rng.standard_normal(x0.shape), rng.standard_normal(x0.shape)
+    def query(k, t):
+        x = next(path)
+        try:
+            m = oracle.posterior_mean(t, x)
+        except ValueError as exc:
+            raise ValueError(f"oracle rejected step k={k} (tau={t!r}): {exc}") from exc
+        return m, float(np.vdot(m, m)) / n
 
-    # the steps drawn ahead hold at most 3 * 2**17 values: above 2**17 they
-    # would lift the peak past six n x D draws, and two steps ahead need n * D <= 2**16
-    depth = min(2, 2**17 // (n * oracle.dim)) if n * oracle.dim >= _DRAW_AHEAD_MIN else 0
-    draws = _map_ahead(draw, range(len(w)), depth)
-    total = 0.0
-    var_sum = 0.0
+    n_steps = len(w)
+    vals, errs, floors = [0.0] * n_steps, [0.0] * n_steps, [0.0] * n_steps
+    totals = np.zeros(n)
     try:
-        for k, (tau_hi, tau_lo, w_k) in enumerate(zip(taus.tolist(), tau_e.tolist(), w.tolist())):
-            # each array dropped once used, the difference squared in place
-            x0, x, z = next(draws)  # not through zip, whose cached tuple would keep them alive
-            try:
-                x = _forward_kernel(x0, tau_lo, x)
-                del x0
-                m = oracle.posterior_mean(tau_lo, x)
-                x = _forward_kernel(x, tau_hi - tau_lo, z)
-                m -= oracle.posterior_mean(tau_hi, x)
-            except ValueError as exc:
-                raise ValueError(f"oracle rejected step k={k} (tau={tau_lo!r}): {exc}") from exc
-            sq = np.square(m, out=m).sum(axis=-1)
-            del x, m
-            val = w_k * float(sq.mean())
-            err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
-            total += val
-            var_sum += err * err
-            components.append((k, float(times[k]), val, err))
+        next(path)  # X_0
+        m = None  # the mean at the last point, while the next step shares it
+        for k in reversed(range(n_steps)):
+            w_k = float(w[k])
+            m_lo, a_lo = query(k, lo[k]) if m is None else (m, a)
+            m, a = query(k, hi[k])
+            d = np.subtract(m_lo, m, out=m_lo)  # in place: the lower mean is not used again
+            del m_lo
+            sq = np.einsum("ij,ij->i", d, d)  # a row sum over short rows is 2-5x slower
+            del d
+            if not right:
+                m = None
+            vals[k] = w_k * float(sq.mean())
+            errs[k] = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
+            floors[k] = w_k * max(a_lo, a)
+            sq *= w_k
+            totals += sq
     finally:
-        draws.close()  # finishes the draws already allowed, so rng is not advanced after a raise
+        path.close()
+    total = sum(vals)
+    floor = _ROUNDING_FLOOR * sum(floors)
+    if total > 0.0 and floor > _FLOOR_SHARE * total:
+        k = max(range(n_steps), key=floors.__getitem__)
+        raise ValueError(
+            f"the mc estimate {total!r} is rounding noise: its increments' rounding floor {floor!r} passes "
+            f"2**-10 of it, most at step k={k} (tau={lo[k]!r}); use --mode exact"
+        )
     return MetricReport(
         name="discretization_error_meter",
         value=total,
-        stderr=math.sqrt(var_sum),
+        stderr=float(totals.std(ddof=1)) / math.sqrt(n),
         n_samples=n,
-        components=tuple(components),
+        components=tuple(zip(range(n_steps), times.tolist(), vals, errs)),
         extras={"quadrature": float(quadrature == "midpoint")},
     )
 
@@ -457,22 +524,6 @@ def _mean_stderr(v) -> tuple[float, float]:
     return float(v.mean()), float(v.std(ddof=1)) / math.sqrt(len(v))
 
 
-def _joint_forward(oracle, ts, rng, n):
-    """Sample X_0 and X_t at each requested time along one forward path."""
-    x0 = oracle.sample0(rng, n)
-    out = []
-    prev_t = 0.0
-    prev_x = x0
-    for t in ts:
-        if t == prev_t:
-            x = prev_x.copy()
-        else:
-            x = forward_bridge(prev_x, prev_t, t, rng)
-        out.append(x)
-        prev_t, prev_x = t, x
-    return x0, out
-
-
 def martingale_checks(oracle, t1, t2, t3, n, rng) -> MetricReport:
     """Orthogonality residual of posterior-mean increments on joint paths.
 
@@ -489,7 +540,7 @@ def martingale_checks(oracle, t1, t2, t3, n, rng) -> MetricReport:
     t1, t2, t3 = float(t1), float(t2), float(t3)
     if not (0.0 <= t1 < t2 <= t3):
         raise ValueError(f"need 0 <= t1 < t2 <= t3, got {(t1, t2, t3)}")
-    x0, (x1, x2, x3) = _joint_forward(oracle, (t1, t2, t3), rng, n)
+    x0, x1, x2, x3 = _forward_path(oracle, (t1, t2, t3), n, rng)
     m1 = x0 if t1 == 0.0 else oracle.posterior_mean(t1, x1)
     m2 = oracle.posterior_mean(t2, x2)
     m3 = oracle.posterior_mean(t3, x3)
@@ -529,7 +580,7 @@ def monotonicity_check(oracle, t1, t2, t3, n, rng) -> MetricReport:
     t1, t2, t3 = float(t1), float(t2), float(t3)
     if not (0.0 < t1 < t2 < t3):
         raise ValueError(f"need 0 < t1 < t2 < t3, got {(t1, t2, t3)}")
-    x0, (x1, x2, x3) = _joint_forward(oracle, (t1, t2, t3), rng, n)
+    x0, x1, x2, x3 = _forward_path(oracle, (t1, t2, t3), n, rng)
     m3 = oracle.posterior_mean(t3, x3)
 
     def term(t, x):
@@ -561,7 +612,7 @@ def concentration_curve(oracle, times, n, rng) -> MetricReport:
     times = sorted(float(t) for t in times)
     if not times:
         raise ValueError("need at least one time")
-    x0, xs = _joint_forward(oracle, times, rng, n)
+    x0, *xs = _forward_path(oracle, times, n, rng)
     vals = []
     for t, x in zip(times, xs):
         m = oracle.posterior_mean(t, x)

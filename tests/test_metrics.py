@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 import tracemalloc
@@ -13,7 +14,6 @@ from revdiff.measures import (
     PointMassOracle,
     ProductOracle,
     forward_bridge,
-    forward_sample,
     make_manifold_cloud,
     random_frame,
     spawn_rng,
@@ -387,7 +387,7 @@ def test_meter_reports_offending_step_on_floor_violation():
 def test_meter_requires_samples_and_rng():
     sched = build_schedule(0.2, 4, 12)
     oracle = PointMassOracle(np.zeros(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer >= 100, got 50"):
         discretization_error_meter(oracle, sched, 50, spawn_rng(0, 0))
     with pytest.raises(ValueError):
         discretization_error_meter(oracle, sched, 500, None)
@@ -396,23 +396,24 @@ def test_meter_requires_samples_and_rng():
 
 
 def _serial_meter(oracle, sched, n, rng, quadrature):
-    """The mc meter as forward_sample, posterior_mean, forward_bridge, posterior_mean per step."""
+    """The mc meter as one forward path: sample0, then forward_bridge through every
+    step's endpoints in ascending time with one posterior_mean per time; each step's
+    row from its two means, and the stderr from the per-path totals."""
     taus = np.asarray(sched.taus)
     tau_e = taus[1:] if quadrature == "right" else 0.5 * (taus[:-1] + taus[1:])
     w = sched.gammas * contraction(2.0 * tau_e) / noise_var(tau_e) ** 2
-    components, total, var_sum = [], 0.0, 0.0
-    for k in range(sched.n_steps):
-        tau_hi, tau_lo, w_k = float(taus[k]), float(tau_e[k]), float(w[k])
-        x = forward_sample(oracle, tau_lo, rng, n)[1]
-        m = oracle.posterior_mean(tau_lo, x)
-        m = m - oracle.posterior_mean(tau_hi, forward_bridge(x, tau_lo, tau_hi, rng))
-        sq = (m * m).sum(axis=-1)
-        val = w_k * float(sq.mean())
-        err = w_k * float(sq.std(ddof=1)) / math.sqrt(n)
-        total += val
-        var_sum += err * err
-        components.append((k, float(sched.times[k]), val, err))
-    return total, math.sqrt(var_sum), tuple(components)
+    x, prev, means = oracle.sample0(rng, n), 0.0, {}
+    for t in sorted({*tau_e.tolist(), *taus[:-1].tolist()}):
+        x = forward_bridge(x, prev, t, rng)
+        means[t], prev = oracle.posterior_mean(t, x), t
+    components, per_path = [None] * sched.n_steps, np.zeros(n)
+    for k in reversed(range(sched.n_steps)):  # the steps in ascending time, as the path walks them
+        w_k = float(w[k])
+        m = means[float(tau_e[k])] - means[float(taus[k])]
+        sq = np.einsum("ij,ij->i", m, m)
+        components[k] = (k, float(sched.times[k]), w_k * float(sq.mean()), w_k * float(sq.std(ddof=1)) / math.sqrt(n))
+        per_path += w_k * sq
+    return sum(c[2] for c in components), float(per_path.std(ddof=1)) / math.sqrt(n), tuple(components)
 
 
 def _product_oracle():
@@ -463,24 +464,25 @@ class _FailingGaussian(GaussianOracle):
         return super().posterior_mean(t, x)
 
 
-@pytest.mark.parametrize("n, drawn", [(2500, 6), (200, 4)])
+@pytest.mark.parametrize("n, drawn", [(2500, 12), (200, 10)])
 def test_meter_mc_leaves_rng_final_when_a_step_raises(n, drawn):
-    # Step 3's first query raises.  With draws ahead (n * D = 10000, two steps
-    # ahead) the draws of steps 4 and 5 were allowed and are finished before
-    # the meter raises, however far the pool thread had got; drawing in the
-    # caller (n * D = 800) stops at step 3's.  Either way rng does not move
-    # once the meter has raised, and 20 runs end in the same state.
+    # The path walks tau_12, ..., tau_0, one point per query; the 10th query,
+    # point j = 9 at tau_3, closes step 3 and raises.  With draws ahead (n * D
+    # = 10000, two points ahead) the draws of points 10 and 11 were allowed
+    # and are finished before the meter raises, however far the pool thread
+    # had got, and point 12 is never drawn; drawing in the caller (n * D = 800)
+    # stops at point 9's.  Either way rng does not move once the meter has
+    # raised, and 20 runs end in the same state.
     law = rank_law(4, 1, seed=6)
     ref = spawn_rng(3, 2)
+    ref.standard_normal((n, 1))  # X_0 of the rank-1 law, once
     for _ in range(drawn):
-        ref.standard_normal((n, 1))  # X_0 of the rank-1 law
-        ref.standard_normal((n, 4))
-        ref.standard_normal((n, 4))
+        ref.standard_normal((n, 4))  # one n x D draw per path point
     sched = build_schedule(0.25, 4, 12)
     for _ in range(20):
         rng = spawn_rng(3, 2)
         with pytest.raises(ValueError, match="step k=3"):
-            discretization_error_meter(_FailingGaussian(law, fail_at=7), sched, n, rng)
+            discretization_error_meter(_FailingGaussian(law, fail_at=10), sched, n, rng)
         state = rng.bit_generator.state
         assert state == ref.bit_generator.state
     time.sleep(0.05)
@@ -539,6 +541,118 @@ def test_meter_mc_peak_is_at_most_six_draws(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 4096 * 256 * 8
+
+
+@pytest.mark.parametrize(
+    "spec, schedule, k",
+    [
+        # posterior means of size 1e77: each increment cancels to rounding (the exact meter reads 2.022)
+        ("gaussian:D=4,rank=1,var=9.480751908109176e153", {"kappa": 0.2, "L": 10, "K": 40}, 39),
+        # two points 1e6 apart: the true value is about 0, the increments' rounding about 1e-13
+        ("two-point:D=2,sep=1e6", {"kappa": 0.1, "L": 90, "K": 235}, 234),
+    ],
+)
+def test_meter_mc_refuses_an_estimate_under_its_rounding_floor(spec, schedule, k):
+    # Measured floor / value at n = 2000: 49 and 290 here, against at most
+    # 1.1e-12 on the legitimate laws (var = 1e16 the largest).
+    with pytest.raises(ValueError, match=rf"rounding noise.* step k={k} .*--mode exact"):
+        discretization_error_meter(build_measure(spec), resolve_schedule(schedule), 500, spawn_rng(0, 3))
+
+
+def test_meter_mc_keeps_a_large_variance_far_above_its_floor():
+    # var = 1e16: means of size 1e8, floor / value about 1e-12.  Bands at
+    # 5 stderr (false-alarm rate 5.7e-7).
+    oracle, sched = build_measure("gaussian:D=4,rank=1,var=1e16"), build_schedule(0.2, 10, 40)
+    exact = discretization_error_meter(oracle, sched, 0, None, mode="exact").value
+    mc = discretization_error_meter(oracle, sched, 500, spawn_rng(0, 3))
+    assert abs(mc.value - exact) <= 5.0 * mc.stderr
+
+
+_DRAWING = [
+    ("meter", lambda o, n, rng: discretization_error_meter(o, build_schedule(0.25, 3, 6), n, rng)),
+    ("martingale", lambda o, n, rng: martingale_checks(o, 0.0, 0.25, 1.0, n, rng)),
+    ("monotonicity", lambda o, n, rng: monotonicity_check(o, 0.1, 0.3, 0.8, n, rng)),
+    ("concentration", lambda o, n, rng: concentration_curve(o, [0.1, 0.5], n, rng)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 150.5, "200", True, np.float64(200.0), None])
+@pytest.mark.parametrize("name, call", _DRAWING, ids=[d[0] for d in _DRAWING])
+def test_mc_functionals_reject_a_sample_count_they_cannot_use_before_any_draw(name, call, n):
+    rng = spawn_rng(0, 4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"n must be an integer >= (2|100), got"):
+        call(build_measure("gaussian:D=2,rank=1"), n, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name, call", _DRAWING, ids=[d[0] for d in _DRAWING])
+def test_mc_functionals_take_a_numpy_integer_sample_count(name, call):
+    rep = call(build_measure("gaussian:D=2,rank=1"), np.int64(200), spawn_rng(0, 4))
+    assert rep.n_samples == 200 and math.isfinite(rep.value) and math.isfinite(rep.stderr)
+
+
+def test_meter_mc_is_calibrated_over_200_seeds():
+    # z = (mc - exact) / stderr over 200 derived seeds.  Over 10,000 runs of
+    # this law z read mean -0.040, sd 1.015 and kurtosis 3.15 (a t statistic
+    # of skewed squares leans left); over 50 batches of 200 seeds the batch
+    # mean spread 0.086 and the batch sd 0.052.  Each band sits at least 4.2
+    # of those spreads from the measured centre, so under a normal
+    # approximation the two gates' family-wise false-alarm rate is below
+    # 3e-5.  A bias of 1.2% of the value (0.4 stderr) or a stderr off by a
+    # quarter fails it.
+    oracle, sched = GaussianOracle(rank_law(2, 1, var=0.25, seed=8)), build_schedule(0.25, 3, 12)
+    exact = discretization_error_meter(oracle, sched, 0, None, mode="exact").value
+    z = []
+    for i in range(200):
+        mc = discretization_error_meter(oracle, sched, 400, spawn_rng(20, i))
+        z.append((mc.value - exact) / mc.stderr)
+    assert abs(np.mean(z)) <= 0.4
+    assert 0.75 <= np.std(z, ddof=1) <= 1.25
+
+
+# Report digests from before the checks drew through the forward-path walker:
+# its draws come in the same order, so every bit is kept.  n * D = 8000 draws
+# two points ahead on the pool; 500 draws in the caller.
+_CHECK_DIGESTS = {
+    ("gaussian:D=4,rank=1", 2000, 4): (
+        "eb8c8e8ad2ad7c205a6554a9ef1e52bb31340f4461584e91cd5f1e6a1174249c",
+        "d17138b89253bff7181b38d55c21453b4639595c23f85efa3651ec699c523668",
+        "62680b99c5b3025f6b59462eabe48d0594d106fb799960612addd6ca0652f79b",
+        "651bea5db7398bf6fd55d0146bc78cca4763bb7b277b419c8ed6af851b2c7de2",
+    ),
+    ("gaussian:D=4,rank=1", 2000, 5): (
+        "11949e9cdb4c72450c026fb145abf52b757bd9af3d5880d3af3d969dfcf6f0ca",
+        "ccaceb6e7e7e5f5e9cb23e18bd352b098a2604f37dd6c3f8cc0098ad682fd86e",
+        "672f11f121d711752571245a411378fd33cb285679afbf69437a2840081020bc",
+        "ea7c2941e246bd6abaf613470254ab5b2daa78462a7e85450a1c5757ee73838c",
+    ),
+    ("two-point:D=1", 500, 4): (
+        "0415e36fd79f8da9ae8ac623251cb6ad0c17602a23a2b42243e1112e50aaaed5",
+        "9148c49a0d0073158d36e4f6e99eb05761bc2e2dd28e091bf4bfe8621f0d83e2",
+        "e63fee160626b89a9ce5ca10061d2a5de145da9f7980e77ba7393ca49f90651c",
+        "fd4b367e6ed1a21b388f3b94151c73c932128b94621d3678461b5ecf53c743a0",
+    ),
+    ("two-point:D=1", 500, 5): (
+        "c2ce63c0097d94b25860b288513dc780ecd4aa51134a5b0426dd95111b7f34d4",
+        "1928368e9f74de6141add5d5d3b7e5ee701561b221c5d763aed3613bde5ce60f",
+        "e276e2b5504628187a75387113cb51eceaf14b47cd65352652eb89d111dfe6eb",
+        "d177d65fff173f2fade22ef3819810f8d2b3c0dc9bb27afe9b8574eb0f7531c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, n, seed", list(_CHECK_DIGESTS))
+def test_checks_keep_their_bits_on_the_forward_path_walker(spec, n, seed):
+    oracle = build_measure(spec)
+    reports = [
+        martingale_checks(oracle, 0.0, 0.25, 1.0, n, spawn_rng(seed, 0)),  # t1 = 0: X_t1 is a copy of X_0
+        martingale_checks(oracle, 0.1, 0.3, 0.8, n, spawn_rng(seed, 0)),
+        monotonicity_check(oracle, 0.1, 0.3, 0.8, n, spawn_rng(seed, 0)),
+        concentration_curve(oracle, [1e-3, 1e-2, 1e-1], n, spawn_rng(seed, 0)),
+    ]
+    digests = tuple(hashlib.sha256(repr(rep).encode()).hexdigest() for rep in reports)
+    assert digests == _CHECK_DIGESTS[spec, n, seed]
 
 
 # ---------------------------------------------------------------------------
