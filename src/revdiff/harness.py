@@ -713,13 +713,19 @@ def _sample(args) -> int:
     return 0
 
 
+def _require_gaussian(spec: str, oracle) -> None:
+    """The exact commands' check of ``--measure``: its oracle must be a GaussianOracle."""
+    if not isinstance(oracle, GaussianOracle):
+        kind = _parse_kv_spec(spec)["kind"]
+        raise ValueError(f"--measure {kind} has no closed-form law: kl and meter --mode exact take gaussian or point-mass")
+
+
 def _kl(args) -> int:
     """Exact terminal KL of a reverse run on a Gaussian measure."""
     seed = _seed(args)
     sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
     oracle = build_measure(args.measure, seed)
-    if not hasattr(oracle, "law"):
-        raise ValueError("kl needs a gaussian measure spec")
+    _require_gaussian(args.measure, oracle)
     cfg = ReverseRunConfig(schedule=sched, scheme=args.scheme, seed=seed, init=args.init)
     sys.stdout.write(metrics.kl_experiment(oracle.law, cfg).to_keyvalues())
     return 0
@@ -732,6 +738,8 @@ def _meter(args) -> int:
         raise ValueError("--n is read only by --mode mc; --mode exact draws no samples")
     sched = resolve_schedule(_given(args, ("kappa", "L", "K")))
     oracle = build_measure(args.measure, seed)
+    if args.mode == "exact":
+        _require_gaussian(args.measure, oracle)
     n = _rows(2000 if args.n is None else args.n, 100, oracle.dim, "--n") if args.mode == "mc" else 0
     start = time.perf_counter()
     report = metrics.discretization_error_meter(

@@ -150,6 +150,16 @@ class PointCloudMeasure:
         return PointCloudMeasure(scaled, self.weights.copy())
 
 
+def _column_space(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD of a (D, d) matrix: orthonormal basis (D, r) and singular values (r,),
+    r its numerical rank: values at or below 1e-13 of the largest (and zeros) are dropped."""
+    if factor.shape[1] == 0:
+        return np.zeros((factor.shape[0], 0)), np.zeros(0)
+    basis, svals, _ = np.linalg.svd(factor, full_matrices=False)
+    keep = svals > svals[0] * 1e-13 if svals[0] > 0 else svals > 0
+    return basis[:, keep], svals[keep]
+
+
 @dataclass(frozen=True)
 class GaussianLaw:
     """Gaussian with covariance factor @ factor.T + diag_floor * I.
@@ -194,16 +204,11 @@ class GaussianLaw:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Thin SVD of the factor: orthonormal basis (D, r) and variances (r,).
 
-        The covariance is ``basis @ diag(variances) @ basis.T + diag_floor * I``;
-        singular values at or below 1e-13 of the largest (and exact zeros) are
-        dropped, so r <= d.  O(D d^2).
+        The covariance is ``basis @ diag(variances) @ basis.T + diag_floor * I``,
+        with r <= d the factor's numerical rank (``_column_space``).  O(D d^2).
         """
-        fac = self.factor
-        if fac.shape[1] == 0:
-            return np.zeros((self.dim, 0)), np.zeros(0)
-        basis, svals, _ = np.linalg.svd(fac, full_matrices=False)
-        keep = svals > svals[0] * 1e-13 if svals[0] > 0 else svals > 0
-        return basis[:, keep], svals[keep] ** 2
+        basis, svals = _column_space(self.factor)
+        return basis, svals**2
 
     @classmethod
     def isotropic(cls, dim: int, variance: float = 1.0, mean=None) -> "GaussianLaw":
@@ -219,33 +224,6 @@ class GaussianLaw:
 # ---------------------------------------------------------------------------
 # Concrete oracles
 # ---------------------------------------------------------------------------
-
-
-class PointMassOracle(ScoreOracle):
-    """Dirac data at a single point: constant posterior mean, Gaussian marginal."""
-
-    def __init__(self, point):
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if not np.isfinite(point).all():
-            raise ValueError("point must be finite")
-        self.point = point
-        self.point.setflags(write=False)
-        self.dim = point.shape[0]
-
-    def sample0(self, rng, n):
-        return np.broadcast_to(self.point, (n, self.dim)).copy()
-
-    def posterior_mean(self, t, x):
-        _check_time(t)
-        x = self._check_point(x)
-        return np.broadcast_to(self.point, x.shape).copy()
-
-    def log_marginal(self, t, x):
-        t = _check_time(t)
-        x = self._check_point(x)
-        c, s2 = noise_scales(t)
-        d2 = ((x - c * self.point) ** 2).sum(axis=-1)
-        return -0.5 * d2 / s2 - 0.5 * self.dim * math.log(2.0 * math.pi * s2)
 
 
 # A row's shifted normaliser below this means its bound overshot the row max
@@ -445,9 +423,12 @@ class GaussianOracle(ScoreOracle):
     off it.  A query splits x - c mean into z = (x - c mean) U and the rest
     and scales each part, so there is no Woodbury solve, Gram matrix or
     determinant: per row two thin GEMMs, O(D r), plus O(D) elementwise work.
-    The thin products use ``np.dot``: ``@`` gives the same bits but takes a
-    slow path for an inner dimension of 1 and keeps the GIL for narrow
-    products.  The posterior mean is the closed-form Tweedie mean
+    z is formed as x U - c (mean U), and a nonzero mean rides in the second
+    GEMM as one more row, [U^T; mean], its coefficient one more column, so no
+    query forms an n x D x - c mean; a zero mean (every gaussian: spec law)
+    adds neither.  The thin products use ``np.dot``: ``@`` gives the same bits
+    but takes a slow path for an inner dimension of 1 and keeps the GIL for
+    narrow products.  The posterior mean is the closed-form Tweedie mean
     ``mean + c Cov Cov_t^{-1} (x - c mean)``; it never divides by c, so it keeps
     its digits at large t.
     """
@@ -456,65 +437,83 @@ class GaussianOracle(ScoreOracle):
         self.law = law
         self.dim = law.dim
         self._basis, self._var = law.spectrum()
-        self._basis_t = np.ascontiguousarray(self._basis.T)
-        # None for a zero mean (every gaussian: spec law), whose add or subtract each query skips
-        self._mean = law.mean if law.mean.any() else None
+        has_mean = law.mean.any()
+        self._mean_u = law.mean @ self._basis if has_mean else None
+        self._frame_t = np.concatenate([self._basis.T, law.mean[None]] if has_mean else [self._basis.T])
 
     def sample0(self, rng, n):
         law = self.law
         x = np.dot(rng.standard_normal((n, law.factor.shape[1])), law.factor.T)
-        if self._mean is not None:
-            x += self._mean
+        if self._mean_u is not None:
+            x += law.mean
         if law.diag_floor > 0:
             x += math.sqrt(law.diag_floor) * rng.standard_normal((n, self.dim))
         return x
 
     def _split(self, t, x):
-        """(c, sigma2, nu, den, v, z) for a query: v = x - c mean as rows (a view of x for a zero mean), z = v U."""
+        """(c, sigma2, nu, den, rows, z) for a query: x as rows, and z = (x - c mean) U."""
         c, s2 = noise_scales(_check_time(t))
         nu = c * c * self.law.diag_floor + s2
         den = (c * c) * self._var + nu
-        v = x.reshape(-1, self.dim)
-        if self._mean is not None:
-            v = v - c * self._mean
-        return c, s2, nu, den, v, np.dot(v, self._basis)
+        rows = x.reshape(-1, self.dim)
+        z = np.dot(rows, self._basis)
+        if self._mean_u is not None:
+            z -= c * self._mean_u
+        return c, s2, nu, den, rows, z
+
+    def _frame(self, z, scale, m):
+        """(z * scale) U^T + m mean: one GEMM of [z * scale | m] against ``_frame_t`` = [U^T; mean]."""
+        w = np.empty((len(z), len(self._frame_t)))
+        np.multiply(z, scale, out=w[:, : z.shape[1]])
+        w[:, z.shape[1] :] = m  # no column for a zero mean
+        return np.dot(w, self._frame_t)
 
     def score(self, t, x):
         x = self._check_point(x)
-        c, _, nu, den, v, z = self._split(t, x)
-        # -Cov_t^{-1} v = (z (gap / den) U^T - v) / low, with low the smallest
-        # variance of X_t and gap = den - low: the subtraction cancels by at
-        # most the condition number of Cov_t.  low = nu off U, or the smallest
-        # den when U spans R^D.
+        c, _, nu, den, rows, z = self._split(t, x)
+        # -Cov_t^{-1} (x - c mean) = (z (gap / den) U^T + c mean - x) / low,
+        # with low the smallest variance of X_t and gap = den - low: the
+        # subtraction cancels by at most the condition number of Cov_t.
+        # low = nu off U, or the smallest den when U spans R^D.
         if len(den) < self.dim:
             low, gap = nu, (c * c) * self._var
         else:
             k = int(self._var.argmin())
             low, gap = den[k], (c * c) * (self._var - self._var[k])
-        out = np.dot(z * (gap / den), self._basis_t)
-        out -= v
+        out = self._frame(z, gap / den, c)
+        out -= rows
         out /= low
         return out.reshape(x.shape)
 
     def posterior_mean(self, t, x):
-        # c Cov Cov_t^{-1} v = (c lam / nu) v + z (c sigma2 v_i / (nu den)) U^T: no term cancels
+        # mean + c Cov Cov_t^{-1} (x - c mean) = (c lam / nu) x + (sigma2 / nu) mean
+        # + z (c sigma2 v_i / (nu den)) U^T; sigma2 / nu = 1 - c^2 lam / nu, uncancelled
         x = self._check_point(x)
-        c, s2, nu, den, v, z = self._split(t, x)
-        out = np.dot(z * (c * s2 * self._var / (nu * den)), self._basis_t)
-        if self._mean is not None:
-            out += self._mean
+        c, s2, nu, den, rows, z = self._split(t, x)
+        out = self._frame(z, c * s2 * self._var / (nu * den), s2 / nu)
         if self.law.diag_floor > 0:
-            out += (c * self.law.diag_floor / nu) * v
+            out += (c * self.law.diag_floor / nu) * rows
         return out.reshape(x.shape)
 
     def log_marginal(self, t, x):
         x = self._check_point(x)
-        _, _, nu, den, v, z = self._split(t, x)
-        perp = v - np.dot(z, self._basis_t)
+        c, _, nu, den, rows, z = self._split(t, x)
+        perp = rows - self._frame(z, 1.0, c)
         quad = np.dot(z * z, 1.0 / den) + (perp * perp).sum(axis=1) / nu
         logdet = float(np.log(den).sum()) + (self.dim - len(den)) * math.log(nu)
         out = -0.5 * (quad + logdet + self.dim * math.log(2.0 * math.pi))
         return out.reshape(x.shape[:-1])
+
+
+class PointMassOracle(GaussianOracle):
+    """Dirac data at ``point``: the Gaussian law of rank 0 and floor 0, whose draws take no randomness."""
+
+    def __init__(self, point):
+        super().__init__(GaussianLaw.point_mass(point))
+        self.point = self.law.mean
+
+    def sample0(self, rng, n):
+        return np.broadcast_to(self.point, (n, self.dim)).copy()
 
 
 class ProductOracle(ScoreOracle):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _record
 from ._pool import _DRAW_AHEAD_MIN, _map_ahead
-from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _forward_kernel
+from .measures import GaussianLaw, GaussianOracle, PointCloudOracle, ScoreOracle, _column_space, _forward_kernel
 from .sampler import ReverseRunConfig, ScorePerturbation, step_table
 from .schedule import TimeSchedule, contraction, noise_scales, noise_var
 
@@ -137,13 +137,7 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     dim = p.dim
-    stack = np.concatenate([p.factor, q.factor], axis=1)
-    if stack.shape[1]:
-        basis, svals, _ = np.linalg.svd(stack, full_matrices=False)
-        keep = svals > (svals[0] * 1e-13 if svals.size and svals[0] > 0 else 0.0)
-        basis = basis[:, keep]
-    else:
-        basis = np.zeros((dim, 0))
+    basis = _column_space(np.concatenate([p.factor, q.factor], axis=1))[0]
     r = basis.shape[1]
 
     def reduced(law):
@@ -207,8 +201,6 @@ def _bias_vectors(config: ReverseRunConfig, ch: _Channels):
     src = config.score_source
     if src == "exact":
         return np.zeros(len(ch.var0)), np.zeros(ch.dim), 0.0
-    if not isinstance(src, ScorePerturbation):
-        raise ValueError("score source must be 'exact' or a ScorePerturbation")
     slope = _slope(src, ch.dim)
     b = src.epsilon * (src.constant if src.constant is not None else np.zeros(ch.dim))
     b_r = ch.basis.T @ b

@@ -605,6 +605,9 @@ _SAMPLE = ["sample", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "p
         (["schedule", "--load", "g.txt", "--K", "235"], "--K"),
         # exact mode draws no samples, so it reads no --n
         (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "gaussian:D=4,rank=1", "--mode", "exact", "--n", "5"], "--n"),
+        # the exact commands need a closed-form law: gaussian or point-mass
+        (["kl", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "circle:D=2,n=64"], "--measure circle"),
+        (["meter", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "circle:D=2,n=64", "--mode", "exact"], "--measure circle"),
     ],
 )
 def test_cli_inputs_exit_1_naming_the_flag_or_field(tmp_path, capsys, argv, named):
@@ -711,6 +714,25 @@ def test_cli_kl_rejects_non_gaussian_measure(capsys):
         "--measure", "two-point:D=2",
     )
     assert code == 1
+    assert "--measure two-point" in err
+
+
+def test_cli_exact_commands_take_a_point_mass(tmp_path, capsys):
+    # C4 on the command line: started from the data's own p_T, the corrected
+    # scheme is exact on a point mass up to rounding (8.8e-31), the
+    # exponential integrator is not (0.0533); the exact meter reads 0
+    kl = ["kl", "--kappa", "0.2", "--L", "10", "--K", "40", "--measure", "point-mass:D=6", "--init", "data_pT"]
+    values = {}
+    for scheme in ("corrected", "exponential_integrator"):
+        code, out, _ = run_cli(capsys, *kl, "--scheme", scheme)
+        assert code == 0
+        values[scheme] = float(re.search(r"^value = (.*)$", out, re.M).group(1))
+    assert values["corrected"] <= 1e-20
+    assert values["exponential_integrator"] >= 0.05
+    code, out, _ = run_cli(capsys, "meter", "--kappa", "0.2", "--L", "10", "--K", "40",
+                           "--measure", "point-mass:D=16", "--mode", "exact", "--out", str(tmp_path))
+    assert code == 0
+    assert re.search(r"^value = (.*)$", out, re.M).group(1) == "0"
 
 
 def test_cli_meter_exact(tmp_path, capsys):

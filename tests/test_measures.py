@@ -577,17 +577,23 @@ def test_standard_gaussian_score_is_negative_identity():
         np.testing.assert_allclose(oracle.score(t, x), -x, atol=1e-12)
 
 
-def test_degenerate_gaussian_matches_point_mass():
-    y0 = np.array([0.2, -0.4, 1.0])
-    oracle = GaussianOracle(GaussianLaw.point_mass(y0))
-    pm = PointMassOracle(y0)
-    x = np.array([0.5, 0.5, -0.2])
-    for t in (0.05, 0.9):
-        np.testing.assert_allclose(oracle.score(t, x), pm.score(t, x), atol=1e-12)
-        np.testing.assert_allclose(
-            oracle.posterior_mean(t, x), pm.posterior_mean(t, x), atol=1e-12
-        )
-        np.testing.assert_allclose(oracle.log_marginal(t, x), pm.log_marginal(t, x), atol=1e-12)
+@pytest.mark.parametrize("y0", [np.array([0.2, -0.4, 1.0]), np.zeros(3)], ids=["point", "origin"])
+def test_point_mass_is_the_rank_0_gaussian_with_dirac_queries_byte_for_byte(y0):
+    # the Gaussian queries give, bit for bit, the Dirac formulas: score
+    # (c y0 - x) / sigma2 and posterior mean y0, rows of +0.0 and -0.0 included
+    oracle = PointMassOracle(y0)
+    assert isinstance(oracle, GaussianOracle) and oracle.law.factor.shape == (3, 0)
+    x = np.array([[0.5, 0.5, -0.2], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [3.0, -1e-300, 7.5]])
+    for t in (1e-6, 0.05, 0.9, 5.0):
+        c, s2 = math.exp(-t), -math.expm1(-2.0 * t)
+        dirac_score = (c * np.broadcast_to(y0, x.shape).copy() - x) / s2
+        assert oracle.score(t, x).tobytes() == dirac_score.tobytes()
+        assert oracle.posterior_mean(t, x).tobytes() == np.broadcast_to(y0, x.shape).tobytes()
+    # a Dirac draws nothing
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert oracle.sample0(rng, 4).tobytes() == np.broadcast_to(y0, (4, 3)).tobytes()
+    assert rng.bit_generator.state == state
 
 
 def test_rank_one_gaussian_matches_dense_inverse():

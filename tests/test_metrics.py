@@ -391,8 +391,10 @@ def test_meter_requires_samples_and_rng():
         discretization_error_meter(oracle, sched, 50, spawn_rng(0, 0))
     with pytest.raises(ValueError):
         discretization_error_meter(oracle, sched, 500, None)
-    with pytest.raises(ValueError):
-        discretization_error_meter(oracle, sched, 0, None, mode="exact")
+    # exact mode needs a Gaussian law; a point mass is one, a cloud is not
+    cloud = PointCloudOracle(PointCloudMeasure.uniform(np.array([[-0.5], [0.5]])))
+    with pytest.raises(ValueError, match="exact mode requires a GaussianOracle"):
+        discretization_error_meter(cloud, sched, 0, None, mode="exact")
 
 
 def _serial_meter(oracle, sched, n, rng, quadrature):
@@ -492,8 +494,9 @@ def test_meter_mc_leaves_rng_final_when_a_step_raises(n, drawn):
 @pytest.mark.parametrize("spec", ["gaussian:D=64,rank=1", "circle:D=64,n=256"])
 def test_meter_mc_peak_with_draws_ahead_is_at_most_nine_draws(spec):
     # n = 2048 rows of D = 64, the top of the draw-ahead range: one n x D
-    # draw is 1 MiB.  Measured peak 7.1x (Gaussian) and 8.2x (circle): the
-    # serial peak plus step k + 1's X_0 and two normal draws.
+    # draw is 1 MiB.  Measured peak 4.0x (Gaussian) and 6.2x (circle): the
+    # path point, the next point's normal draw made ahead, a step's two
+    # posterior means and the oracle's query operands.
     oracle, sched = build_measure(spec), build_schedule(0.2, 2, 6)
     discretization_error_meter(oracle, sched, 2048, spawn_rng(0, 2))  # start the pool outside the traced run
     tracemalloc.start()
@@ -509,10 +512,9 @@ def test_meter_mc_peak_with_draws_ahead_is_at_most_nine_draws(spec):
 @pytest.mark.parametrize("spec", ["gaussian:D=64,rank=1", "circle:D=64,n=256"])
 def test_meter_mc_peak_two_steps_ahead_stays_under_the_one_step_bound(spec):
     # n = 1024 rows of D = 64, the top of the two-step range (n * D = 2**16):
-    # the steps drawn ahead hold six n x D draws, as many values as one step
-    # ahead at n * D = 2**17, so the bound of the 2**17 test holds.  Measured
-    # peak 3.5x (Gaussian) and 6.2x (circle) of a 2**17-value draw; one step
-    # ahead read 3.6x and 4.8x.
+    # the two n x D draws made ahead hold as many values as one draw ahead at
+    # n * D = 2**17, so the bound of the 2**17 test holds.  Measured peak
+    # 2.5x (Gaussian) and 4.2x (circle) of a 2**17-value draw.
     oracle, sched = build_measure(spec), build_schedule(0.2, 2, 6)
     discretization_error_meter(oracle, sched, 1024, spawn_rng(0, 2))  # start the pool outside the traced run
     tracemalloc.start()

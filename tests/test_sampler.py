@@ -517,10 +517,12 @@ def test_nonfinite_step_on_the_shared_path_names_its_row_and_leaves_no_draw_runn
 
 def test_one_block_caller_run_holds_the_batch_and_two_block_arrays(monkeypatch):
     # point-mass:D=16, batch 2048: one 256 KiB block of two chunks, stepped in
-    # the caller.  Measured peak 3.06x of the batch: the batch, the next step's
+    # the caller.  Measured peak 3.12x of the batch: the batch, the next step's
     # noise drawn into the spent score, and the step's score (one array at this
-    # size), with up to 0.11x more for the finite check's mask, the streams and
-    # the pool's bookkeeping.  A noise buffer of its own beside those reads 4.06x.
+    # size), with up to 0.18x more for the score GEMM's n x 1 operand (the
+    # mean's coefficient, 1/16 of the batch), the finite check's mask, the
+    # streams and the pool's bookkeeping.  A noise buffer of its own beside
+    # those reads about 4.1x.
     oracle = build_measure("point-mass:D=16")
     cfg = ReverseRunConfig(schedule=build_schedule(0.2, 10, 40), batch=2048, seed=1)
     calls = _spy_on_draws_ahead(monkeypatch)
